@@ -153,7 +153,10 @@ def cmd_replay(args) -> int:
     except (KeyError, ConfigError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
 
-    defect, overridden = _defect_override(args, config.defect)
+    try:
+        defect, overridden = _defect_override(args, config.defect)
+    except ValueError as exc:
+        return _fail(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
     spec, _ = config.seed_for(record.kind)
     trace = simulate(spec, record.params, config.sim)
     verdict = check_ic(trace, defect, config.oracle)

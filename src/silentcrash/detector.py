@@ -1,4 +1,4 @@
-"""Two collision verdicts per trace: exact ground truth and a flawed built-in.
+"""Two collision verdicts per trace: per-frame ground truth and a flawed built-in.
 
 The built-in detector under-reports by construction. Its defect model has
 three knobs: it only inspects every k-th frame (fast contacts can fall
@@ -11,9 +11,8 @@ frame only qualifies if the boxes actually overlap there, so with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .simulator import Trace
 
@@ -27,6 +26,8 @@ class DefectModel:
     def __post_init__(self) -> None:
         if self.sample_period < 1:
             raise ValueError("sample_period must be >= 1")
+        if not (math.isfinite(self.min_penetration) and math.isfinite(self.min_impact_speed)):
+            raise ValueError("defect thresholds must be finite")
         if self.min_penetration < 0.0 or self.min_impact_speed < 0.0:
             raise ValueError("defect thresholds must be non-negative")
 
@@ -41,8 +42,7 @@ def ground_truth(trace: Trace) -> int | None:
     gates the built-in detector below, so the built-in can under-report but
     never fire on a trace without ground-truth contact.
     """
-    hits = np.flatnonzero(trace.gt_overlap)
-    return int(hits[0]) if hits.size else None
+    return trace.first_contact
 
 
 def builtin_cd(trace: Trace, defect: DefectModel) -> bool:
@@ -51,9 +51,17 @@ def builtin_cd(trace: Trace, defect: DefectModel) -> bool:
     True iff some inspected frame (every sample_period-th) has overlapping
     boxes with penetration >= min_penetration and, when the speed gate is
     enabled (min_impact_speed > 0), closing speed >= min_impact_speed.
+    Frames before the first contact have no overlap, so only the inspected
+    frames from there on are evaluated.
     """
-    idx = np.arange(0, len(trace), defect.sample_period)
-    hit = trace.gt_overlap[idx] & (trace.penetration[idx] >= defect.min_penetration)
+    if trace.first_contact is None:
+        return False
+    k = defect.sample_period
+    frames = range(-(-trace.first_contact // k) * k, len(trace), k)
+    if not frames:
+        return False
+    overlap, penetration, closing_speed = trace.contact_at(frames)
+    hit = overlap & (penetration >= defect.min_penetration)
     if defect.min_impact_speed > 0.0:
-        hit &= trace.closing_speed[idx] >= defect.min_impact_speed
+        hit &= closing_speed >= defect.min_impact_speed
     return bool(hit.any())

@@ -311,7 +311,7 @@ class _Executor:
             kind=spec.kind,
             params=params,
             verdict=verdict,
-            first_contact_time=None if fc is None else round(float(trace.times[fc]), 9),
+            first_contact_time=None if fc is None else round(trace.time(fc), 9),
             ordinal=len(self.records),
             sim_seconds=round(trace.duration, 9),
             clock_seconds=round(self.clock, 9),

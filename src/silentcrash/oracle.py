@@ -46,6 +46,8 @@ def classify(cond1: bool, cond2: bool) -> ScenarioType:
 
 def max_iou(trace: Trace) -> float:
     """Largest per-frame IoU over the trace; 0 without any overlap frame."""
+    if trace.first_contact is None:
+        return 0.0
     best = 0.0
     for i in np.flatnonzero(trace.gt_overlap):
         i = int(i)

@@ -6,22 +6,45 @@ speed v_hat along (initial heading + a * 90 deg). The NPC follows its spec
 behavior throughout. Integration is forward-Euler at a fixed dt and contains
 no randomness anywhere, so identical inputs give bit-identical traces.
 
-Motion is piecewise linear, which lets the whole trace be computed with a
-handful of vectorized array operations per phase. The per-frame overlap and
-penetration values use the same face-normal projections as the scalar
-geometry module; frame invariants are cross-checked against it in tests.
+The frames that decide a verdict are located analytically and confirmed per
+frame. Motion is piecewise linear with a constant yaw in each phase, so the
+center offset is p + t*w: the trigger lies at the first root of
+|p + t*w| = d, a quadratic, and the boxes can only overlap where all four
+separating-axis projections satisfy |P.a_k + t*Q.a_k| <= r_k, an intersection
+of four time slabs (Ericson, Real-Time Collision Detection, 5.5; Gottschalk,
+Lin & Manocha, OBBTree). Both are solved with the thresholds widened by a
+slack far above floating-point error, and the interval is widened by one
+frame on each side. The per-frame formulas then run on the frames inside it,
+and the first frame that passes is the answer. A frame outside the interval
+misses its threshold by more than the slack, so no frame-by-frame scan of the
+whole horizon could find a different one.
+
+Each per-frame value is an elementwise expression of the frame index, so it
+has the same bits whether it is evaluated alone or inside the whole trace. A
+Trace keeps the located frames; its per-frame arrays are built from the same
+formulas on first access. The overlap and penetration values use the same
+face-normal projections as the scalar geometry module; frame invariants are
+cross-checked against it in tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import OrientedBox, Point2
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
+
+# Slack on every located threshold, relative to the magnitude of the
+# coordinates involved: about 10^7 times the rounding error of the per-frame
+# formulas, so a frame outside a located interval can never pass them.
+_SLACK = 1e-9
 
 
 class SimulationError(RuntimeError):
@@ -37,6 +60,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise SimulationError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.horizon):
+            raise SimulationError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < 10.0 * self.dt:
             raise SimulationError("horizon must cover at least 10 steps")
         if self.settle_frames < 0:
@@ -54,32 +79,248 @@ class Frame:
     triggered: bool
 
 
-@dataclass
-class Trace:
-    """Frame-by-frame record of one execution, backed by parallel arrays."""
+def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[np.ndarray, np.ndarray]:
+    """The four face normals of both boxes, (4, 2), and the boxes' summed half extents along each, (4,)."""
+    ce, se = math.cos(ev_yaw), math.sin(ev_yaw)
+    cn, sn = math.cos(npc_yaw), math.sin(npc_yaw)
+    axes = ((ce, se), (-se, ce), (cn, sn), (-sn, cn))
+    radii = [
+        (ev_half[0] * abs(ax * ce + ay * se) + ev_half[1] * abs(ay * ce - ax * se))
+        + (npc_half[0] * abs(ax * cn + ay * sn) + npc_half[1] * abs(ay * cn - ax * sn))
+        for ax, ay in axes
+    ]
+    return np.array(axes), np.array(radii)
 
-    times: np.ndarray
-    ev_centers: np.ndarray
-    ev_yaws: np.ndarray
-    npc_centers: np.ndarray
-    npc_yaws: np.ndarray
-    gt_overlap: np.ndarray
-    penetration: np.ndarray
-    closing_speed: np.ndarray
-    triggered: np.ndarray
-    ev_half: tuple[float, float]
-    npc_half: tuple[float, float]
+
+def _min_overlap(delta: np.ndarray, axes: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Signed minimum axis overlap for each center offset in delta, (k, 2).
+
+    Negative values mean a separating axis exists; the value clamped at zero
+    is the penetration depth, matching geometry.penetration_depth. Only
+    elementwise products are used, never a matrix product, so a frame's value
+    does not depend on how many frames are evaluated with it.
+    """
+    proj = np.abs(delta[:, :1] * axes[:, 0] + delta[:, 1:] * axes[:, 1])  # (k, 4)
+    return (radii - proj).min(axis=1)
+
+
+def _closing_speed(delta: np.ndarray, rel_v: np.ndarray) -> np.ndarray:
+    """Rate at which the EV approaches the NPC center, for each center offset in delta."""
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
+    return np.where(dist > 1e-12, towards / np.maximum(dist, 1e-12), 0.0)
+
+
+def _frame_span(lo: float, hi: float, first: int, last: int, dt: float) -> range:
+    """Frames of first..last with times in [lo, hi], plus one more on either side.
+
+    A NaN bound means the interval could not be located: all frames.
+    """
+    if math.isnan(lo) or math.isnan(hi):
+        return range(first, last + 1)
+    lo, hi = lo / dt - 1.0, hi / dt + 1.0
+    if hi < first or lo > last:
+        return range(0)
+    return range(first if lo <= first else math.floor(lo), (last if hi >= last else math.ceil(hi)) + 1)
+
+
+class _Phase(NamedTuple):
+    """Frames first..last, over which both actors keep one velocity and yaw.
+
+    At time t the NPC center is npc_origin + t * npc_velocity and the EV
+    center ev_origin + (t - t0) * ev_velocity.
+    """
+
+    first: int
+    last: int
+    dt: float
+    npc_origin: np.ndarray
+    npc_velocity: np.ndarray
+    t0: float
+    ev_origin: np.ndarray
+    ev_velocity: np.ndarray
+    ev_yaw: float
+    axes: np.ndarray
+    radii: np.ndarray
+
+    def centers(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = idx * self.dt
+        ev = self.ev_origin + (t - self.t0)[:, None] * self.ev_velocity
+        npc = self.npc_origin + t[:, None] * self.npc_velocity
+        return ev, npc
+
+    @property
+    def _motion(self) -> tuple[float, ...]:
+        """(nx, ny, ux, uy, ox, oy, vx, vy): NPC origin and velocity, then the EV's, as floats."""
+        return (
+            *self.npc_origin.tolist(),
+            *self.npc_velocity.tolist(),
+            *self.ev_origin.tolist(),
+            *self.ev_velocity.tolist(),
+        )
+
+    def finite(self) -> bool:
+        """Whether both centers stay finite; they move monotonically, so the last frame decides.
+
+        Python floats round like the numpy expressions in centers().
+        """
+        nx, ny, ux, uy, ox, oy, vx, vy = self._motion
+        t = self.last * self.dt
+        since = t - self.t0
+        return all(map(math.isfinite, (nx + t * ux, ny + t * uy, ox + since * vx, oy + since * vy)))
+
+    @property
+    def _offset(self) -> tuple[float, float, float, float, float]:
+        """Center offset P + t*Q as (Px, Py, Qx, Qy), and the slack for its magnitude."""
+        nx, ny, ux, uy, ox, oy, vx, vy = self._motion
+        reach = (1.0 + self.last * self.dt) * (abs(ux) + abs(uy) + abs(vx) + abs(vy))
+        slack = _SLACK * (abs(nx) + abs(ny) + abs(ox) + abs(oy) + reach + float(self.radii.max()))
+        return nx - ox + self.t0 * vx, ny - oy + self.t0 * vy, ux - vx, uy - vy, slack
+
+    def first_within(self, d: float) -> int | None:
+        """First frame whose center distance is at most d."""
+        px, py, wx, wy, slack = self._offset
+        reach = d + slack
+        a = wx * wx + wy * wy
+        if a == 0.0:
+            window = range(self.first, self.last + 1) if math.hypot(px, py) <= reach else range(0)
+        elif a == math.inf:
+            window = range(self.first, self.last + 1)
+        else:
+            tc = -(px * wx + py * wy) / a
+            cx, cy = px + tc * wx, py + tc * wy
+            h2 = (reach * reach - (cx * cx + cy * cy)) / a
+            if h2 < 0.0:
+                return None
+            h = math.sqrt(h2)
+            window = _frame_span(tc - h, tc + h, self.first, self.last, self.dt)
+        if not window:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev, npc = self.centers(np.arange(window.start, window.stop))
+            delta = npc - ev
+            below = np.hypot(delta[:, 0], delta[:, 1]) <= d
+        return window.start + int(np.argmax(below)) if below.any() else None
+
+    def first_contact(self) -> int | None:
+        """First frame at which the boxes overlap."""
+        px, py, qx, qy, slack = self._offset
+        lo, hi = -math.inf, math.inf
+        for (ax, ay), r in zip(self.axes.tolist(), self.radii.tolist()):
+            p, q, reach = px * ax + py * ay, qx * ax + qy * ay, r + slack
+            if q == 0.0:
+                if abs(p) > reach:
+                    return None
+                continue
+            enter, leave = (-reach - p) / q, (reach - p) / q
+            if enter > leave:
+                enter, leave = leave, enter
+            lo, hi = max(lo, enter), min(hi, leave)
+        window = _frame_span(lo, hi, self.first, self.last, self.dt)
+        if not window:
+            return None
+        ev, npc = self.centers(np.arange(window.start, window.stop))
+        hit = _min_overlap(npc - ev, self.axes, self.radii) >= 0.0
+        return window.start + int(np.argmax(hit)) if hit.any() else None
+
+    def frame_values(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """EV centers, NPC centers, minimum axis overlap and closing speed at frames idx."""
+        ev, npc = self.centers(idx)
+        delta = npc - ev
+        closing = _closing_speed(delta, self.ev_velocity - self.npc_velocity)
+        return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
+
+
+@dataclass(eq=False)
+class Trace:
+    """Frame-by-frame record of one execution.
+
+    The located frames and the length are set up front. The per-frame
+    arrays are built on first access, covering frames 0..len-1.
+    """
+
     first_contact: int | None
     trigger_frame: int | None
-    _frames: tuple[Frame, ...] | None = field(default=None, repr=False)
+    ev_half: tuple[float, float]
+    npc_half: tuple[float, float]
+    length: int
+    dt: float
+    npc_yaw: float
+    phases: tuple[_Phase, ...]
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self.length
+
+    def time(self, i: int) -> float:
+        """Simulated time of frame i."""
+        return i * self.dt
 
     @property
     def duration(self) -> float:
         """Simulated seconds consumed by this execution."""
-        return float(self.times[-1])
+        return self.time(self.length - 1)
+
+    def _frame_values(self, frames: range) -> list[np.ndarray]:
+        """frame_values of each phase, joined over the ascending frames."""
+        parts = []
+        for phase in self.phases:
+            part = frames[bisect_left(frames, phase.first) : bisect_left(frames, phase.last + 1)]
+            if part:
+                parts.append(phase.frame_values(np.arange(part.start, part.stop, part.step)))
+        if len(parts) == 1:
+            return list(parts[0])
+        return [np.concatenate(columns) for columns in zip(*parts)]
+
+    def contact_at(self, frames: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ground-truth overlap, penetration and closing speed at the non-empty ascending frames."""
+        _, _, overlap, closing = self._frame_values(frames)
+        return overlap >= 0.0, np.maximum(overlap, 0.0), closing
+
+    @cached_property
+    def _arrays(self) -> list[np.ndarray]:
+        return self._frame_values(range(self.length))
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.arange(self.length) * self.dt
+
+    @cached_property
+    def ev_centers(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @cached_property
+    def npc_centers(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @cached_property
+    def gt_overlap(self) -> np.ndarray:
+        return self._arrays[2] >= 0.0
+
+    @cached_property
+    def penetration(self) -> np.ndarray:
+        return np.maximum(self._arrays[2], 0.0)
+
+    @cached_property
+    def closing_speed(self) -> np.ndarray:
+        return self._arrays[3]
+
+    @cached_property
+    def ev_yaws(self) -> np.ndarray:
+        yaws = np.empty(self.length)
+        for phase in self.phases:
+            yaws[phase.first : phase.last + 1] = phase.ev_yaw
+        return yaws
+
+    @cached_property
+    def npc_yaws(self) -> np.ndarray:
+        return np.full(self.length, self.npc_yaw)
+
+    @cached_property
+    def triggered(self) -> np.ndarray:
+        triggered = np.zeros(self.length, dtype=bool)
+        if self.trigger_frame is not None:
+            triggered[self.trigger_frame :] = True
+        return triggered
 
     def ev_box(self, i: int) -> OrientedBox:
         return OrientedBox(
@@ -110,42 +351,12 @@ class Trace:
             triggered=bool(self.triggered[i]),
         )
 
-    @property
-    def frames(self) -> tuple[Frame, ...]:
-        if self._frames is None:
-            self._frames = tuple(self.frame(i) for i in range(len(self)))
-        return self._frames
-
 
 def _behavior_velocity(actor) -> np.ndarray:
     if actor.behavior.kind is BehaviorKind.STATIC:
         return np.zeros(2)
     speed = actor.behavior.speed
     return np.array([speed * math.cos(actor.yaw), speed * math.sin(actor.yaw)])
-
-
-def _pairwise_penetration(delta: np.ndarray, ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> np.ndarray:
-    """Signed minimum axis overlap for each frame of one constant-yaw phase.
-
-    Negative values mean a separating axis exists; the value clamped at zero
-    is the penetration depth, matching geometry.penetration_depth.
-    """
-    axes = []
-    for yaw in (ev_yaw, npc_yaw):
-        c, s = math.cos(yaw), math.sin(yaw)
-        axes.append((c, s))
-        axes.append((-s, c))
-    axes = np.array(axes)  # (4, 2)
-
-    def radius(yaw, half):
-        c, s = math.cos(yaw), math.sin(yaw)
-        u = np.array([c, s])
-        v = np.array([-s, c])
-        return half[0] * np.abs(axes @ u) + half[1] * np.abs(axes @ v)
-
-    combined = radius(ev_yaw, ev_half) + radius(npc_yaw, npc_half)  # (4,)
-    proj = np.abs(delta @ axes.T)  # (n, 4)
-    return (combined[None, :] - proj).min(axis=1)
 
 
 def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = SimConfig()) -> Trace:
@@ -155,8 +366,6 @@ def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = Sim
     contact it covers the whole horizon.
     """
     n = int(round(cfg.horizon / cfg.dt))
-    times = np.arange(n + 1) * cfg.dt
-
     ev0 = np.array([spec.ev.position.x, spec.ev.position.y])
     npc0 = np.array([spec.npc.position.x, spec.npc.position.y])
     ev_v0 = _behavior_velocity(spec.ev)
@@ -164,73 +373,39 @@ def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = Sim
     if not np.isfinite(np.concatenate([ev0, npc0, ev_v0, npc_v])).all():
         raise SimulationError("non-finite initial state")
 
-    # phase A: both actors at their spec velocities; the first crossing of
-    # the trigger distance along this path is the true trigger frame
-    with np.errstate(over="ignore", invalid="ignore"):
-        ev_pos = ev0[None, :] + times[:, None] * ev_v0[None, :]
-        npc_pos = npc0[None, :] + times[:, None] * npc_v[None, :]
-    dist_a = np.hypot(*(npc_pos - ev_pos).T)
-    below = dist_a <= params.d
-    trigger = int(np.argmax(below)) if below.any() else None
-
-    ev_yaw0 = spec.ev.yaw
-    ev_yaws = np.full(n + 1, ev_yaw0)
-    ev_vel = np.broadcast_to(ev_v0, (n + 1, 2)).copy()
-    if trigger is not None:
-        yaw1 = ev_yaw0 + params.a * (math.pi / 2.0)
-        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
-        tail = times[trigger:] - times[trigger]
-        ev_pos = ev_pos.copy()
-        ev_pos[trigger:] = ev_pos[trigger] + tail[:, None] * v1[None, :]
-        ev_yaws[trigger:] = yaw1
-        ev_vel[trigger:] = v1
-
-    if not (np.isfinite(ev_pos).all() and np.isfinite(npc_pos).all()):
-        raise SimulationError("non-finite positions")
-    delta = npc_pos - ev_pos
-
     ev_half = (spec.ev.half_length, spec.ev.half_width)
     npc_half = (spec.npc.half_length, spec.npc.half_width)
-    min_overlap = np.empty(n + 1)
-    split = n + 1 if trigger is None else trigger
-    if split > 0:
-        min_overlap[:split] = _pairwise_penetration(delta[:split], ev_yaw0, ev_half, spec.npc.yaw, npc_half)
-    if split < n + 1:
-        min_overlap[split:] = _pairwise_penetration(
-            delta[split:], float(ev_yaws[split]), ev_half, spec.npc.yaw, npc_half
+    axes, radii = _separating_axes(spec.ev.yaw, ev_half, spec.npc.yaw, npc_half)
+    cruise = _Phase(0, n, cfg.dt, npc0, npc_v, 0.0, ev0, ev_v0, spec.ev.yaw, axes, radii)
+
+    # both actors at their spec velocities until the first crossing of the
+    # trigger distance along that path, the true trigger frame
+    trigger = cruise.first_within(params.d)
+    phases = [cruise]
+    if trigger is not None:
+        yaw1 = spec.ev.yaw + params.a * (math.pi / 2.0)
+        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
+        t0 = trigger * cfg.dt
+        axes, radii = _separating_axes(yaw1, ev_half, spec.npc.yaw, npc_half)
+        switched = cruise._replace(
+            first=trigger, t0=t0, ev_origin=ev0 + t0 * ev_v0, ev_velocity=v1, ev_yaw=yaw1, axes=axes, radii=radii
         )
+        phases = [cruise._replace(last=trigger - 1), switched] if trigger > 0 else [switched]
 
-    gt = min_overlap >= 0.0
-    penetration = np.maximum(min_overlap, 0.0)
+    if not all(phase.finite() for phase in phases):
+        raise SimulationError("non-finite positions")
 
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    rel_v = ev_vel - npc_v[None, :]
-    closing = np.where(dist > 1e-12, np.einsum("ij,ij->i", rel_v, delta) / np.maximum(dist, 1e-12), 0.0)
-
-    first_contact = int(np.argmax(gt)) if gt.any() else None
+    first_contact = next((fc for fc in (phase.first_contact() for phase in phases) if fc is not None), None)
     stop = n if first_contact is None else min(first_contact + cfg.settle_frames, n)
-    end = stop + 1
-
-    triggered = np.zeros(end, dtype=bool)
-    trigger_frame = None
-    if trigger is not None and trigger <= stop:
-        trigger_frame = trigger
-        triggered[trigger:] = True
-
     return Trace(
-        times=times[:end],
-        ev_centers=ev_pos[:end],
-        ev_yaws=ev_yaws[:end],
-        npc_centers=npc_pos[:end],
-        npc_yaws=np.full(end, spec.npc.yaw),
-        gt_overlap=gt[:end],
-        penetration=penetration[:end],
-        closing_speed=closing[:end],
-        triggered=triggered,
+        first_contact=first_contact,
+        trigger_frame=trigger if trigger is not None and trigger <= stop else None,
         ev_half=ev_half,
         npc_half=npc_half,
-        first_contact=first_contact,
-        trigger_frame=trigger_frame,
+        length=stop + 1,
+        dt=cfg.dt,
+        npc_yaw=spec.npc.yaw,
+        phases=tuple(phases),
     )
 
 

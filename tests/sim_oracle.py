@@ -1,0 +1,96 @@
+"""Full-array reference for the simulator, independent of its frame location.
+
+`simulate_full` builds every frame of the horizon and reduces the arrays the
+way the simulator did before it located its frames analytically: the trigger
+is the first frame of the whole cruise path within d, first contact the
+first overlap frame of the whole horizon. It shares only the per-frame
+kernel with the simulator, so any frame the located search skips or picks
+wrongly shows up as a difference.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from silentcrash.detector import DefectModel
+from silentcrash.scenario import ControlParameters, ScenarioSpec
+from silentcrash.simulator import (
+    SimConfig,
+    _behavior_velocity,
+    _closing_speed,
+    _min_overlap,
+    _separating_axes,
+)
+
+
+def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = SimConfig()) -> SimpleNamespace:
+    n = int(round(cfg.horizon / cfg.dt))
+    times = np.arange(n + 1) * cfg.dt
+
+    ev0 = np.array([spec.ev.position.x, spec.ev.position.y])
+    npc0 = np.array([spec.npc.position.x, spec.npc.position.y])
+    ev_v0 = _behavior_velocity(spec.ev)
+    npc_v = _behavior_velocity(spec.npc)
+
+    ev_pos = ev0[None, :] + times[:, None] * ev_v0[None, :]
+    npc_pos = npc0[None, :] + times[:, None] * npc_v[None, :]
+    below = np.hypot(*(npc_pos - ev_pos).T) <= params.d
+    trigger = int(np.argmax(below)) if below.any() else None
+
+    ev_yaws = np.full(n + 1, spec.ev.yaw)
+    ev_vel = np.broadcast_to(ev_v0, (n + 1, 2)).copy()
+    if trigger is not None:
+        yaw1 = spec.ev.yaw + params.a * (math.pi / 2.0)
+        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
+        tail = times[trigger:] - times[trigger]
+        ev_pos[trigger:] = ev_pos[trigger] + tail[:, None] * v1[None, :]
+        ev_yaws[trigger:] = yaw1
+        ev_vel[trigger:] = v1
+    delta = npc_pos - ev_pos
+
+    ev_half = (spec.ev.half_length, spec.ev.half_width)
+    npc_half = (spec.npc.half_length, spec.npc.half_width)
+    min_overlap = np.empty(n + 1)
+    closing = np.empty(n + 1)
+    split = n + 1 if trigger is None else trigger
+    for lo, hi in ((0, split), (split, n + 1)):
+        if hi > lo:
+            axes, radii = _separating_axes(float(ev_yaws[lo]), ev_half, spec.npc.yaw, npc_half)
+            min_overlap[lo:hi] = _min_overlap(delta[lo:hi], axes, radii)
+            closing[lo:hi] = _closing_speed(delta[lo:hi], ev_vel[lo] - npc_v)
+    gt = min_overlap >= 0.0
+
+    first_contact = int(np.argmax(gt)) if gt.any() else None
+    stop = n if first_contact is None else min(first_contact + cfg.settle_frames, n)
+    end = stop + 1
+    triggered = np.zeros(end, dtype=bool)
+    trigger_frame = None
+    if trigger is not None and trigger <= stop:
+        trigger_frame = trigger
+        triggered[trigger:] = True
+
+    return SimpleNamespace(
+        times=times[:end],
+        ev_centers=ev_pos[:end],
+        ev_yaws=ev_yaws[:end],
+        npc_centers=npc_pos[:end],
+        npc_yaws=np.full(end, spec.npc.yaw),
+        gt_overlap=gt[:end],
+        penetration=np.maximum(min_overlap, 0.0)[:end],
+        closing_speed=closing[:end],
+        triggered=triggered,
+        first_contact=first_contact,
+        trigger_frame=trigger_frame,
+        length=end,
+        duration=float(times[stop]),
+    )
+
+
+def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:
+    """The built-in detector over every inspected frame of a full-array trace."""
+    idx = np.arange(0, trace.length, defect.sample_period)
+    hit = trace.gt_overlap[idx] & (trace.penetration[idx] >= defect.min_penetration)
+    if defect.min_impact_speed > 0.0:
+        hit &= trace.closing_speed[idx] >= defect.min_impact_speed
+    return bool(hit.any())

@@ -1,8 +1,27 @@
+import hashlib
 import json
 
 import pytest
 
+from conftest import CONFIG_DIR
 from silentcrash.cli import main
+
+# sha256 of (records.jsonl, manifest.json) for each shipped config; these
+# bytes change only with a deliberate, documented change of the campaign
+SHIPPED_DIGESTS = {
+    "reference": (
+        "d6b1e78f5353ccd5a6d090e2760f0c4771bb3aa68369f05a5fd0963a35c08f75",
+        "c9906cc7bc8e3026431dbfb7dd0c2c3e64fbff2b80946aa3a8d0455baa304260",
+    ),
+    "tunneling": (
+        "9bde12f4f14b3a8ec9e2005735baa6cc47e6eab6e91bc23818b27761f65245aa",
+        "2f43bd688439a964ff9c5a7e336450ef226f0985bde1ac501549651b7a5b7673",
+    ),
+    "graze": (
+        "c12241bc6e60654f09ef9efdeba5aac513518fbe8dd796deb266f69ecb794114",
+        "97821175ef688cf79ae6426a710725e3b9021dcc423bce3ba62f2b79d3e67d4f",
+    ),
+}
 
 MINI_CONFIG = {
     "kinds": ["FLB"],
@@ -65,6 +84,16 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "weather" in capsys.readouterr().err
 
+    def test_nan_min_penetration_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINI_CONFIG, defect={"min_penetration": float("nan")}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINI_CONFIG, sim={"horizon": float("inf")}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "horizon" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -85,6 +114,13 @@ class TestRun:
         db = json.loads((tmp_path / "db" / "manifest.json").read_text())
         assert da["config_digest"] != db["config_digest"]
         assert da["totals"] == db["totals"]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_config_outputs_are_pinned(name, tmp_path):
+    assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    for file, digest in zip(("records.jsonl", "manifest.json"), SHIPPED_DIGESTS[name]):
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
 
 
 class TestReplay:
@@ -125,6 +161,11 @@ class TestReplay:
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict=DC" in out or "verdict=NC" in out
+
+    @pytest.mark.parametrize("flag, value", [("--min-penetration", "nan"), ("--min-impact-speed", "-1")])
+    def test_invalid_defect_override_is_config_error(self, campaign, capsys, flag, value):
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0", flag, value]) == 1
+        assert "defect override invalid" in capsys.readouterr().err
 
     def test_ordinal_out_of_range_is_io_error(self, campaign):
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "99999"]) == 2

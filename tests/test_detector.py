@@ -91,3 +91,7 @@ def test_defect_model_validation():
         DefectModel(min_penetration=-0.1)
     with pytest.raises(ValueError):
         DefectModel(min_impact_speed=-1.0)
+    with pytest.raises(ValueError):
+        DefectModel(min_penetration=float("nan"))
+    with pytest.raises(ValueError):
+        DefectModel(min_impact_speed=float("inf"))

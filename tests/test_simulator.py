@@ -114,6 +114,8 @@ def test_sim_config_validation():
         SimConfig(dt=1.0, horizon=5.0)
     with pytest.raises(SimulationError):
         SimConfig(settle_frames=-1)
+    with pytest.raises(SimulationError):
+        SimConfig(horizon=float("inf"))
 
 
 def test_trace_jsonl_export_shape():
@@ -129,9 +131,15 @@ def test_trace_jsonl_export_shape():
     assert last["gt_overlap"]
 
 
-def test_frames_property_matches_indexed_access():
+def test_frame_matches_indexed_access():
     spec, params = make_seed(ScenarioKind.LC)
     trace = simulate(spec, params)
-    frames = trace.frames
-    assert len(frames) == len(trace)
-    assert frames[10] == trace.frame(10)
+    frame = trace.frame(10)
+    assert frame.t == float(trace.times[10])
+    assert frame.ev_box == trace.ev_box(10)
+    assert frame.npc_box == trace.npc_box(10)
+    assert frame.gt_overlap == bool(trace.gt_overlap[10])
+    assert frame.penetration == float(trace.penetration[10])
+    assert frame.closing_speed == float(trace.closing_speed[10])
+    assert frame.triggered == bool(trace.triggered[10])
+    assert trace.frame(-1) == trace.frame(len(trace) - 1)

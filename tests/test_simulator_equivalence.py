@@ -1,0 +1,103 @@
+"""The located simulator against the full-array reference in sim_oracle.
+
+Every case must agree on the trigger frame, the first-contact frame, the
+trace length and duration, the built-in verdict under several defect models,
+and every per-frame array bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd
+from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
+from silentcrash.simulator import SimConfig, simulate
+from sim_oracle import builtin_cd_full, simulate_full
+
+DEFECTS = (
+    DefectModel(),
+    PERFECT_DETECTOR,
+    DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0),
+    DefectModel(sample_period=1, min_penetration=0.0, min_impact_speed=3.0),
+    DefectModel(sample_period=3, min_penetration=0.01, min_impact_speed=0.1),
+)
+ARRAYS = (
+    "times",
+    "ev_centers",
+    "ev_yaws",
+    "npc_centers",
+    "npc_yaws",
+    "gt_overlap",
+    "penetration",
+    "closing_speed",
+    "triggered",
+)
+CONFIGS = (SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0, settle_frames=45))
+
+
+def assert_equivalent(spec, params, cfg):
+    trace = simulate(spec, params, cfg)
+    ref = simulate_full(spec, params, cfg)
+    case = (spec.kind.value, params, cfg)
+    assert trace.trigger_frame == ref.trigger_frame, case
+    assert trace.first_contact == ref.first_contact, case
+    assert len(trace) == ref.length, case
+    assert trace.duration == ref.duration, case
+    for defect in DEFECTS:
+        assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, defect)
+    for name in ARRAYS:
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, (case, name)
+        assert got.tobytes() == want.tobytes(), (case, name)
+    return trace
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_random_parameters(kind):
+    rng = np.random.default_rng([7, list(ScenarioKind).index(kind)])
+    spec, _ = make_seed(kind)
+    for i in range(60):
+        params = ControlParameters.from_angle(
+            d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(0.5, 50)), a=float(rng.uniform(-1, 1))
+        )
+        assert_equivalent(spec, params, CONFIGS[i % len(CONFIGS)])
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_grid_aligned_parameters(kind):
+    spec, _ = make_seed(kind)
+    for d in (2.0, 3.0, 4.5, 6.0, 7.0):
+        for v_hat in (5.0, 10.0, 25.0, 50.0):
+            for a in (-1.0, -0.5, -0.06, 0.0, 0.25, 1.0):
+                assert_equivalent(spec, ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), SimConfig())
+
+
+def test_static_psf_trigger_at_exactly_d():
+    # the EV covers 0.15 m per frame toward a pedestrian 30 m ahead; d equal
+    # to the per-frame distance puts the trigger test on an exact tie, and
+    # its neighbouring doubles fall on either side of it
+    spec, _ = make_seed(ScenarioKind.PSF)
+    ties = 0
+    for k in range(154, 187, 4):
+        exact = abs(spec.npc.position.x - (spec.ev.position.x + (k * 0.01) * spec.ev.behavior.speed))
+        for d in (np.nextafter(exact, 0.0), exact, np.nextafter(exact, 10.0)):
+            for a in (0.0, 0.6, 1.0):
+                params = ControlParameters.from_angle(d=float(d), v_hat=12.0, a=a)
+                trace = assert_equivalent(spec, params, SimConfig())
+                ties += trace.trigger_frame == k and d == exact
+    assert ties > 0
+
+
+def test_lc_lateral_offset_equal_to_summed_half_widths():
+    # the NPC slides past exactly flush with the EV side: the lateral axis
+    # overlap is zero, which still counts as contact
+    spec, _ = make_seed(ScenarioKind.LC)
+    flush = spec.ev.half_width + spec.npc.half_width
+    touches = 0
+    for y in (np.nextafter(flush, 0.0), flush, np.nextafter(flush, 10.0), -flush):
+        shifted = apply_overrides(spec, {"npc": {"y": float(y)}})
+        for d in (2.0, 2.5, 4.0, 7.0):
+            for v_hat in (15.0, 25.0, 40.0):
+                trace = assert_equivalent(shifted, ControlParameters.from_angle(d=d, v_hat=v_hat, a=0.0), SimConfig())
+                if trace.first_contact is not None and abs(y) == flush:
+                    touches += float(trace.penetration[trace.first_contact]) == 0.0
+    assert touches > 0
