@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -52,22 +53,43 @@ def _write_records(records, path: Path) -> None:
             fh.write("\n")
 
 
+class LogError(Exception):
+    """A result log that cannot be read as outcome records."""
+
+
+def _parse_record(line: bytes, path: Path, lineno: int) -> OutcomeRecord:
+    try:
+        return OutcomeRecord.from_json_dict(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}") from None
+
+
+def _numbered_records(fh):
+    """(line number, line) of the non-blank lines of a log opened in binary mode."""
+    return ((lineno, line) for lineno, line in enumerate(fh, 1) if line.strip())
+
+
 def _read_records(path: Path) -> list[OutcomeRecord]:
-    records = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(OutcomeRecord.from_json_dict(json.loads(line)))
-    return records
+    with path.open("rb") as fh:
+        return [_parse_record(line, path, lineno) for lineno, line in _numbered_records(fh)]
 
 
-def _read_record_at(path: Path, ordinal: int) -> tuple[OutcomeRecord | None, int]:
-    """Parse only the requested record; returns (record, total line count)."""
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if not (0 <= ordinal < len(lines)):
-        return None, len(lines)
-    return OutcomeRecord.from_json_dict(json.loads(lines[ordinal])), len(lines)
+def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
+    """Parse only the requested record, reading the log no further than its line.
+
+    Ordinals count non-blank lines. The log is counted in full only for the
+    out-of-range error.
+    """
+    with path.open("rb") as fh:
+        if 0 <= ordinal <= sys.maxsize:  # the range islice accepts
+            found = next(itertools.islice(_numbered_records(fh), ordinal, None), None)
+            if found is not None:
+                return _parse_record(found[1], path, found[0])
+        fh.seek(0)
+        count = sum(1 for _ in _numbered_records(fh))
+    raise LogError(f"ordinal {ordinal} outside log (0..{count - 1})")
 
 
 def _kind_summary_line(kind, records) -> str:
@@ -140,13 +162,14 @@ def cmd_replay(args) -> int:
     log_path = Path(args.log)
     manifest_path = log_path.parent / "manifest.json"
     try:
-        record, count = _read_record_at(log_path, args.ordinal)
+        record = _read_record_at(log_path, args.ordinal)
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError as exc:
         return _fail(ExitStatus.IO_ERROR, f"missing file: {exc.filename}")
-
-    if record is None:
-        return _fail(ExitStatus.IO_ERROR, f"ordinal {args.ordinal} outside log (0..{count - 1})")
+    except LogError as exc:
+        return _fail(ExitStatus.IO_ERROR, str(exc))
+    except json.JSONDecodeError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
 
     try:
         config = parse_config(manifest["config"])
@@ -178,6 +201,8 @@ def cmd_report(args) -> int:
         records = _read_records(Path(args.log))
     except FileNotFoundError:
         return _fail(ExitStatus.IO_ERROR, f"log not found: {args.log}")
+    except LogError as exc:
+        return _fail(ExitStatus.IO_ERROR, str(exc))
     report = report_mod.success_rates(records) if records else report_mod.empty_report()
     paths = report_mod.export(report, args.format, args.out)
     for p in paths:
@@ -241,7 +266,10 @@ def cmd_sweep_threshold(args) -> int:
     except (ConfigError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
-    result = run_campaign(config)
+    try:
+        result = run_campaign(config)
+    except (InvalidSeedError, ValueError) as exc:
+        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
     labeled = []
     specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
     for rec in result.records:

@@ -75,7 +75,7 @@ def parse_config(data: dict) -> CampaignConfig:
     kinds = _parse_kinds(data.get("kinds", [k.value for k in ScenarioKind]))
     budget = _require_int(data, "budget", minimum=0)
     mutator = _parse_enum(MutatorKind, data.get("mutator", "guided"), "mutator")
-    rng_seed = int(data.get("rng_seed", 0))
+    rng_seed = _require_int(data, "rng_seed", minimum=0, default=0)
 
     try:
         defect = DefectModel(**_checked_block(data.get("defect", {}), _DEFECT_KEYS, "defect"))
@@ -121,12 +121,16 @@ def _parse_enum(enum_cls, raw, field: str):
         raise ConfigError(f"{field}: {raw!r} is not one of {valid}") from None
 
 
-def _require_int(data: dict, key: str, minimum: int) -> int:
+def _require_int(data: dict, key: str, minimum: int, default: int | None = None, label: str | None = None) -> int:
+    """data[key] as a JSON integer (not a bool or float) >= minimum; required unless a default is given."""
+    label = label or key
     if key not in data:
-        raise ConfigError(f"{key}: required field missing")
+        if default is None:
+            raise ConfigError(f"{label}: required field missing")
+        return default
     value = data[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{key}: must be an integer >= {minimum}")
+        raise ConfigError(f"{label}: must be an integer >= {minimum}")
     return value
 
 
@@ -194,7 +198,7 @@ def _plan_from_block(block: dict, kind: ScenarioKind) -> SearchPlan:
             angle_step_long=float(_field("angle_step_long", base.angle_step_long)),
             angle_step_lat=float(_field("angle_step_lat", base.angle_step_lat)),
             angle_mode=_parse_enum(AngleMode, _field("angle_mode", base.angle_mode.value), f"{label}.angle_mode"),
-            k_nc=int(_field("k_nc", base.k_nc)),
+            k_nc=_require_int(block, "k_nc", minimum=1, default=base.k_nc, label=f"{label}.k_nc"),
         )
     except ConfigError:
         raise

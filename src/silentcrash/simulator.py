@@ -410,31 +410,42 @@ def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = Sim
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Serialize a trace as JSONL, one frame per line."""
-    lines = []
-    for i in range(len(trace)):
-        lines.append(
-            json.dumps(
-                {
-                    "t": round(float(trace.times[i]), 9),
-                    "ev": _box_fields(trace.ev_centers[i], trace.ev_yaws[i], trace.ev_half),
-                    "npc": _box_fields(trace.npc_centers[i], trace.npc_yaws[i], trace.npc_half),
-                    "gt_overlap": bool(trace.gt_overlap[i]),
-                    "penetration": float(trace.penetration[i]),
-                    "closing_speed": float(trace.closing_speed[i]),
-                    "triggered": bool(trace.triggered[i]),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Serialize a trace as JSONL, one frame per line.
+
+    Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
+    frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
+    gt_overlap, penetration, closing_speed and triggered. Each column is
+    spelled once and the lines are filled from one row template per trace.
+    """
+    ev_hl, ev_hw, npc_hl, npc_hw = (json.dumps(h) for h in (*trace.ev_half, *trace.npc_half))
+    row = (
+        '{"closing_speed": %s, '
+        f'"ev": {{"half_length": {ev_hl}, "half_width": {ev_hw}, "x": %s, "y": %s, "yaw": %s}}, '
+        '"gt_overlap": %s, '
+        f'"npc": {{"half_length": {npc_hl}, "half_width": {npc_hw}, "x": %s, "y": %s, "yaw": %s}}, '
+        '"penetration": %s, "t": %s, "triggered": %s}\n'
+    )
+    columns = zip(
+        _json_floats(trace.closing_speed),
+        _json_floats(trace.ev_centers[:, 0]),
+        _json_floats(trace.ev_centers[:, 1]),
+        _json_floats(trace.ev_yaws),
+        _json_bools(trace.gt_overlap),
+        _json_floats(trace.npc_centers[:, 0]),
+        _json_floats(trace.npc_centers[:, 1]),
+        _json_floats(trace.npc_yaws),
+        _json_floats(trace.penetration),
+        [repr(round(t, 9)) for t in trace.times.tolist()],
+        _json_bools(trace.triggered),
+    )
+    return "".join([row % values for values in columns])
 
 
-def _box_fields(center, yaw, half) -> dict:
-    return {
-        "x": float(center[0]),
-        "y": float(center[1]),
-        "yaw": float(yaw),
-        "half_length": half[0],
-        "half_width": half[1],
-    }
+def _json_floats(column: np.ndarray) -> list[str]:
+    """json.dumps's spelling of each float: its repr, or NaN/Infinity/-Infinity."""
+    values = column.tolist()
+    return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, values))
+
+
+def _json_bools(column: np.ndarray) -> list[str]:
+    return ["true" if value else "false" for value in column.tolist()]

@@ -6,8 +6,12 @@ is the first frame of the whole cruise path within d, first contact the
 first overlap frame of the whole horizon. It shares only the per-frame
 kernel with the simulator, so any frame the located search skips or picks
 wrongly shows up as a difference.
+
+`trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
+call per frame dict.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -94,3 +98,34 @@ def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:
     if defect.min_impact_speed > 0.0:
         hit &= trace.closing_speed[idx] >= defect.min_impact_speed
     return bool(hit.any())
+
+
+def trace_to_jsonl_per_frame(trace) -> str:
+    """Serialize a trace as JSONL by calling json.dumps once per frame."""
+    lines = []
+    for i in range(len(trace)):
+        lines.append(
+            json.dumps(
+                {
+                    "t": round(float(trace.times[i]), 9),
+                    "ev": _box_fields(trace.ev_centers[i], trace.ev_yaws[i], trace.ev_half),
+                    "npc": _box_fields(trace.npc_centers[i], trace.npc_yaws[i], trace.npc_half),
+                    "gt_overlap": bool(trace.gt_overlap[i]),
+                    "penetration": float(trace.penetration[i]),
+                    "closing_speed": float(trace.closing_speed[i]),
+                    "triggered": bool(trace.triggered[i]),
+                },
+                sort_keys=True,
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _box_fields(center, yaw, half) -> dict:
+    return {
+        "x": float(center[0]),
+        "y": float(center[1]),
+        "yaw": float(yaw),
+        "half_length": half[0],
+        "half_width": half[1],
+    }

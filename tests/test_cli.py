@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -21,6 +22,16 @@ SHIPPED_DIGESTS = {
         "c12241bc6e60654f09ef9efdeba5aac513518fbe8dd796deb266f69ecb794114",
         "97821175ef688cf79ae6426a710725e3b9021dcc423bce3ba62f2b79d3e67d4f",
     ),
+}
+
+# sha256 of the `replay` trace JSONL of reference-log ordinals: IC (FLB),
+# DC (LC), NC (InC), IC (PSF) and the last record, NC (PCF)
+REFERENCE_TRACE_DIGESTS = {
+    13: "fd5b6ba4e83af0c2353ddb9dd8bb7389e688bc34cd177edddacdfea7a726374c",
+    1298: "62b8d3c2e8402ba6a0406e946cd7dd6cfe903593758f99ef9f3d576e70741a1c",
+    2774: "aad33b5f480eeaffdca5ca87267f1d9ad5dbe838d4e2209a27e3d0feca1d05ce",
+    3323: "3b8d6f303712a7420e99e27ba5a8a3a93c2a425f8ebcde90275b2bb70eb5148a",
+    5229: "03d4becfafd0ed29da5ead8f10beca77610397469ae752762e0455391b9de625",
 }
 
 MINI_CONFIG = {
@@ -94,6 +105,18 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -1])
+    def test_rng_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, dict(MINI_CONFIG, rng_seed=seed))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "rng_seed" in capsys.readouterr().err
+
+    def test_fractional_k_nc_is_a_config_error(self, tmp_path, capsys):
+        bad = dict(MINI_CONFIG, plans={"FLB": dict(MINI_CONFIG["plans"]["FLB"], k_nc=2.7)})
+        path = write_config(tmp_path, bad)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "plans.FLB.k_nc" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -121,6 +144,36 @@ def test_shipped_config_outputs_are_pinned(name, tmp_path):
     assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
     for file, digest in zip(("records.jsonl", "manifest.json"), SHIPPED_DIGESTS[name]):
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    assert main(["run", "--config", str(CONFIG_DIR / "reference.json"), "--out", str(out)]) == 0
+    return out
+
+
+def copy_log(campaign, dest, text):
+    """A log with the given text beside a copy of the campaign's manifest."""
+    dest.mkdir()
+    shutil.copy(campaign / "manifest.json", dest)
+    (dest / "records.jsonl").write_text(text)
+    return dest / "records.jsonl"
+
+
+@pytest.mark.parametrize("ordinal", sorted(REFERENCE_TRACE_DIGESTS))
+def test_reference_replay_traces_are_pinned(reference_run, tmp_path, capsys, ordinal):
+    out = tmp_path / "trace.jsonl"
+    log = reference_run / "records.jsonl"
+    assert main(["replay", "--log", str(log), "--ordinal", str(ordinal), "--out", str(out)]) == 0
+    assert f"ordinal={ordinal} " in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_TRACE_DIGESTS[ordinal]
+
+
+@pytest.mark.parametrize("ordinal", [-1, 5230, 10**20])
+def test_reference_ordinal_outside_log_names_the_range(reference_run, capsys, ordinal):
+    assert main(["replay", "--log", str(reference_run / "records.jsonl"), "--ordinal", str(ordinal)]) == 2
+    assert capsys.readouterr().err == f"error: ordinal {ordinal} outside log (0..5229)\n"
 
 
 class TestReplay:
@@ -172,6 +225,45 @@ class TestReplay:
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.jsonl"), "--ordinal", "0"]) == 2
+
+    def test_blank_lines_do_not_count_as_ordinals(self, campaign, tmp_path, capsys):
+        lines = (campaign / "records.jsonl").read_text().splitlines()
+        spaced = copy_log(campaign, tmp_path / "spaced", "\n" + "".join(f"{line}\n \n\t\r\n" for line in lines))
+        for ordinal in (0, 7, len(lines) - 1):
+            plain_out, spaced_out = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+            assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", str(ordinal), "--out", str(plain_out)]) == 0
+            assert main(["replay", "--log", str(spaced), "--ordinal", str(ordinal), "--out", str(spaced_out)]) == 0
+            assert plain_out.read_bytes() == spaced_out.read_bytes()
+        capsys.readouterr()
+        assert main(["replay", "--log", str(spaced), "--ordinal", str(len(lines))]) == 2
+        assert f"outside log (0..{len(lines) - 1})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda line: line[: len(line) // 2], "invalid JSON"),
+            (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "v_hat"}), "KeyError"),
+            (lambda line: line.replace('"verdict": "', '"verdict": "X'), "ValueError"),
+            (lambda line: "[1, 2]", "TypeError"),
+        ],
+        ids=["truncated", "missing-field", "bad-verdict", "not-an-object"],
+    )
+    def test_damaged_record_is_io_error_naming_the_line(self, campaign, tmp_path, capsys, damage, message):
+        lines = (campaign / "records.jsonl").read_text().splitlines()
+        cut = 120
+        log = copy_log(campaign, tmp_path / "damaged", "\n".join(lines[:cut] + [damage(lines[cut])]))
+        assert main(["replay", "--log", str(log), "--ordinal", str(cut - 1), "--out", str(tmp_path / "t.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log), "--ordinal", str(cut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log} line {cut + 1}: ") and message in err and err.count("\n") == 1
+        assert main(["report", "--log", str(log), "--format", "csv", "--out", str(tmp_path / "r")]) == 2
+        assert f"line {cut + 1}: " in capsys.readouterr().err
+
+    def test_corrupt_manifest_is_io_error(self, campaign, capsys):
+        (campaign / "manifest.json").write_text("{")
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_verdict_mismatch_is_internal_error(self, campaign, capsys):
         log = campaign / "records.jsonl"
@@ -245,6 +337,13 @@ class TestSweepThreshold:
 
     def test_threshold_out_of_range_is_config_error(self, tmp_path):
         assert main(["sweep-threshold", "--thresholds", "0,1.5", "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_invalid_seed_is_config_error(self, tmp_path, capsys):
+        config = {"kinds": ["FLB"], "budget": 10, "scenario_overrides": {"FLB": {"npc": {"y": 30.0}}}}
+        path = write_config(tmp_path, config)
+        assert main(["sweep-threshold", "--thresholds", "0", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "seed for FLB" in err and err.count("\n") == 1
 
 
 def test_usage_errors_map_to_config_error_code(capsys):

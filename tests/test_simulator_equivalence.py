@@ -2,16 +2,21 @@
 
 Every case must agree on the trigger frame, the first-contact frame, the
 trace length and duration, the built-in verdict under several defect models,
-and every per-frame array bit for bit.
+and every per-frame array bit for bit. The column-wise trace encoder must
+write the same bytes as the per-frame reference encoder.
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd
+from silentcrash.geometry import Point2
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, simulate
-from sim_oracle import builtin_cd_full, simulate_full
+from silentcrash.simulator import SimConfig, simulate, trace_to_jsonl
+from sim_oracle import builtin_cd_full, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
     DefectModel(),
@@ -101,3 +106,58 @@ def test_lc_lateral_offset_equal_to_summed_half_widths():
                 if trace.first_contact is not None and abs(y) == flush:
                     touches += float(trace.penetration[trace.first_contact]) == 0.0
     assert touches > 0
+
+
+def assert_same_jsonl(trace, case):
+    # line by line, so that a failure reports one frame instead of diffing megabytes
+    got = trace_to_jsonl(trace).splitlines(keepends=True)
+    want = trace_to_jsonl_per_frame(trace).splitlines(keepends=True)
+    assert len(got) == len(want), case
+    for i, (line, expected) in enumerate(zip(got, want)):
+        assert line == expected, (case, i)
+
+
+def _started_in_contact(spec):
+    """spec with the NPC moved onto the EV; skips ScenarioSpec's check that actors start disjoint."""
+    moved = copy.copy(spec)
+    object.__setattr__(moved, "npc", dataclasses.replace(spec.npc, position=Point2(1.0, 0.5)))
+    return moved
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_trace_jsonl_matches_per_frame_encoder(kind):
+    rng = np.random.default_rng([13, list(ScenarioKind).index(kind)])
+    spec, seed_params = make_seed(kind)
+    cases = []
+    for i in range(20):
+        params = ControlParameters.from_angle(
+            d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(0.5, 50)), a=float(rng.uniform(-1, 1))
+        )
+        cases.append((spec, params, CONFIGS[i % len(CONFIGS)]))
+    integer_halves = dataclasses.replace(spec, ev=dataclasses.replace(spec.ev, half_length=2, half_width=1))
+    cases += [
+        (apply_overrides(spec, {"npc": {"x": 400.0}}), seed_params, SimConfig()),
+        (_started_in_contact(spec), seed_params, SimConfig()),
+        (integer_halves, seed_params, SimConfig()),
+    ]
+    traces = [assert_equivalent(*case) for case in cases]
+    for case, trace in zip(cases, traces):
+        assert_same_jsonl(trace, case)
+    horizon = int(round(SimConfig().horizon / SimConfig().dt)) + 1
+    assert any(t.trigger_frame is None for t in traces)
+    assert any(t.first_contact == 0 for t in traces)
+    assert any(t.first_contact is None and len(t) == horizon for t in traces)
+    assert any(t.first_contact is not None and t.first_contact > 0 for t in traces)
+
+
+def test_trace_jsonl_spells_non_finite_and_signed_zero_like_json_dumps():
+    trace = simulate(*make_seed(ScenarioKind.FLV))
+    # per-frame arrays are cached on the instance; overwrite two of them
+    trace.closing_speed = trace.closing_speed.copy()
+    trace.closing_speed[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    trace.penetration = trace.penetration.copy()
+    trace.penetration[-1] = np.inf
+    assert_same_jsonl(trace, "non-finite")
+    text = trace_to_jsonl(trace)
+    assert '"closing_speed": NaN' in text and '"closing_speed": -Infinity' in text
+    assert '"closing_speed": -0.0' in text
