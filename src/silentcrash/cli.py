@@ -14,6 +14,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import itertools
 import json
@@ -149,13 +150,7 @@ def _defect_override(args, base: DefectModel) -> tuple[DefectModel, bool]:
         fields["min_impact_speed"] = args.min_impact_speed
     if not fields:
         return base, False
-    merged = {
-        "sample_period": base.sample_period,
-        "min_penetration": base.min_penetration,
-        "min_impact_speed": base.min_impact_speed,
-    }
-    merged.update(fields)
-    return DefectModel(**merged), True
+    return dataclasses.replace(base, **fields), True
 
 
 def cmd_replay(args) -> int:
@@ -166,10 +161,14 @@ def cmd_replay(args) -> int:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError as exc:
         return _fail(ExitStatus.IO_ERROR, f"missing file: {exc.filename}")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot read {exc.filename}: {exc.strerror}")
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
     except json.JSONDecodeError as exc:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
+    if not isinstance(manifest, dict):
+        return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not a JSON object")
 
     try:
         config = parse_config(manifest["config"])
@@ -185,7 +184,10 @@ def cmd_replay(args) -> int:
     verdict = check_ic(trace, defect, config.oracle)
 
     out = Path(args.out) if args.out else log_path.parent / f"trace_{args.ordinal}.jsonl"
-    out.write_text(trace_to_jsonl(trace))
+    try:
+        out.write_text(trace_to_jsonl(trace))
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")
 
     if not overridden and verdict is not record.verdict:
@@ -201,6 +203,8 @@ def cmd_report(args) -> int:
         records = _read_records(Path(args.log))
     except FileNotFoundError:
         return _fail(ExitStatus.IO_ERROR, f"log not found: {args.log}")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.log}: {exc.strerror}")
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
     report = report_mod.success_rates(records) if records else report_mod.empty_report()
@@ -218,6 +222,16 @@ def _parse_float_list(raw: str, field: str) -> list[float]:
         return [float(s) for s in items]
     except ValueError:
         raise ConfigError(f"{field}: entries must be numbers") from None
+
+
+def _write_csv(out: str, lines: list[str]) -> int:
+    """Write the CSV lines to out and print its path; exit 2 if it cannot be written."""
+    try:
+        Path(out).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
+    print(out)
+    return int(ExitStatus.OK)
 
 
 def _load_optional_config(path, fallback: CampaignConfig) -> CampaignConfig:
@@ -241,9 +255,7 @@ def cmd_sweep_step(args) -> int:
     lines = ["step,mean_ics,trial_counts"]
     for pt in points:
         lines.append(f"{pt.step:g},{pt.mean_ics:.6f},{'|'.join(str(c) for c in pt.counts)}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(args.out)
-    return int(ExitStatus.OK)
+    return _write_csv(args.out, lines)
 
 
 _SWEEP_THRESHOLD_DEFAULT = {
@@ -287,9 +299,7 @@ def cmd_sweep_threshold(args) -> int:
         precision = "" if pt.precision is None else f"{pt.precision:.6f}"
         recall = "" if pt.recall is None else f"{pt.recall:.6f}"
         lines.append(f"{pt.threshold:g},{pt.tp},{pt.fp},{pt.fn},{precision},{recall}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(args.out)
-    return int(ExitStatus.OK)
+    return _write_csv(args.out, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

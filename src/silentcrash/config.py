@@ -77,10 +77,18 @@ def parse_config(data: dict) -> CampaignConfig:
     mutator = _parse_enum(MutatorKind, data.get("mutator", "guided"), "mutator")
     rng_seed = _require_int(data, "rng_seed", minimum=0, default=0)
 
+    defect_block = _checked_block(data.get("defect", {}), _DEFECT_KEYS, "defect")
+    sim_block = _checked_block(data.get("sim", {}), _SIM_KEYS, "sim")
+    sample_period = _require_int(
+        defect_block, "sample_period", minimum=1, default=DefectModel.sample_period, label="defect.sample_period"
+    )
+    settle_frames = _require_int(
+        sim_block, "settle_frames", minimum=0, default=SimConfig.settle_frames, label="sim.settle_frames"
+    )
     try:
-        defect = DefectModel(**_checked_block(data.get("defect", {}), _DEFECT_KEYS, "defect"))
+        defect = DefectModel(**{**defect_block, "sample_period": sample_period})
         oracle = OracleConfig(**_checked_block(data.get("oracle", {}), {"t_bbox"}, "oracle"))
-        sim = SimConfig(**_checked_block(data.get("sim", {}), _SIM_KEYS, "sim"))
+        sim = SimConfig(**{**sim_block, "settle_frames": settle_frames})
     except (ValueError, TypeError, SimulationError) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -51,6 +51,18 @@ def builtin_cd(trace: Trace, defect: DefectModel) -> bool:
     True iff some inspected frame (every sample_period-th) has overlapping
     boxes with penetration >= min_penetration and, when the speed gate is
     enabled (min_impact_speed > 0), closing speed >= min_impact_speed.
+    The verdict is kept in trace.memo under the (frozen, hashable) defect
+    model, so asking again for the same trace and model is a lookup.
+    """
+    verdict = trace.memo.get(defect)
+    if verdict is None:
+        verdict = trace.memo[defect] = _inspect(trace, defect)
+    return verdict
+
+
+def _inspect(trace: Trace, defect: DefectModel) -> bool:
+    """The built-in verdict, computed from the trace.
+
     Frames before the first contact have no overlap, so only the inspected
     frames from there on are evaluated.
     """

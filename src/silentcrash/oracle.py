@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .detector import DefectModel, builtin_cd, ground_truth
 from .geometry import iou
 from .simulator import Trace
@@ -45,14 +43,19 @@ def classify(cond1: bool, cond2: bool) -> ScenarioType:
 
 
 def max_iou(trace: Trace) -> float:
-    """Largest per-frame IoU over the trace; 0 without any overlap frame."""
-    if trace.first_contact is None:
-        return 0.0
-    best = 0.0
-    for i in np.flatnonzero(trace.gt_overlap):
-        i = int(i)
-        best = max(best, iou(trace.ev_box(i), trace.npc_box(i)))
-    return best
+    """Largest per-frame IoU over the trace; 0 without any overlap frame.
+
+    Only frames from first contact on can overlap. The value is kept in
+    trace.memo, so a trace scored at several thresholds computes it once.
+    """
+    peak = trace.memo.get("max_iou")
+    if peak is None:
+        peak = 0.0
+        if trace.first_contact is not None:
+            for ev, npc in trace.overlap_boxes(range(trace.first_contact, len(trace))):
+                peak = max(peak, iou(ev, npc))
+        trace.memo["max_iou"] = peak
+    return peak
 
 
 def check_ic(trace: Trace, defect: DefectModel, cfg: OracleConfig = OracleConfig()) -> ScenarioType:

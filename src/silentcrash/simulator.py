@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -236,7 +237,9 @@ class Trace:
     """Frame-by-frame record of one execution.
 
     The located frames and the length are set up front. The per-frame
-    arrays are built on first access, covering frames 0..len-1.
+    arrays are built on first access, covering frames 0..len-1. `memo` holds
+    what the oracle and the detector derive from the trace (the peak IoU, the
+    built-in verdict per defect model), so scoring it again is a lookup.
     """
 
     first_contact: int | None
@@ -247,6 +250,7 @@ class Trace:
     dt: float
     npc_yaw: float
     phases: tuple[_Phase, ...]
+    memo: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return self.length
@@ -260,13 +264,16 @@ class Trace:
         """Simulated seconds consumed by this execution."""
         return self.time(self.length - 1)
 
-    def _frame_values(self, frames: range) -> list[np.ndarray]:
-        """frame_values of each phase, joined over the ascending frames."""
-        parts = []
+    def _phase_frames(self, frames: range) -> Iterator[tuple[_Phase, np.ndarray]]:
+        """Each phase that holds some of the ascending frames, with those frames."""
         for phase in self.phases:
             part = frames[bisect_left(frames, phase.first) : bisect_left(frames, phase.last + 1)]
             if part:
-                parts.append(phase.frame_values(np.arange(part.start, part.stop, part.step)))
+                yield phase, np.arange(part.start, part.stop, part.step)
+
+    def _frame_values(self, frames: range) -> list[np.ndarray]:
+        """frame_values of each phase, joined over the ascending frames."""
+        parts = [phase.frame_values(idx) for phase, idx in self._phase_frames(frames)]
         if len(parts) == 1:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
@@ -275,6 +282,20 @@ class Trace:
         """Ground-truth overlap, penetration and closing speed at the non-empty ascending frames."""
         _, _, overlap, closing = self._frame_values(frames)
         return overlap >= 0.0, np.maximum(overlap, 0.0), closing
+
+    def overlap_boxes(self, frames: range) -> Iterator[tuple[OrientedBox, OrientedBox]]:
+        """(EV box, NPC box) at each of the ascending frames where the footprints overlap.
+
+        The boxes hold the same floats as ev_box(i) and npc_box(i); no
+        per-frame array of the whole trace is built.
+        """
+        for phase, idx in self._phase_frames(frames):
+            ev, npc, overlap, _ = phase.frame_values(idx)
+            for i in np.flatnonzero(overlap >= 0.0).tolist():
+                yield (
+                    OrientedBox(Point2(*ev[i].tolist()), *self.ev_half, phase.ev_yaw),
+                    OrientedBox(Point2(*npc[i].tolist()), *self.npc_half, self.npc_yaw),
+                )
 
     @cached_property
     def _arrays(self) -> list[np.ndarray]:

@@ -9,6 +9,10 @@ wrongly shows up as a difference.
 
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
 call per frame dict.
+
+`max_iou_whole_trace` is the peak IoU as a loop over every overlap frame of
+a trace's whole-trace arrays, the way oracle.max_iou computed it before it
+read only the frames from first contact on.
 """
 
 import json
@@ -18,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from silentcrash.detector import DefectModel
+from silentcrash.geometry import iou
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
     SimConfig,
@@ -98,6 +103,15 @@ def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:
     if defect.min_impact_speed > 0.0:
         hit &= trace.closing_speed[idx] >= defect.min_impact_speed
     return bool(hit.any())
+
+
+def max_iou_whole_trace(trace) -> float:
+    """Largest IoU over the overlap frames of the trace's whole-trace arrays."""
+    best = 0.0
+    for i in np.flatnonzero(trace.gt_overlap):
+        i = int(i)
+        best = max(best, iou(trace.ev_box(i), trace.npc_box(i)))
+    return best
 
 
 def trace_to_jsonl_per_frame(trace) -> str:

@@ -24,6 +24,10 @@ SHIPPED_DIGESTS = {
     ),
 }
 
+# sha256 of `sweep-threshold --thresholds 0,0.05,0.1,0.15,0.2` with the
+# default config
+SWEEP_CSV_DIGEST = "48efd22cfa844f7cc711c0cf505c17c1bf3c2476ce073c948da43a1f528107d2"
+
 # sha256 of the `replay` trace JSONL of reference-log ordinals: IC (FLB),
 # DC (LC), NC (InC), IC (PSF) and the last record, NC (PCF)
 REFERENCE_TRACE_DIGESTS = {
@@ -55,6 +59,17 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data, indent=1))
     return path
+
+
+def unwritable(tmp_path, how):
+    """An --out path in a directory that does not exist, or one that is a directory."""
+    return tmp_path / "missing" / "out.csv" if how == "missing-dir" else tmp_path
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(fragment in err for fragment in fragments), err
 
 
 def run_mini(tmp_path, budget=50, out="out"):
@@ -116,6 +131,16 @@ class TestRun:
         path = write_config(tmp_path, bad)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "plans.FLB.k_nc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("defect", {"sample_period": 2.5}), ("defect", {"sample_period": "3"}), ("sim", {"settle_frames": 2.5})],
+        ids=["fractional-sample-period", "string-sample-period", "fractional-settle-frames"],
+    )
+    def test_non_integer_frame_counts_are_config_errors(self, tmp_path, capsys, block, value):
+        path = write_config(tmp_path, dict(MINI_CONFIG, **{block: value}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, f"{block}.{next(iter(value))}: must be an integer")
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
@@ -265,6 +290,21 @@ class TestReplay:
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_manifest_that_is_not_an_object_is_io_error(self, campaign, capsys):
+        (campaign / "manifest.json").write_text("[]\n")
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
+        assert_one_error_line(capsys, "manifest.json", "not a JSON object")
+
+    def test_log_that_is_a_directory_is_io_error(self, campaign, capsys):
+        assert main(["replay", "--log", str(campaign), "--ordinal", "0"]) == 2
+        assert_one_error_line(capsys, str(campaign))
+
+    @pytest.mark.parametrize("how", ["missing-dir", "directory"])
+    def test_unwritable_trace_out_is_io_error(self, campaign, tmp_path, capsys, how):
+        out = unwritable(tmp_path, how)
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}")
+
     def test_verdict_mismatch_is_internal_error(self, campaign, capsys):
         log = campaign / "records.jsonl"
         lines = log.read_text().splitlines()
@@ -303,6 +343,10 @@ class TestReportCommand:
     def test_missing_log_is_io_error(self, tmp_path):
         assert main(["report", "--log", str(tmp_path / "none.jsonl"), "--format", "csv", "--out", str(tmp_path / "r")]) == 2
 
+    def test_log_that_is_a_directory_is_io_error(self, tmp_path, capsys):
+        assert main(["report", "--log", str(tmp_path), "--format", "csv", "--out", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, f"cannot read {tmp_path}")
+
 
 class TestSweepStep:
     def test_single_step_gives_one_row(self, tmp_path):
@@ -319,6 +363,12 @@ class TestSweepStep:
     def test_bad_axis_is_config_error(self, tmp_path):
         assert main(["sweep-step", "--kind", "FLB", "--axis", "mass", "--steps", "0.05", "--trials", "1", "--out", str(tmp_path / "s.csv")]) == 1
 
+    @pytest.mark.parametrize("how", ["missing-dir", "directory"])
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, how):
+        out = unwritable(tmp_path, how)
+        assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", "0.05", "--trials", "1", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}")
+
 
 class TestSweepThreshold:
     def test_five_thresholds_and_monotone_recall(self, tmp_path):
@@ -331,6 +381,14 @@ class TestSweepThreshold:
         recalls = [float(l.split(",")[5]) for l in lines[1:]]
         assert recalls[0] == 1.0
         assert all(recalls[i] >= recalls[i + 1] for i in range(len(recalls) - 1))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_DIGEST
+
+    @pytest.mark.parametrize("how", ["missing-dir", "directory"])
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, how):
+        path = write_config(tmp_path, {"kinds": ["FLB"], "budget": 10})
+        out = unwritable(tmp_path, how)
+        assert main(["sweep-threshold", "--thresholds", "0,0.1", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}")
 
     def test_empty_threshold_list_is_config_error(self, tmp_path):
         assert main(["sweep-threshold", "--thresholds", "", "--out", str(tmp_path / "t.csv")]) == 1

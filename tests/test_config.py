@@ -66,6 +66,8 @@ def test_explicit_schedules_are_validated():
         ({"plans": {"FLV": {"warp": 1}}}, "plans.FLV"),
         ({"scenario_overrides": {"XYZ": {}}}, "scenario_overrides"),
         ({"unknown_top": 1}, "unknown"),
+        ({"defect": {"sample_period": True}}, "defect.sample_period"),
+        ({"sim": {"settle_frames": -1}}, "sim.settle_frames"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):

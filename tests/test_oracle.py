@@ -12,7 +12,10 @@ from silentcrash.oracle import (
 )
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
+from sim_oracle import builtin_cd_full, simulate_full
 from test_detector import PSF_GRAZE, sample_traces
+
+TUNNELING = DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0)
 
 
 def test_decision_table_is_exhaustive_and_exclusive():
@@ -128,3 +131,30 @@ def test_recall_sweep_all_negative_reports_absent_recall():
     points = recall_sweep([(trace, False)], [0.0, 0.1])
     assert all(p.recall is None for p in points)
     assert all(p.tp == 0 for p in points)
+
+
+def test_memoised_verdicts_do_not_leak_across_defect_models():
+    # the graze is caught by the perfect and the tunneling detector but not
+    # the default one; the FLB seed by the perfect and default but not the
+    # tunneling one
+    models = (PERFECT_DETECTOR, DefectModel(), TUNNELING)
+    cases = [(ScenarioKind.PSF, PSF_GRAZE), (ScenarioKind.FLB, make_seed(ScenarioKind.FLB)[1])]
+    for kind, params in cases:
+        spec, _ = make_seed(kind)
+        ref = simulate_full(spec, params)
+        expected = {defect: builtin_cd_full(ref, defect) for defect in models}
+        assert len(set(expected.values())) == 2
+        for order in (models, models[::-1]):
+            trace = simulate(spec, params)
+            for defect in order:
+                want = classify(ref.first_contact is not None, expected[defect])
+                # check_ic first in one order, builtin_cd first in the other
+                if order is models:
+                    assert check_ic(trace, defect) is want, (kind, defect)
+                    assert builtin_cd(trace, defect) is expected[defect], (kind, defect)
+                else:
+                    assert builtin_cd(trace, defect) is expected[defect], (kind, defect)
+                    assert check_ic(trace, defect) is want, (kind, defect)
+            # scored again with the first model, after the others
+            assert builtin_cd(trace, order[0]) is expected[order[0]], (kind, order[0])
+

@@ -3,7 +3,8 @@
 Every case must agree on the trigger frame, the first-contact frame, the
 trace length and duration, the built-in verdict under several defect models,
 and every per-frame array bit for bit. The column-wise trace encoder must
-write the same bytes as the per-frame reference encoder.
+write the same bytes as the per-frame reference encoder, and the peak IoU
+read from the frames after first contact must equal the whole-trace loop.
 """
 
 import copy
@@ -14,9 +15,10 @@ import pytest
 
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd
 from silentcrash.geometry import Point2
+from silentcrash.oracle import max_iou
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, simulate, trace_to_jsonl
-from sim_oracle import builtin_cd_full, simulate_full, trace_to_jsonl_per_frame
+from sim_oracle import builtin_cd_full, max_iou_whole_trace, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
     DefectModel(),
@@ -161,3 +163,26 @@ def test_trace_jsonl_spells_non_finite_and_signed_zero_like_json_dumps():
     text = trace_to_jsonl(trace)
     assert '"closing_speed": NaN' in text and '"closing_speed": -Infinity' in text
     assert '"closing_speed": -0.0' in text
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_max_iou_matches_whole_trace_loop(kind):
+    rng = np.random.default_rng([17, list(ScenarioKind).index(kind)])
+    spec, seed_params = make_seed(kind)
+    cases = [(_started_in_contact(spec), seed_params, SimConfig())]
+    for i in range(40):
+        params = ControlParameters.from_angle(
+            d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(0.5, 50)), a=float(rng.uniform(-1, 1))
+        )
+        cases.append((spec, params, CONFIGS[i % len(CONFIGS)]))
+    contacts = 0
+    for case in cases:
+        # score first, so that max_iou cannot lean on arrays the reference builds
+        trace = simulate(*case)
+        peak = max_iou(trace)
+        assert peak == max_iou_whole_trace(trace), case
+        overlap = np.flatnonzero(trace.gt_overlap).tolist()
+        boxes = [(trace.ev_box(i), trace.npc_box(i)) for i in overlap]
+        assert list(trace.overlap_boxes(range(len(trace)))) == boxes, case
+        contacts += peak > 0.0
+    assert contacts > 0
