@@ -112,27 +112,32 @@ def cmd_run(args) -> int:
         config, data, digest = load_config_file(args.config)
     except FileNotFoundError:
         return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
     except ConfigError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
+
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot create output directory {out}: {exc.strerror}")
 
     try:
         result = run_campaign(config)
     except (InvalidSeedError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_records(result.records, out / "records.jsonl")
-
-    manifest = result.manifest()
+    report = report_mod.success_rates(result.records) if result.records else report_mod.empty_report()
+    manifest = result.manifest(report.summary)
     manifest["config"] = data
     manifest["config_digest"] = digest
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-    report = (
-        report_mod.success_rates(result.records) if result.records else report_mod.empty_report()
-    )
-    report_mod.export(report, "csv", out)
+    try:
+        _write_records(result.records, out / "records.jsonl")
+        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        report_mod.export(report, "csv", out)
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot write {exc.filename or out}: {exc.strerror}")
 
     for kind in config.kinds:
         print(_kind_summary_line(kind, result.records))
@@ -158,7 +163,7 @@ def cmd_replay(args) -> int:
     manifest_path = log_path.parent / "manifest.json"
     try:
         record = _read_record_at(log_path, args.ordinal)
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_bytes())
     except FileNotFoundError as exc:
         return _fail(ExitStatus.IO_ERROR, f"missing file: {exc.filename}")
     except OSError as exc:
@@ -167,6 +172,8 @@ def cmd_replay(args) -> int:
         return _fail(ExitStatus.IO_ERROR, str(exc))
     except json.JSONDecodeError as exc:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
     if not isinstance(manifest, dict):
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not a JSON object")
 
@@ -249,6 +256,8 @@ def cmd_sweep_step(args) -> int:
         points = step_size_sweep(args.kind, args.axis, steps, args.trials, config)
     except FileNotFoundError:
         return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
     except (ConfigError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
@@ -275,6 +284,8 @@ def cmd_sweep_threshold(args) -> int:
         config = _load_optional_config(args.config, parse_config(_SWEEP_THRESHOLD_DEFAULT))
     except FileNotFoundError:
         return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
     except (ConfigError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
@@ -284,8 +295,10 @@ def cmd_sweep_threshold(args) -> int:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
     labeled = []
     specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
+    cruise = None
     for rec in result.records:
-        trace = simulate(specs[rec.kind], rec.params, config.sim)
+        trace = simulate(specs[rec.kind], rec.params, config.sim, cruise)
+        cruise = trace.cruise
         label = ground_truth(trace) is not None and not builtin_cd(trace, config.defect)
         labeled.append((trace, label))
 

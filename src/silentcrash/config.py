@@ -62,6 +62,8 @@ def load_config_file(path) -> tuple[CampaignConfig, dict, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}") from None
     return parse_config(data), data, digest
 
 

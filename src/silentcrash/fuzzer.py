@@ -42,7 +42,7 @@ from .scenario import (
     make_seed,
     validate_seed,
 )
-from .simulator import SimConfig, simulate
+from .simulator import CruiseStage, SimConfig, simulate
 
 
 class SweepExhausted(Exception):
@@ -271,20 +271,15 @@ class CampaignResult:
     def proportion(self) -> float:
         return self.totals[ScenarioType.IC] / len(self.records) if self.records else 0.0
 
-    def manifest(self) -> dict:
-        totals = self.totals
-        summary = (
-            report_mod.success_rates(self.records).summary
-            if self.records
-            else report_mod.empty_report().summary
-        )
+    def manifest(self, summary: dict) -> dict:
+        """The run's manifest; its counts come from `summary`, the summary of the run's SR report."""
         return {
             "format": "silentcrash-manifest-v1",
             "mutator": self.config.mutator.value,
             "kinds": [k.value for k in self.config.kinds],
             "budget": self.config.budget,
-            "executions": len(self.records),
-            "totals": {t.value: totals[t] for t in ScenarioType},
+            "executions": summary["executions"],
+            "totals": summary["totals"],
             "rng_seed": self.config.rng_seed,
             "time_to_first_ics": summary["time_to_first_ics"],
             "mean_time_to_first_ics": summary["mean_time_to_first_ics"],
@@ -292,18 +287,25 @@ class CampaignResult:
 
 
 class _Executor:
-    """Runs executions, classifies them, and keeps the virtual clock."""
+    """Runs executions, classifies them, and keeps the virtual clock.
+
+    It keeps the last execution's cruise stage; simulate reuses it while the
+    spec and the trigger distance stay the same, as they do along a guided
+    round's speed and angle sweeps.
+    """
 
     def __init__(self, config: CampaignConfig):
         self.config = config
         self.records: list[OutcomeRecord] = []
         self.clock = 0.0
+        self._cruise: CruiseStage | None = None
 
     def budget_left(self) -> int:
         return self.config.budget - len(self.records)
 
     def run(self, spec: ScenarioSpec, params: ControlParameters) -> OutcomeRecord:
-        trace = simulate(spec, params, self.config.sim)
+        trace = simulate(spec, params, self.config.sim, self._cruise)
+        self._cruise = trace.cruise
         verdict = check_ic(trace, self.config.defect, self.config.oracle)
         self.clock += trace.duration
         fc = trace.first_contact
@@ -528,6 +530,7 @@ def step_size_sweep(
     plan = config.plan_for(kind)
 
     points = []
+    cruise = None
     for step in step_values:
         counts = []
         for trial in range(trials):
@@ -539,7 +542,8 @@ def step_size_sweep(
             )
             ics = 0
             for params in _axis_grid(axis, float(step), plan, fixed):
-                trace = simulate(spec, params, config.sim)
+                trace = simulate(spec, params, config.sim, cruise)
+                cruise = trace.cruise
                 if check_ic(trace, config.defect, config.oracle) is ScenarioType.IC:
                     ics += 1
             counts.append(ics)

@@ -19,6 +19,16 @@ and the first frame that passes is the answer. A frame outside the interval
 misses its threshold by more than the slack, so no frame-by-frame scan of the
 whole horizon could find a different one.
 
+An execution is built in two stages. Before the trigger the EV ignores
+v_hat and a, so the cruise stage (cruise_stage) depends only on the spec, d
+and the sim config: it holds the cruise path, the trigger frame and the
+first contact before the trigger, if any. The switched stage adds the phase
+from the trigger frame on for one (v_hat, a) and looks for contact there
+when there was none before. simulate composes the two and takes a cruise
+stage from an earlier trace, which it uses when it was built for the same
+spec and sim config objects and an equal d; a campaign that sweeps v_hat and
+a at a fixed d locates its trigger once.
+
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace. A
 Trace keeps the located frames; its per-frame arrays are built from the same
@@ -250,6 +260,7 @@ class Trace:
     dt: float
     npc_yaw: float
     phases: tuple[_Phase, ...]
+    cruise: CruiseStage = field(repr=False)
     memo: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -380,12 +391,52 @@ def _behavior_velocity(actor) -> np.ndarray:
     return np.array([speed * math.cos(actor.yaw), speed * math.sin(actor.yaw)])
 
 
-def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = SimConfig()) -> Trace:
-    """Run one execution and capture its trace.
+@dataclass(frozen=True, eq=False)
+class CruiseStage:
+    """Everything of an execution up to its trigger, built for one (spec, d, cfg).
 
-    The trace stops at min(first contact + settle_frames, horizon); without
-    contact it covers the whole horizon.
+    Before the trigger the EV ignores v_hat and a, so the cruise path, the
+    trigger frame and any contact before it are the same for every (v_hat, a)
+    at the same spec, d and sim config, and one stage serves all of them.
     """
+
+    spec: ScenarioSpec
+    d: float
+    cfg: SimConfig
+    ev_half: tuple[float, float]
+    npc_half: tuple[float, float]
+    path: _Phase  # both actors at their spec velocities over the whole horizon
+    trigger: int | None  # first frame of path within d
+    phases: tuple[_Phase, ...]  # path before the trigger frame; () when the trigger is frame 0
+    first_contact: int | None  # first contact in phases
+
+    def fits(self, spec: ScenarioSpec, d: float, cfg: SimConfig) -> bool:
+        """Whether this stage was built for this spec and cfg (the same objects) and an equal d."""
+        return self.spec is spec and self.d == d and self.cfg is cfg
+
+    def switched(self, params: ControlParameters) -> _Phase:
+        """The phase from the trigger frame on, at speed v_hat along heading + a * 90 deg."""
+        path = self.path
+        yaw1 = self.spec.ev.yaw + params.a * (math.pi / 2.0)
+        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
+        t0 = self.trigger * self.cfg.dt
+        axes, radii = _separating_axes(yaw1, self.ev_half, self.spec.npc.yaw, self.npc_half)
+        phase = path._replace(
+            first=self.trigger,
+            t0=t0,
+            ev_origin=path.ev_origin + t0 * path.ev_velocity,
+            ev_velocity=v1,
+            ev_yaw=yaw1,
+            axes=axes,
+            radii=radii,
+        )
+        if not phase.finite():
+            raise SimulationError("non-finite positions")
+        return phase
+
+
+def cruise_stage(spec: ScenarioSpec, d: float, cfg: SimConfig = SimConfig()) -> CruiseStage:
+    """Locate the trigger and any contact before it, for every execution at (spec, d, cfg)."""
     n = int(round(cfg.horizon / cfg.dt))
     ev0 = np.array([spec.ev.position.x, spec.ev.position.y])
     npc0 = np.array([spec.npc.position.x, spec.npc.position.y])
@@ -397,36 +448,55 @@ def simulate(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = Sim
     ev_half = (spec.ev.half_length, spec.ev.half_width)
     npc_half = (spec.npc.half_length, spec.npc.half_width)
     axes, radii = _separating_axes(spec.ev.yaw, ev_half, spec.npc.yaw, npc_half)
-    cruise = _Phase(0, n, cfg.dt, npc0, npc_v, 0.0, ev0, ev_v0, spec.ev.yaw, axes, radii)
+    path = _Phase(0, n, cfg.dt, npc0, npc_v, 0.0, ev0, ev_v0, spec.ev.yaw, axes, radii)
 
-    # both actors at their spec velocities until the first crossing of the
-    # trigger distance along that path, the true trigger frame
-    trigger = cruise.first_within(params.d)
-    phases = [cruise]
-    if trigger is not None:
-        yaw1 = spec.ev.yaw + params.a * (math.pi / 2.0)
-        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
-        t0 = trigger * cfg.dt
-        axes, radii = _separating_axes(yaw1, ev_half, spec.npc.yaw, npc_half)
-        switched = cruise._replace(
-            first=trigger, t0=t0, ev_origin=ev0 + t0 * ev_v0, ev_velocity=v1, ev_yaw=yaw1, axes=axes, radii=radii
-        )
-        phases = [cruise._replace(last=trigger - 1), switched] if trigger > 0 else [switched]
-
+    # the first crossing of the trigger distance along the cruise path is the
+    # true trigger frame
+    trigger = path.first_within(d)
+    if trigger is None:
+        phases = (path,)
+    else:
+        phases = (path._replace(last=trigger - 1),) if trigger > 0 else ()
     if not all(phase.finite() for phase in phases):
         raise SimulationError("non-finite positions")
+    first_contact = phases[0].first_contact() if phases else None
+    return CruiseStage(spec, d, cfg, ev_half, npc_half, path, trigger, phases, first_contact)
 
-    first_contact = next((fc for fc in (phase.first_contact() for phase in phases) if fc is not None), None)
+
+def simulate(
+    spec: ScenarioSpec,
+    params: ControlParameters,
+    cfg: SimConfig = SimConfig(),
+    cruise: CruiseStage | None = None,
+) -> Trace:
+    """Run one execution and capture its trace.
+
+    The trace stops at min(first contact + settle_frames, horizon); without
+    contact it covers the whole horizon. `cruise` is a stage from an earlier
+    trace (its `cruise`); it is used when it fits (spec, params.d, cfg), and a
+    new stage is built when it does not.
+    """
+    if cruise is None or not cruise.fits(spec, params.d, cfg):
+        cruise = cruise_stage(spec, params.d, cfg)
+    phases, first_contact, trigger = cruise.phases, cruise.first_contact, cruise.trigger
+    if trigger is not None:
+        switched = cruise.switched(params)
+        phases = (*phases, switched)
+        if first_contact is None:
+            first_contact = switched.first_contact()
+
+    n = cruise.path.last
     stop = n if first_contact is None else min(first_contact + cfg.settle_frames, n)
     return Trace(
         first_contact=first_contact,
         trigger_frame=trigger if trigger is not None and trigger <= stop else None,
-        ev_half=ev_half,
-        npc_half=npc_half,
+        ev_half=cruise.ev_half,
+        npc_half=cruise.npc_half,
         length=stop + 1,
         dt=cfg.dt,
         npc_yaw=spec.npc.yaw,
-        phases=tuple(phases),
+        phases=phases,
+        cruise=cruise,
     )
 
 

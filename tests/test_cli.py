@@ -145,6 +145,30 @@ class TestRun:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"kinds": ["FLB\xff"], "budget": 3}'], ids=["utf16-bom", "bad-utf8"])
+    def test_config_bytes_that_are_not_text_are_a_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, str(path), "not UTF-8/16/32 text")
+
+    @pytest.mark.parametrize("how", ["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_io_error_before_the_campaign(self, tmp_path, capsys, monkeypatch, how):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken if how == "file" else taken / "out"
+        monkeypatch.setattr("silentcrash.cli.run_campaign", lambda config: pytest.fail("the campaign ran"))
+        path = write_config(tmp_path, dict(MINI_CONFIG, budget=3))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cannot create output directory {out}")
+        assert taken.read_text() == "keep\n"
+
+    def test_unwritable_output_file_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "out" / "records.jsonl").mkdir(parents=True)
+        code, _ = run_mini(tmp_path, budget=3)
+        assert code == 2
+        assert_one_error_line(capsys, "cannot write", "records.jsonl")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         _, first = run_mini(tmp_path, out="a")
         _, second = run_mini(tmp_path, out="b")
@@ -290,6 +314,12 @@ class TestReplay:
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"config": "\xff"}'], ids=["utf16-bom", "bad-utf8"])
+    def test_manifest_that_is_not_text_is_io_error(self, campaign, capsys, raw):
+        (campaign / "manifest.json").write_bytes(raw)
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
+        assert_one_error_line(capsys, "manifest.json", "not UTF-8/16/32 text")
+
     def test_manifest_that_is_not_an_object_is_io_error(self, campaign, capsys):
         (campaign / "manifest.json").write_text("[]\n")
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
@@ -402,6 +432,20 @@ class TestSweepThreshold:
         assert main(["sweep-threshold", "--thresholds", "0", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert "seed for FLB" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run"],
+        ["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", "0.5", "--trials", "1"],
+        ["sweep-threshold", "--thresholds", "0"],
+    ],
+    ids=["run", "sweep-step", "sweep-threshold"],
+)
+def test_config_that_is_a_directory_is_io_error(tmp_path, capsys, command):
+    assert main([*command, "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert_one_error_line(capsys, f"cannot read {tmp_path}")
 
 
 def test_usage_errors_map_to_config_error_code(capsys):

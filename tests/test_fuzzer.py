@@ -11,12 +11,14 @@ from silentcrash.fuzzer import (
     MutatorKind,
     SearchPlan,
     SweepExhausted,
+    _Executor,
     mutate_step,
     run_campaign,
     run_round,
     step_size_sweep,
 )
 from silentcrash.oracle import ScenarioType, check_ic
+from silentcrash.report import empty_report
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
 
@@ -203,7 +205,7 @@ class TestCampaign:
     def test_budget_zero_gives_empty_result_with_manifest(self):
         result = run_campaign(small_config(budget=0))
         assert result.records == []
-        manifest = result.manifest()
+        manifest = result.manifest(empty_report().summary)
         assert manifest["executions"] == 0
         assert manifest["totals"] == {"IC": 0, "DC": 0, "NC": 0, "FP": 0}
 
@@ -253,6 +255,36 @@ class TestCampaign:
         for rec in result.records[:40]:
             trace = simulate(spec, rec.params, config.sim)
             assert check_ic(trace, config.defect, config.oracle) is rec.verdict
+
+    def test_executor_reuses_a_cruise_stage_only_for_the_same_spec_and_distance(self):
+        config = CampaignConfig(kinds=(ScenarioKind.FLV, ScenarioKind.PSF), budget=10)
+        flv, _ = config.seed_for(ScenarioKind.FLV)
+        psf, _ = config.seed_for(ScenarioKind.PSF)
+        executor = _Executor(config)
+        # (spec, d, v_hat, a): the same spec and d, a new d, a new spec at the same d, ...
+        steps = [
+            (flv, 4.0, 20.0, 0.0),
+            (flv, 4.0, 30.0, 0.3),
+            (flv, 5.0, 30.0, 0.3),
+            (psf, 5.0, 30.0, 0.3),
+            (psf, 5.0, 10.0, -0.2),
+            (flv, 5.0, 10.0, -0.2),
+        ]
+        stages = []
+        for spec, d, v_hat, a in steps:
+            params = ControlParameters.from_angle(d=d, v_hat=v_hat, a=a)
+            record = executor.run(spec, params)
+            stage = executor._cruise
+            assert stage.spec is spec and stage.d == d
+            fresh = simulate(spec, params, config.sim)
+            assert (stage.trigger, stage.first_contact) == (fresh.cruise.trigger, fresh.cruise.first_contact)
+            assert record.verdict is check_ic(fresh, config.defect, config.oracle)
+            assert record.sim_seconds == round(fresh.duration, 9)
+            fc = fresh.first_contact
+            assert record.first_contact_time == (None if fc is None else round(fresh.time(fc), 9))
+            stages.append(stage)
+        assert stages[1] is stages[0] and stages[4] is stages[3]
+        assert len({id(stage) for stage in stages}) == 4
 
     def test_virtual_clock_accumulates_trace_durations(self):
         result = run_campaign(small_config(budget=50))

@@ -5,6 +5,8 @@ trace length and duration, the built-in verdict under several defect models,
 and every per-frame array bit for bit. The column-wise trace encoder must
 write the same bytes as the per-frame reference encoder, and the peak IoU
 read from the frames after first contact must equal the whole-trace loop.
+A trace built on a cruise stage shared with other (v_hat, a) must equal one
+simulated from scratch.
 """
 
 import copy
@@ -16,8 +18,8 @@ import pytest
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd
 from silentcrash.geometry import Point2
 from silentcrash.oracle import max_iou
-from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, simulate, trace_to_jsonl
+from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
+from silentcrash.simulator import SimConfig, cruise_stage, simulate, trace_to_jsonl
 from sim_oracle import builtin_cd_full, max_iou_whole_trace, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
@@ -41,8 +43,8 @@ ARRAYS = (
 CONFIGS = (SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0, settle_frames=45))
 
 
-def assert_equivalent(spec, params, cfg):
-    trace = simulate(spec, params, cfg)
+def assert_equivalent(spec, params, cfg, cruise=None):
+    trace = simulate(spec, params, cfg, cruise)
     ref = simulate_full(spec, params, cfg)
     case = (spec.kind.value, params, cfg)
     assert trace.trigger_frame == ref.trigger_frame, case
@@ -186,3 +188,51 @@ def test_max_iou_matches_whole_trace_loop(kind):
         assert list(trace.overlap_boxes(range(len(trace)))) == boxes, case
         contacts += peak > 0.0
     assert contacts > 0
+
+
+def _standing(spec):
+    return dataclasses.replace(spec, npc=dataclasses.replace(spec.npc, behavior=Behavior(BehaviorKind.STATIC)))
+
+
+SWITCHES = ((0.5, 0.0), (7.5, -0.06), (12.0, 0.6), (30.0, -1.0), (50.0, 0.25))
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_shared_cruise_stage_matches_fresh_simulate(kind):
+    spec, _ = make_seed(kind)
+    ev = spec.ev.position
+    cases = {
+        "trigger": (spec, 4.0),
+        "trigger-at-0": (apply_overrides(spec, {"npc": {"x": ev.x + 6.0, "y": ev.y}}), 7.0),
+        "no-trigger": (apply_overrides(spec, {"npc": {"x": 400.0}}), 2.0),
+        # a standing NPC dead ahead is hit at a center distance above d
+        "contact-first": (_standing(apply_overrides(spec, {"npc": {"x": ev.x + 20.0, "y": ev.y}})), 2.0),
+    }
+    for cfg in CONFIGS:
+        stages = {}
+        for label, (case_spec, d) in cases.items():
+            stage = stages[label] = cruise_stage(case_spec, d, cfg)
+            for v_hat, a in SWITCHES:
+                params = ControlParameters.from_angle(d=d, v_hat=v_hat, a=a)
+                fresh = assert_equivalent(case_spec, params, cfg)
+                shared = assert_equivalent(case_spec, params, cfg, stage)
+                assert shared.cruise is stage and fresh.cruise is not stage
+                for name in ARRAYS:
+                    assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), (label, params, name)
+        assert stages["trigger"].trigger > 0
+        assert stages["trigger-at-0"].trigger == 0 and stages["trigger-at-0"].phases == ()
+        assert stages["no-trigger"].trigger is None
+        contact = stages["contact-first"]
+        assert contact.first_contact is not None
+        assert contact.trigger is None or contact.first_contact < contact.trigger
+
+
+def test_stage_built_for_other_inputs_is_not_used():
+    spec, _ = make_seed(ScenarioKind.FLV)
+    psf, _ = make_seed(ScenarioKind.PSF)
+    params = ControlParameters.from_angle(d=4.0, v_hat=20.0, a=0.3)
+    cfg = CONFIGS[0]
+    assert simulate(spec, params, cfg, cruise_stage(spec, 4.0, cfg)).cruise.fits(spec, 4.0, cfg)
+    for stage in (cruise_stage(spec, 5.0, cfg), cruise_stage(psf, 4.0, cfg), cruise_stage(spec, 4.0, CONFIGS[1])):
+        trace = assert_equivalent(spec, params, cfg, stage)
+        assert trace.cruise is not stage
