@@ -1,86 +1,2 @@
 """Driving micro-simulator with a deliberately flawed collision detector,
 plus the fuzzing pipeline that hunts the collisions it silently drops."""
-
-from .detector import PERFECT_DETECTOR, DefectModel, builtin_cd, ground_truth
-from .fuzzer import (
-    DEFAULT_PLANS,
-    CampaignConfig,
-    CampaignResult,
-    InvalidSeedError,
-    MutatorKind,
-    OutcomeRecord,
-    SearchPlan,
-    SweepExhausted,
-    mutate_step,
-    run_campaign,
-    run_round,
-    step_size_sweep,
-)
-from .geometry import (
-    AREA_EPSILON,
-    OrientedBox,
-    Point2,
-    center_distance,
-    corners,
-    intersection_area,
-    iou,
-    overlaps,
-    penetration_depth,
-)
-from .oracle import OracleConfig, ScenarioType, check_ic, recall_sweep
-from .report import BucketScheme, categorize_ics, success_rates
-from .scenario import (
-    ControlParameters,
-    ScenarioKind,
-    ScenarioSpec,
-    make_seed,
-    validate_seed,
-)
-from .simulator import Frame, SimConfig, Trace, simulate, trace_to_jsonl
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AREA_EPSILON",
-    "BucketScheme",
-    "CampaignConfig",
-    "CampaignResult",
-    "ControlParameters",
-    "DEFAULT_PLANS",
-    "DefectModel",
-    "Frame",
-    "InvalidSeedError",
-    "MutatorKind",
-    "OracleConfig",
-    "OrientedBox",
-    "OutcomeRecord",
-    "PERFECT_DETECTOR",
-    "Point2",
-    "ScenarioKind",
-    "ScenarioSpec",
-    "ScenarioType",
-    "SearchPlan",
-    "SimConfig",
-    "SweepExhausted",
-    "Trace",
-    "builtin_cd",
-    "categorize_ics",
-    "center_distance",
-    "check_ic",
-    "corners",
-    "ground_truth",
-    "intersection_area",
-    "iou",
-    "make_seed",
-    "mutate_step",
-    "overlaps",
-    "penetration_depth",
-    "recall_sweep",
-    "run_campaign",
-    "run_round",
-    "simulate",
-    "step_size_sweep",
-    "success_rates",
-    "trace_to_jsonl",
-    "validate_seed",
-]

@@ -12,10 +12,10 @@ import json
 from pathlib import Path
 
 from .detector import DefectModel
-from .fuzzer import DEFAULT_PLANS, AngleMode, CampaignConfig, MutatorKind, SearchPlan
+from .fuzzer import DEFAULT_PLANS, AngleMode, CampaignConfig, MutatorKind, SearchPlan, stepped_schedule
 from .oracle import OracleConfig
-from .scenario import DISTANCE_MAX, DISTANCE_MIN, SPEED_MAX, ScenarioKind
-from .simulator import SimConfig, SimulationError
+from .scenario import DISTANCE_MAX, SPEED_MAX, ScenarioKind, apply_overrides, finite_number, make_seed
+from .simulator import SimConfig
 
 
 class ConfigError(ValueError):
@@ -91,10 +91,10 @@ def parse_config(data: dict) -> CampaignConfig:
         defect = DefectModel(**{**defect_block, "sample_period": sample_period})
         oracle = OracleConfig(**_checked_block(data.get("oracle", {}), {"t_bbox"}, "oracle"))
         sim = SimConfig(**{**sim_block, "settle_frames": settle_frames})
-    except (ValueError, TypeError, SimulationError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
-    plans = _parse_plans(data.get("plans", {}), kinds)
+    plans = _parse_plans(data.get("plans", {}))
     overrides = _parse_overrides(data.get("scenario_overrides", {}))
 
     try:
@@ -153,100 +153,56 @@ def _checked_block(raw, allowed: set, label: str) -> dict:
     return raw
 
 
-def _parse_plans(raw: dict, kinds) -> dict[ScenarioKind, SearchPlan]:
+def _parse_plans(raw: dict) -> dict[ScenarioKind, SearchPlan]:
     if not isinstance(raw, dict):
         raise ConfigError("plans: must be an object")
-    default_block = raw.get("default", {})
-    plans = {}
-    for kind in ScenarioKind:
-        block = dict(default_block)
-        block.update(raw.get(kind.value, {}))
-        plans[kind] = _plan_from_block(block, kind) if block else DEFAULT_PLANS[kind]
     unknown = set(raw) - {"default"} - {k.value for k in ScenarioKind}
     if unknown:
         raise ConfigError(f"plans: unknown keys {sorted(unknown)}")
+    default_block = _checked_block(raw.get("default", {}), _PLAN_KEYS, "plans.default")
+    plans = {}
+    for kind in ScenarioKind:
+        block = {**default_block, **_checked_block(raw.get(kind.value, {}), _PLAN_KEYS, f"plans.{kind.value}")}
+        plans[kind] = _plan_from_block(block, kind) if block else DEFAULT_PLANS[kind]
     return plans
 
 
 def _plan_from_block(block: dict, kind: ScenarioKind) -> SearchPlan:
+    """The kind's plan: the block's fields over the kind's defaults; SearchPlan checks ranges and order."""
     label = f"plans.{kind.value}"
-    _checked_block(block, _PLAN_KEYS, label)
     base = DEFAULT_PLANS[kind]
 
-    def _field(key, fallback):
-        return block.get(key, fallback)
+    def number(key: str, default: float) -> float:
+        return _number(block.get(key, default), f"{label}.{key}")
+
+    def schedule(axis: str, hi: float) -> tuple[float, ...]:
+        key, default = f"{axis}_schedule", getattr(base, f"{axis}_schedule")
+        if key in block:
+            if not isinstance(block[key], list):
+                raise ConfigError(f"{label}.{key}: must be a list of numbers")
+            return tuple(_number(v, f"{label}.{key}") for v in block[key])
+        start = number(f"{axis}_start", default[0])
+        return stepped_schedule(start, number(f"{axis}_step", default[1] - default[0]), hi)
 
     try:
-        if "distance_schedule" in block:
-            distance_schedule = _validated_schedule(
-                block["distance_schedule"], DISTANCE_MIN, DISTANCE_MAX, f"{label}.distance_schedule"
-            )
-        else:
-            distance_schedule = _stepped(
-                float(_field("distance_start", DISTANCE_MIN)),
-                float(_field("distance_step", _infer_step(base.distance_schedule))),
-                DISTANCE_MIN,
-                DISTANCE_MAX,
-                f"{label}.distance",
-            )
-        if "speed_schedule" in block:
-            speed_schedule = _validated_schedule(
-                block["speed_schedule"], 0.0, SPEED_MAX, f"{label}.speed_schedule", exclusive_lo=True
-            )
-        else:
-            speed_schedule = _stepped(
-                float(_field("speed_start", base.speed_schedule[0])),
-                float(_field("speed_step", _infer_step(base.speed_schedule))),
-                0.0,
-                SPEED_MAX,
-                f"{label}.speed",
-                exclusive_lo=True,
-            )
         return SearchPlan(
-            distance_schedule=distance_schedule,
-            speed_schedule=speed_schedule,
-            angle_step_long=float(_field("angle_step_long", base.angle_step_long)),
-            angle_step_lat=float(_field("angle_step_lat", base.angle_step_lat)),
-            angle_mode=_parse_enum(AngleMode, _field("angle_mode", base.angle_mode.value), f"{label}.angle_mode"),
+            distance_schedule=schedule("distance", DISTANCE_MAX),
+            speed_schedule=schedule("speed", SPEED_MAX),
+            angle_step_long=number("angle_step_long", base.angle_step_long),
+            angle_step_lat=number("angle_step_lat", base.angle_step_lat),
+            angle_mode=_parse_enum(AngleMode, block.get("angle_mode", base.angle_mode.value), f"{label}.angle_mode"),
             k_nc=_require_int(block, "k_nc", minimum=1, default=base.k_nc, label=f"{label}.k_nc"),
         )
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from None
 
 
-def _infer_step(schedule) -> float:
-    return schedule[1] - schedule[0] if len(schedule) > 1 else 1.0
-
-
-def _range_text(lo: float, hi: float) -> str:
-    return f"{lo:g}..{hi:g}"
-
-
-def _stepped(start, step, lo, hi, label, exclusive_lo=False) -> tuple[float, ...]:
-    if step <= 0.0:
-        raise ConfigError(f"{label}_step: must be positive")
-    if start > hi or start < lo or (exclusive_lo and start <= lo):
-        raise ConfigError(f"{label}_start: {start:g} outside {_range_text(lo, hi)}")
-    values = []
-    v = start
-    while v <= hi + 1e-9:
-        values.append(round(v, 9))
-        v += step
-    return tuple(values)
-
-
-def _validated_schedule(raw, lo, hi, label, exclusive_lo=False) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{label}: must be a non-empty list")
-    values = [float(v) for v in raw]
-    if values != sorted(values):
-        raise ConfigError(f"{label}: must be ascending")
-    for v in values:
-        if v < lo or v > hi or (exclusive_lo and v <= lo):
-            raise ConfigError(f"{label}: {v:g} outside {_range_text(lo, hi)}")
-    return tuple(values)
+def _number(value, label: str) -> float:
+    if not finite_number(value):
+        raise ConfigError(f"{label}: must be a finite number")
+    return float(value)
 
 
 def _parse_overrides(raw: dict) -> dict[ScenarioKind, dict]:
@@ -260,5 +216,9 @@ def _parse_overrides(raw: dict) -> dict[ScenarioKind, dict]:
             raise ConfigError(f"scenario_overrides: unknown kind {key!r}") from None
         if not isinstance(block, dict):
             raise ConfigError(f"scenario_overrides.{key}: must be an object")
+        try:
+            apply_overrides(make_seed(kind)[0], block)
+        except ValueError as exc:
+            raise ConfigError(f"scenario_overrides.{key}: {exc}") from None
         out[kind] = block
     return out

@@ -64,18 +64,22 @@ class AngleMode(str, Enum):
     PER_AXIS = "per-axis"
 
 
-def _schedule(start: float, step: float, lo: float, hi: float) -> tuple[float, ...]:
-    if step <= 0.0:
+# The most values a stepped schedule may hold. A step that would give more
+# is rejected before the schedule is built.
+MAX_SCHEDULE_LEN = 10_000
+
+
+def stepped_schedule(start: float, step: float, hi: float) -> tuple[float, ...]:
+    """start, start + step, ... up to hi, each rounded to 9 decimals; SearchPlan checks the range."""
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
+    if (hi + 1e-9 - start) / step >= MAX_SCHEDULE_LEN:
+        raise ValueError(f"step {step} from {start} gives more than {MAX_SCHEDULE_LEN} values")
     values = []
     v = start
     while v <= hi + 1e-9:
         values.append(round(v, 9))
         v += step
-    if not values:
-        raise ValueError(f"empty schedule from start {start} step {step}")
-    if values[0] < lo - 1e-9:
-        raise ValueError(f"schedule start {start} below {lo}")
     return tuple(values)
 
 
@@ -95,11 +99,11 @@ class SearchPlan:
         ):
             if not sched:
                 raise ValueError(f"{name} schedule must not be empty")
-            if list(sched) != sorted(sched):
-                raise ValueError(f"{name} schedule must be ascending")
-            if sched[0] < lo - 1e-9 or sched[-1] > hi + 1e-9 or (name == "speed" and sched[0] <= 0.0):
+            if not all(a < b for a, b in zip(sched, sched[1:])):
+                raise ValueError(f"{name} schedule must be strictly ascending")
+            if not lo - 1e-9 <= sched[0] <= sched[-1] <= hi + 1e-9 or (name == "speed" and sched[0] <= 0.0):
                 raise ValueError(f"{name} schedule outside {lo:g}..{hi:g}")
-        if self.angle_step_long <= 0.0 or self.angle_step_lat <= 0.0:
+        if not (self.angle_step_long > 0.0 and self.angle_step_lat > 0.0):
             raise ValueError("angle steps must be positive")
         if self.k_nc < 1:
             raise ValueError("k_nc must be >= 1")
@@ -117,8 +121,8 @@ class SearchPlan:
         k_nc: int = 3,
     ) -> "SearchPlan":
         return cls(
-            distance_schedule=_schedule(distance_start, distance_step, DISTANCE_MIN, DISTANCE_MAX),
-            speed_schedule=_schedule(speed_start, speed_step, 0.0, SPEED_MAX),
+            distance_schedule=stepped_schedule(distance_start, distance_step, DISTANCE_MAX),
+            speed_schedule=stepped_schedule(speed_start, speed_step, SPEED_MAX),
             angle_step_long=angle_step_long,
             angle_step_lat=angle_step_lat,
             angle_mode=AngleMode(angle_mode),
@@ -137,8 +141,6 @@ DEFAULT_PLANS: Mapping[ScenarioKind, SearchPlan] = {
     ScenarioKind.PSF: SearchPlan.from_steps(1.0, 1.0, 0.03, 0.03),
     ScenarioKind.PCF: SearchPlan.from_steps(1.0, 1.0, 0.03, 0.03),
 }
-
-MUTATION_AXES = ("distance", "speed", "angle+", "angle-")
 
 
 def mutate_step(params: ControlParameters, axis: str, plan: SearchPlan) -> ControlParameters:
@@ -177,8 +179,16 @@ class OutcomeRecord:
     ordinal: int
     sim_seconds: float
     clock_seconds: float
-    buckets: report_mod.BucketLabels
-    category: report_mod.CategoryLabel
+
+    @property
+    def buckets(self) -> report_mod.BucketLabels:
+        """The report buckets of the parameters, derived on each access."""
+        return report_mod.bucket(self.params)
+
+    @property
+    def category(self) -> report_mod.CategoryLabel:
+        """The IC category of the parameters, derived on each access."""
+        return report_mod.categorize(self.params)
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,16 +203,8 @@ class OutcomeRecord:
             "first_contact_time": self.first_contact_time,
             "sim_seconds": self.sim_seconds,
             "clock_seconds": self.clock_seconds,
-            "buckets": {
-                "distance": self.buckets.distance,
-                "speed": self.buckets.speed,
-                "angle": self.buckets.angle,
-            },
-            "category": {
-                "distance": self.category.distance,
-                "speed": self.category.speed,
-                "angle": self.category.angle,
-            },
+            "buckets": vars(self.buckets),
+            "category": vars(self.category),
         }
 
     @classmethod
@@ -218,8 +220,6 @@ class OutcomeRecord:
             ordinal=data["ordinal"],
             sim_seconds=data["sim_seconds"],
             clock_seconds=data["clock_seconds"],
-            buckets=report_mod.bucket(params),
-            category=report_mod.categorize(params),
         )
 
 
@@ -262,10 +262,7 @@ class CampaignResult:
 
     @property
     def totals(self) -> dict[ScenarioType, int]:
-        out = {t: 0 for t in ScenarioType}
-        for rec in self.records:
-            out[rec.verdict] += 1
-        return out
+        return report_mod.verdict_totals(self.records)
 
     @property
     def proportion(self) -> float:
@@ -317,8 +314,6 @@ class _Executor:
             ordinal=len(self.records),
             sim_seconds=round(trace.duration, 9),
             clock_seconds=round(self.clock, 9),
-            buckets=report_mod.bucket(params),
-            category=report_mod.categorize(params),
         )
         self.records.append(record)
         return record

@@ -25,37 +25,22 @@ CROSS_PAIRS = (("distance", "speed"), ("speed", "angle"), ("distance", "angle"))
 
 ANGLE_CLASS_EPSILON = 0.05
 
+DISTANCE_EDGES = ((2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
+SPEED_EDGES = (
+    (0.0, 10.0),
+    (10.0, 20.0),
+    (20.0, 30.0),
+    (30.0, 40.0),
+    (40.0, 50.0),
+)
+ANGLE_CENTERS = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
 
-@dataclass(frozen=True)
-class BucketScheme:
-    distance_edges: tuple[tuple[float, float], ...] = ((2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
-    speed_edges: tuple[tuple[float, float], ...] = (
-        (0.0, 10.0),
-        (10.0, 20.0),
-        (20.0, 30.0),
-        (30.0, 40.0),
-        (40.0, 50.0),
-    )
-    angle_centers: tuple[float, ...] = (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def distance_labels(self) -> tuple[str, ...]:
-        return tuple(f"{lo:g}-{hi:g}" for lo, hi in self.distance_edges)
-
-    def speed_labels(self) -> tuple[str, ...]:
-        return tuple(f"{lo:g}-{hi:g}" for lo, hi in self.speed_edges)
-
-    def angle_labels(self) -> tuple[str, ...]:
-        return tuple(f"{c:g}" for c in self.angle_centers)
-
-    def labels(self, axis: str) -> tuple[str, ...]:
-        return {
-            "distance": self.distance_labels(),
-            "speed": self.speed_labels(),
-            "angle": self.angle_labels(),
-        }[axis]
-
-
-DEFAULT_SCHEME = BucketScheme()
+# each axis's bucket labels, in report order
+LABELS = {
+    "distance": tuple(f"{lo:g}-{hi:g}" for lo, hi in DISTANCE_EDGES),
+    "speed": tuple(f"{lo:g}-{hi:g}" for lo, hi in SPEED_EDGES),
+    "angle": tuple(f"{c:g}" for c in ANGLE_CENTERS),
+}
 
 
 @dataclass(frozen=True)
@@ -63,9 +48,6 @@ class BucketLabels:
     distance: str
     speed: str
     angle: str
-
-    def by_axis(self, axis: str) -> str:
-        return getattr(self, axis)
 
 
 @dataclass(frozen=True)
@@ -75,26 +57,26 @@ class CategoryLabel:
     angle: str  # N / 0 / P
 
 
-def bucket(params: ControlParameters, scheme: BucketScheme = DEFAULT_SCHEME) -> BucketLabels:
+def bucket(params: ControlParameters) -> BucketLabels:
     """Bucket labels for one parameter triple."""
     return BucketLabels(
-        distance=_edge_bucket(params.d, scheme.distance_edges),
-        speed=_edge_bucket(params.v_hat, scheme.speed_edges),
-        angle=_nearest_center(params.a, scheme.angle_centers),
+        distance=_edge_bucket(params.d, DISTANCE_EDGES, LABELS["distance"]),
+        speed=_edge_bucket(params.v_hat, SPEED_EDGES, LABELS["speed"]),
+        angle=_nearest_center(params.a, ANGLE_CENTERS),
     )
 
 
-def _edge_bucket(value: float, edges: tuple[tuple[float, float], ...]) -> str:
+def _edge_bucket(value: float, edges: tuple[tuple[float, float], ...], labels: tuple[str, ...]) -> str:
     # boundary goes to the lower bucket: value <= hi selects the bucket
-    for lo, hi in edges[:-1]:
+    for (_, hi), label in zip(edges[:-1], labels):
         if value <= hi:
-            return f"{lo:g}-{hi:g}"
-    lo, hi = edges[-1]
-    return f"{lo:g}-{hi:g}"
+            return label
+    return labels[-1]
 
 
 def _nearest_center(value: float, centers: tuple[float, ...]) -> str:
-    best = min(centers, key=lambda c: (abs(value - c), c))
+    # centers ascend and min keeps the first of equal distances: a tie goes to the lower center
+    best = min(centers, key=lambda c: abs(value - c))
     return f"{best:g}"
 
 
@@ -141,7 +123,7 @@ def _stats(bucket_label: str, counts: dict[ScenarioType, int]) -> BucketStats:
     )
 
 
-def success_rates(records: Sequence["OutcomeRecord"], scheme: BucketScheme = DEFAULT_SCHEME) -> SRReport:
+def success_rates(records: Sequence["OutcomeRecord"]) -> SRReport:
     if not records:
         raise ValueError("records must not be empty")
 
@@ -152,16 +134,16 @@ def success_rates(records: Sequence["OutcomeRecord"], scheme: BucketScheme = DEF
     for rec in records:
         labels = rec.buckets
         for axis in AXES:
-            cell = axis_counts[axis].setdefault(labels.by_axis(axis), {})
+            cell = axis_counts[axis].setdefault(getattr(labels, axis), {})
             cell[rec.verdict] = cell.get(rec.verdict, 0) + 1
         for pair in CROSS_PAIRS:
-            key = (labels.by_axis(pair[0]), labels.by_axis(pair[1]))
+            key = (getattr(labels, pair[0]), getattr(labels, pair[1]))
             cell = cross_counts[pair].setdefault(key, {})
             cell[rec.verdict] = cell.get(rec.verdict, 0) + 1
 
     axes = {}
     for axis in AXES:
-        ordered = [label for label in scheme.labels(axis) if label in axis_counts[axis]]
+        ordered = [label for label in LABELS[axis] if label in axis_counts[axis]]
         axes[axis] = tuple(_stats(label, axis_counts[axis][label]) for label in ordered)
 
     cross = {}
@@ -182,10 +164,16 @@ def _kind_offsets(records: Sequence["OutcomeRecord"]) -> dict:
     return offsets
 
 
-def _summary(records: Sequence["OutcomeRecord"]) -> dict:
+def verdict_totals(records: Iterable["OutcomeRecord"]) -> dict[ScenarioType, int]:
+    """Executions per verdict, with every verdict present."""
     totals = {t: 0 for t in ScenarioType}
     for rec in records:
         totals[rec.verdict] += 1
+    return totals
+
+
+def _summary(records: Sequence["OutcomeRecord"]) -> dict:
+    totals = verdict_totals(records)
     executions = len(records)
 
     offsets = _kind_offsets(records)

@@ -10,12 +10,13 @@ Default footprints (overridable via the campaign config):
     car        4.6 x 1.9 m
     bicycle    1.8 x 0.6 m
     pedestrian 0.5 x 0.5 m
-Lane width 3.5 m, initial center-to-center gap 30 m along the EV travel axis.
+Initial center-to-center gap 30 m along the EV travel axis.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -25,7 +26,6 @@ DISTANCE_MIN = 2.0
 DISTANCE_MAX = 7.0
 SPEED_MAX = 50.0
 
-LANE_WIDTH = 3.5
 INITIAL_GAP = 30.0
 
 CAR_HALF = (2.3, 0.95)
@@ -59,8 +59,8 @@ class Behavior:
         if self.kind is BehaviorKind.STATIC:
             if self.speed != 0.0:
                 raise ValueError("static behavior has no speed")
-        elif self.speed <= 0.0:
-            raise ValueError(f"{self.kind.value} behavior needs positive speed")
+        elif not 0.0 < self.speed < math.inf:
+            raise ValueError(f"{self.kind.value} behavior needs a positive finite speed")
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,8 @@ class ScenarioSpec:
     kind: ScenarioKind
     ev: ActorSpec
     npc: ActorSpec
-    lane_width: float = LANE_WIDTH
-    initial_gap: float = INITIAL_GAP
 
     def __post_init__(self) -> None:
-        if self.initial_gap <= DISTANCE_MAX:
-            raise ValueError(
-                f"initial gap {self.initial_gap} must exceed the maximum trigger distance {DISTANCE_MAX}"
-            )
         if overlaps(self.ev.box(), self.npc.box()):
             raise ValueError("actors must start disjoint")
 
@@ -211,35 +205,39 @@ def validate_seed(spec: ScenarioSpec, params: ControlParameters, cfg=None) -> bo
 
 
 _ACTOR_OVERRIDE_FIELDS = ("speed", "half_length", "half_width", "x", "y", "yaw")
-_SPEC_OVERRIDE_FIELDS = ("lane_width", "initial_gap")
+
+
+def finite_number(value) -> bool:
+    """Whether a JSON value is a number (not a bool or a string) with a finite float value."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def apply_overrides(spec: ScenarioSpec, overrides: dict) -> ScenarioSpec:
     """Apply campaign-config overrides to a seed spec.
 
-    Supported keys: lane_width, initial_gap, and per-actor blocks
-    ``{"ev": {...}, "npc": {...}}`` with speed / half extents / pose fields.
-    Unknown keys raise ValueError so config typos fail loudly.
+    Supported keys: per-actor blocks ``{"ev": {...}, "npc": {...}}`` with
+    speed / half extents / pose fields, each a finite number. Unknown keys
+    and malformed values raise ValueError so config typos fail loudly.
     """
-    spec_kwargs = {}
     actors = {"ev": spec.ev, "npc": spec.npc}
     for key, value in overrides.items():
-        if key in _SPEC_OVERRIDE_FIELDS:
-            spec_kwargs[key] = float(value)
-        elif key in actors:
-            actors[key] = _override_actor(actors[key], value, key)
-        else:
+        if key not in actors:
             raise ValueError(f"unknown scenario override {key!r}")
-    return replace(spec, ev=actors["ev"], npc=actors["npc"], **spec_kwargs)
+        actors[key] = _override_actor(actors[key], value, key)
+    return replace(spec, ev=actors["ev"], npc=actors["npc"])
 
 
 def _override_actor(actor: ActorSpec, fields: dict, label: str) -> ActorSpec:
+    if not isinstance(fields, dict):
+        raise ValueError(f"{label} override must be an object")
     kwargs = {}
     position = actor.position
     behavior = actor.behavior
     for key, value in fields.items():
         if key not in _ACTOR_OVERRIDE_FIELDS:
             raise ValueError(f"unknown {label} override {key!r}")
+        if not finite_number(value):
+            raise ValueError(f"{label} override {key!r} must be a finite number")
         value = float(value)
         if key == "speed":
             behavior = Behavior(behavior.kind, value)

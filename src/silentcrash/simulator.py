@@ -58,7 +58,7 @@ from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 _SLACK = 1e-9
 
 
-class SimulationError(RuntimeError):
+class SimulationError(ValueError):
     """Non-finite state or malformed configuration."""
 
 
@@ -77,17 +77,6 @@ class SimConfig:
             raise SimulationError("horizon must cover at least 10 steps")
         if self.settle_frames < 0:
             raise SimulationError("settle_frames must be non-negative")
-
-
-@dataclass(frozen=True)
-class Frame:
-    t: float
-    ev_box: OrientedBox
-    npc_box: OrientedBox
-    gt_overlap: bool
-    penetration: float
-    closing_speed: float
-    triggered: bool
 
 
 def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[np.ndarray, np.ndarray]:
@@ -368,19 +357,6 @@ class Trace:
             self.npc_half[0],
             self.npc_half[1],
             float(self.npc_yaws[i]),
-        )
-
-    def frame(self, i: int) -> Frame:
-        if i < 0:
-            i += len(self)
-        return Frame(
-            t=float(self.times[i]),
-            ev_box=self.ev_box(i),
-            npc_box=self.npc_box(i),
-            gt_overlap=bool(self.gt_overlap[i]),
-            penetration=float(self.penetration[i]),
-            closing_speed=float(self.closing_speed[i]),
-            triggered=bool(self.triggered[i]),
         )
 
 

@@ -163,6 +163,32 @@ class TestRun:
         assert_one_error_line(capsys, f"cannot create output directory {out}")
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"plans": {"FLV": [1]}}, "plans.FLV"),
+            ({"scenario_overrides": {"FLV": {"npc": [1]}}}, "scenario_overrides.FLV"),
+            ({"scenario_overrides": {"FLV": {"npc": {"speed": float("nan")}}}}, "scenario_overrides.FLV"),
+            ({"scenario_overrides": {"FLB": {"npc": {"speed": 1e308}}}}, "non-finite"),
+        ],
+        ids=["plan-block-list", "actor-override-list", "nan-npc-speed", "overflowing-npc-speed"],
+    )
+    def test_malformed_config_shapes_are_config_errors(self, tmp_path, capsys, change, fragment):
+        path = write_config(tmp_path, dict(MINI_CONFIG, **change))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, fragment)
+
+    def test_failed_campaign_removes_only_the_out_directory_it_created(self, tmp_path, capsys):
+        config = {"kinds": ["FLB"], "budget": 10, "scenario_overrides": {"FLB": {"npc": {"y": 30.0}}}}
+        path = write_config(tmp_path, config)
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for out in (tmp_path / "new" / "out", existing):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+            assert_one_error_line(capsys, "determined collision")
+        assert not (tmp_path / "new").exists()
+        assert existing.is_dir()
+
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys):
         (tmp_path / "out" / "records.jsonl").mkdir(parents=True)
         code, _ = run_mini(tmp_path, budget=3)

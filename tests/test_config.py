@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from silentcrash.config import ConfigError, load_config_file, parse_config
+from silentcrash.config import _PLAN_KEYS, ConfigError, load_config_file, parse_config
 from silentcrash.fuzzer import DEFAULT_PLANS, AngleMode, MutatorKind
 from silentcrash.scenario import ScenarioKind
 
@@ -68,6 +70,20 @@ def test_explicit_schedules_are_validated():
         ({"unknown_top": 1}, "unknown"),
         ({"defect": {"sample_period": True}}, "defect.sample_period"),
         ({"sim": {"settle_frames": -1}}, "sim.settle_frames"),
+        ({"plans": {"FLV": {"speed_step": 1e-300}}}, "plans.FLV: step .* more than"),
+        ({"plans": {"FLV": {"angle_step_lat": float("nan")}}}, "plans.FLV.angle_step_lat"),
+        ({"plans": {"FLV": {"speed_start": float("nan")}}}, "plans.FLV.speed_start"),
+        ({"plans": {"FLV": {"speed_step": "5"}}}, "plans.FLV.speed_step"),
+        ({"plans": {"FLV": {"distance_schedule": ["5"]}}}, "plans.FLV.distance_schedule"),
+        ({"plans": {"FLV": {"speed_schedule": [True]}}}, "plans.FLV.speed_schedule"),
+        ({"plans": {"FLV": {"speed_schedule": [10, 10, 10]}}}, "plans.FLV: speed schedule must be strictly ascending"),
+        ({"plans": {"FLV": [1]}}, "plans.FLV"),
+        ({"plans": {"default": [1]}}, "plans.default"),
+        ({"scenario_overrides": {"FLV": {"npc": [1]}}}, "scenario_overrides.FLV"),
+        ({"scenario_overrides": {"FLV": {"npc": {"speed": float("nan")}}}}, "scenario_overrides.FLV"),
+        ({"scenario_overrides": {"FLV": {"npc": {"x": "40"}}}}, "scenario_overrides.FLV"),
+        ({"scenario_overrides": {"FLV": {"initial_gap": 30.0}}}, "scenario_overrides.FLV"),
+        ({"scenario_overrides": {"FLV": {"lane_width": 4.0}}}, "scenario_overrides.FLV"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):
@@ -100,3 +116,29 @@ def test_scenario_overrides_pass_through():
     config = parse_config(dict(BASE, scenario_overrides={"FLV": {"npc": {"speed": 12.0}}}))
     spec, _ = config.seed_for(ScenarioKind.FLV)
     assert spec.npc.behavior.speed == 12.0
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers() | st.floats()
+
+
+def _object(keys, values):
+    return st.dictionaries(st.sampled_from(keys), values, max_size=4)
+
+
+PLANS = _object(["default", "FLV", "PSF"], _object(sorted(_PLAN_KEYS), NUMBERS | st.lists(NUMBERS) | JSON) | JSON)
+ACTOR = _object(["speed", "half_length", "half_width", "x", "y", "yaw"], NUMBERS | JSON)
+OVERRIDES = _object(["FLV", "PSF", "InC"], _object(["ev", "npc", "initial_gap", "lane_width"], ACTOR | JSON) | JSON)
+
+
+@settings(max_examples=300, deadline=200)
+@given(plans=PLANS | JSON, overrides=OVERRIDES | JSON)
+def test_arbitrary_plan_and_override_blocks_parse_or_raise_config_error(plans, overrides):
+    try:
+        parse_config(dict(BASE, plans=plans, scenario_overrides=overrides))
+    except ConfigError:
+        pass

@@ -24,17 +24,14 @@ def params(d=3.0, v=10.0, a=0.0):
 
 
 def record(ordinal, verdict, d=3.0, v=10.0, a=0.0, kind=ScenarioKind.FLV, clock=None):
-    p = params(d, v, a)
     return OutcomeRecord(
         kind=kind,
-        params=p,
+        params=params(d, v, a),
         verdict=verdict,
         first_contact_time=None,
         ordinal=ordinal,
         sim_seconds=1.0,
         clock_seconds=float(ordinal + 1) if clock is None else clock,
-        buckets=bucket(p),
-        category=categorize(p),
     )
 
 

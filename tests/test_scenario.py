@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from silentcrash.geometry import overlaps
+from silentcrash.geometry import Point2, overlaps
 from silentcrash.scenario import (
     Behavior,
     BehaviorKind,
@@ -38,7 +38,7 @@ def test_flv_seed_matches_car_following_setup():
     spec, params = make_seed(ScenarioKind.FLV)
     assert spec.ev.behavior == Behavior(BehaviorKind.CRUISE, 20.0)
     assert spec.npc.behavior == Behavior(BehaviorKind.CRUISE, 10.0)
-    assert spec.initial_gap == 30.0
+    assert spec.npc.position == Point2(30.0, 0.0)
     assert (params.d, params.v_hat, params.a) == (2.0, 20.0, 0.0)
 
 
@@ -111,15 +111,15 @@ class TestOverrides:
         with pytest.raises(ValueError, match="override"):
             apply_overrides(spec, {"npc": {"mass": 1000}})
 
-    def test_gap_must_exceed_trigger_range(self):
+    @pytest.mark.parametrize("key", ["initial_gap", "lane_width"])
+    def test_spec_keys_the_simulator_never_reads_are_rejected(self, key):
         spec, _ = make_seed(ScenarioKind.FLV)
-        with pytest.raises(ValueError, match="trigger"):
-            apply_overrides(spec, {"initial_gap": 6.0})
+        with pytest.raises(ValueError, match=key):
+            apply_overrides(spec, {key: 30.0})
 
     def test_actor_fields_apply(self):
         spec, _ = make_seed(ScenarioKind.FLV)
-        out = apply_overrides(spec, {"lane_width": 4.0, "npc": {"speed": 12.0, "x": 40.0}})
-        assert out.lane_width == 4.0
+        out = apply_overrides(spec, {"npc": {"speed": 12.0, "x": 40.0}})
         assert out.npc.behavior.speed == 12.0
         assert out.npc.position.x == 40.0
         assert out.ev == spec.ev

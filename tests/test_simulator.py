@@ -72,12 +72,10 @@ def test_frame_invariants_hold_on_samples():
             d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(1, 50)), a=float(rng.uniform(-1, 1))
         )
         trace = simulate(spec, params)
-        for i in rng.integers(0, len(trace), size=25):
-            frame = trace.frame(int(i))
-            assert frame.gt_overlap == overlaps(frame.ev_box, frame.npc_box)
-            assert frame.penetration == pytest.approx(
-                penetration_depth(frame.ev_box, frame.npc_box), abs=1e-9
-            )
+        for i in rng.integers(0, len(trace), size=25).tolist():
+            ev, npc = trace.ev_box(i), trace.npc_box(i)
+            assert trace.gt_overlap[i] == overlaps(ev, npc)
+            assert trace.penetration[i] == pytest.approx(penetration_depth(ev, npc), abs=1e-9)
         if trace.trigger_frame is not None:
             assert not trace.triggered[: trace.trigger_frame].any()
             assert trace.triggered[trace.trigger_frame :].all()
@@ -129,17 +127,3 @@ def test_trace_jsonl_export_shape():
     assert not first["gt_overlap"]
     last = json.loads(lines[trace.first_contact])
     assert last["gt_overlap"]
-
-
-def test_frame_matches_indexed_access():
-    spec, params = make_seed(ScenarioKind.LC)
-    trace = simulate(spec, params)
-    frame = trace.frame(10)
-    assert frame.t == float(trace.times[10])
-    assert frame.ev_box == trace.ev_box(10)
-    assert frame.npc_box == trace.npc_box(10)
-    assert frame.gt_overlap == bool(trace.gt_overlap[10])
-    assert frame.penetration == float(trace.penetration[10])
-    assert frame.closing_speed == float(trace.closing_speed[10])
-    assert frame.triggered == bool(trace.triggered[10])
-    assert trace.frame(-1) == trace.frame(len(trace) - 1)
