@@ -23,7 +23,7 @@ from pathlib import Path
 
 # .detector, and numpy with it, is imported before .report on purpose: the
 # other order measured about 20 ms (15 %) slower to import this module
-from .detector import DefectModel, builtin_cd, ground_truth
+from .detector import DefectModel, builtin_cd, ground_truth, silenced_by
 from . import report as report_mod
 from .config import ConfigError, load_config_file, parse_config
 from .fuzzer import (
@@ -199,6 +199,8 @@ def cmd_replay(args) -> int:
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")
+    if verdict is ScenarioType.IC:
+        print(f"silenced_by={silenced_by(trace, defect)}")
 
     if not overridden and verdict is not record.verdict:
         return _fail(

@@ -87,11 +87,12 @@ def parse_config(data: dict) -> CampaignConfig:
     settle_frames = _require_int(
         sim_block, "settle_frames", minimum=0, default=SimConfig.settle_frames, label="sim.settle_frames"
     )
+    oracle_block = _checked_block(data.get("oracle", {}), {"t_bbox"}, "oracle")
     try:
-        defect = DefectModel(**{**defect_block, "sample_period": sample_period})
-        oracle = OracleConfig(**_checked_block(data.get("oracle", {}), {"t_bbox"}, "oracle"))
-        sim = SimConfig(**{**sim_block, "settle_frames": settle_frames})
-    except (ValueError, TypeError) as exc:
+        defect = DefectModel(**_numbers(defect_block, "defect"), sample_period=sample_period)
+        oracle = OracleConfig(**_numbers(oracle_block, "oracle"))
+        sim = SimConfig(**_numbers(sim_block, "sim"), settle_frames=settle_frames)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     plans = _parse_plans(data.get("plans", {}))
@@ -151,6 +152,15 @@ def _checked_block(raw, allowed: set, label: str) -> dict:
     if unknown:
         raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
     return raw
+
+
+def _numbers(block: dict, label: str) -> dict:
+    """The block's float fields (all but the integer frame counts), each checked to be a finite JSON number."""
+    return {
+        key: _number(value, f"{label}.{key}")
+        for key, value in block.items()
+        if key not in ("sample_period", "settle_frames")
+    }
 
 
 def _parse_plans(raw: dict) -> dict[ScenarioKind, SearchPlan]:

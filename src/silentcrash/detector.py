@@ -7,14 +7,36 @@ through), and it needs a minimum closing speed at the inspected frame
 (slow or sliding contacts slip through). It never fabricates contact: a
 frame only qualifies if the boxes actually overlap there, so with
 (k=1, p_min=0, v_min=0) the built-in verdict coincides with ground truth.
+
+A contact trace has only a few inspected frames, so they are evaluated one
+by one in Python floats rather than as arrays. Within a phase the center
+offset, the axis projections and the minimum overlap are the simulator's
+per-frame expressions (see simulator.py) written out for one frame: each
+operation rounds as the elementwise numpy kernel does, so the overlap and
+penetration gates give the kernel's answer bit for bit. The closing speed
+divides by math.hypot, which can differ from np.hypot in the last bit; a
+frame whose closing speed lies within a relative 1e-9 of the threshold, or
+is not finite, is decided by the kernel itself (_Phase.frame_values).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .simulator import Trace
+import numpy as np
+
+from .simulator import Trace, _Phase
+
+# The gates, in the order an inspected frame must pass them. silenced_by names
+# the furthest gate no inspected frame passed.
+_GATES = ("sampling", "penetration", "closing_speed")
+_FIRED = len(_GATES)
+
+# Relative band around min_impact_speed within which a closing speed is
+# recomputed by the kernel; far above the one-ulp hypot difference.
+_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,24 +78,82 @@ def builtin_cd(trace: Trace, defect: DefectModel) -> bool:
     """
     verdict = trace.memo.get(defect)
     if verdict is None:
-        verdict = trace.memo[defect] = _inspect(trace, defect)
+        verdict = trace.memo[defect] = _inspect(trace, defect) == _FIRED
     return verdict
 
 
-def _inspect(trace: Trace, defect: DefectModel) -> bool:
-    """The built-in verdict, computed from the trace.
+def silenced_by(trace: Trace, defect: DefectModel) -> str | None:
+    """The gate that kept the built-in detector silent, or None if it fires.
+
+    "sampling" when no inspected frame overlaps, "penetration" when none
+    that overlaps is deep enough, "closing_speed" otherwise.
+    """
+    reached = _inspect(trace, defect)
+    return None if reached == _FIRED else _GATES[reached]
+
+
+def _inspect(trace: Trace, defect: DefectModel) -> int:
+    """How many gates the best inspected frame passes: the index into _GATES, or _FIRED.
 
     Frames before the first contact have no overlap, so only the inspected
-    frames from there on are evaluated.
+    frames from there on are evaluated, and the first one that fires ends
+    the scan.
     """
     if trace.first_contact is None:
-        return False
-    k = defect.sample_period
-    frames = range(-(-trace.first_contact // k) * k, len(trace), k)
-    if not frames:
-        return False
-    overlap, penetration, closing_speed = trace.contact_at(frames)
-    hit = overlap & (penetration >= defect.min_penetration)
-    if defect.min_impact_speed > 0.0:
-        hit &= closing_speed >= defect.min_impact_speed
-    return bool(hit.any())
+        return 0
+    k, depth, speed = defect.sample_period, defect.min_penetration, defect.min_impact_speed
+    band = _TIE * max(speed, sys.float_info.min)
+    reached = 0
+    for phase in trace.phases:
+        start = -(-max(trace.first_contact, phase.first) // k) * k
+        frames = range(start, min(phase.last + 1, len(trace)), k)
+        if not frames:
+            continue
+        nx, ny, ux, uy, ox, oy, vx, vy = phase._motion
+        (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes.tolist()
+        r0, r1, r2, r3 = phase.radii.tolist()
+        rx, ry = vx - ux, vy - uy
+        dt, t0 = phase.dt, phase.t0
+        for i in frames:
+            t = i * dt
+            since = t - t0
+            dx = (nx + t * ux) - (ox + since * vx)
+            dy = (ny + t * uy) - (oy + since * vy)
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                level = _kernel_level(phase, i, depth, speed)
+            else:
+                overlap = min(
+                    r0 - abs(dx * a0x + dy * a0y),
+                    r1 - abs(dx * a1x + dy * a1y),
+                    r2 - abs(dx * a2x + dy * a2y),
+                    r3 - abs(dx * a3x + dy * a3y),
+                )
+                if overlap < 0.0:
+                    level = 0
+                elif overlap < depth:
+                    level = 1
+                elif speed <= 0.0:
+                    level = _FIRED
+                else:
+                    # the kernel's closing speed is 0 at a distance up to 1e-12
+                    dist = math.hypot(dx, dy)
+                    gap = (rx * dx + ry * dy) / dist - speed if dist > 2e-12 else math.nan
+                    if band < abs(gap) < math.inf:
+                        level = _FIRED if gap > 0.0 else 2
+                    else:
+                        level = _kernel_level(phase, i, depth, speed)
+            if level == _FIRED:
+                return _FIRED
+            reached = max(reached, level)
+    return reached
+
+
+def _kernel_level(phase: _Phase, i: int, depth: float, speed: float) -> int:
+    """_inspect's gate count for frame i, from the simulator's array kernel."""
+    _, _, overlap, closing = phase.frame_values(np.array([i]))
+    overlap, closing = float(overlap[0]), float(closing[0])
+    if not overlap >= 0.0:
+        return 0
+    if not overlap >= depth:
+        return 1
+    return _FIRED if speed <= 0.0 or closing >= speed else 2

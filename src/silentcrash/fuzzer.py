@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -461,41 +461,26 @@ class StepSweepPoint:
 SWEEP_AXES = ("distance", "speed", "angle", "angle_long", "angle_lat")
 
 
-def _axis_grid(axis: str, step: float, plan: SearchPlan, fixed: ControlParameters) -> Iterator[ControlParameters]:
-    """Single-axis grid over the full range, other parameters held fixed."""
-    if axis == "distance":
-        v = DISTANCE_MIN
-        while v <= DISTANCE_MAX + 1e-9:
-            yield replace(fixed, d=round(min(v, DISTANCE_MAX), 9))
-            v += step
-    elif axis == "speed":
-        v = step
-        while v <= SPEED_MAX + 1e-9:
-            yield replace(fixed, v_hat=round(min(v, SPEED_MAX), 9))
-            v += step
-    elif axis == "angle":
-        yield fixed.with_angle(0.0)
-        v = step
-        while v <= 1.0 + 1e-9:
-            a = round(min(v, 1.0), 9)
-            yield fixed.with_angle(a)
-            yield fixed.with_angle(-a)
-            v += step
-    elif axis == "angle_long":
-        v = step
-        while v <= 1.0 + 1e-9:
-            yield replace(fixed, theta_long=round(min(v, 1.0), 9))
-            v += step
-    elif axis == "angle_lat":
-        v = 0.0
-        while v <= 1.0 + 1e-9:
-            lat = round(min(v, 1.0), 9)
-            yield replace(fixed, theta_lat=lat)
-            if lat > 0.0:
-                yield replace(fixed, theta_lat=-lat)
-            v += step
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+def _axis_grid(axis: str, step: float) -> list[float]:
+    """The values a single-axis sweep visits over the axis's full range, in order.
+
+    One stepped schedule from the axis's start (DISTANCE_MIN for distance,
+    one step otherwise) to its bound; the two angle axes start at 0 and take
+    each value with both signs.
+    """
+    hi = {"distance": DISTANCE_MAX, "speed": SPEED_MAX}.get(axis, 1.0)
+    values = [min(v, hi) for v in stepped_schedule(DISTANCE_MIN if axis == "distance" else step, step, hi)]
+    if axis in ("angle", "angle_lat"):
+        return [0.0, *(signed for v in values for signed in (v, -v))]
+    return values
+
+
+def _axis_params(axis: str, value: float, fixed: ControlParameters) -> ControlParameters:
+    """fixed with the swept axis set to value."""
+    if axis == "angle":
+        return fixed.with_angle(value)
+    field_name = {"distance": "d", "speed": "v_hat", "angle_long": "theta_long", "angle_lat": "theta_lat"}[axis]
+    return replace(fixed, **{field_name: value})
 
 
 def step_size_sweep(
@@ -515,9 +500,7 @@ def step_size_sweep(
         raise ValueError("trials must be >= 1")
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    for step in step_values:
-        if step <= 0.0:
-            raise ValueError(f"step values must be positive, got {step}")
+    grids = [_axis_grid(axis, float(step)) for step in step_values]
     kind = ScenarioKind(kind)
     if config is None:
         config = CampaignConfig(kinds=(kind,), budget=1)
@@ -526,7 +509,7 @@ def step_size_sweep(
 
     points = []
     cruise = None
-    for step in step_values:
+    for step, grid in zip(step_values, grids):
         counts = []
         for trial in range(trials):
             rng = np.random.default_rng([config.rng_seed, trial])
@@ -536,8 +519,8 @@ def step_size_sweep(
                 a=float(rng.uniform(-1.0, 1.0)),
             )
             ics = 0
-            for params in _axis_grid(axis, float(step), plan, fixed):
-                trace = simulate(spec, params, config.sim, cruise)
+            for value in grid:
+                trace = simulate(spec, _axis_params(axis, value, fixed), config.sim, cruise)
                 cruise = trace.cruise
                 if check_ic(trace, config.defect, config.oracle) is ScenarioType.IC:
                     ics += 1

@@ -278,11 +278,6 @@ class Trace:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
 
-    def contact_at(self, frames: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ground-truth overlap, penetration and closing speed at the non-empty ascending frames."""
-        _, _, overlap, closing = self._frame_values(frames)
-        return overlap >= 0.0, np.maximum(overlap, 0.0), closing
-
     def overlap_boxes(self, frames: range) -> Iterator[tuple[OrientedBox, OrientedBox]]:
         """(EV box, NPC box) at each of the ascending frames where the footprints overlap.
 

@@ -10,6 +10,9 @@ wrongly shows up as a difference.
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
 call per frame dict.
 
+`silenced_by_full` names the detector gate no inspected frame passed, over
+every inspected frame of the whole-trace arrays.
+
 `max_iou_whole_trace` is the peak IoU as a loop over every overlap frame of
 a trace's whole-trace arrays, the way oracle.max_iou computed it before it
 read only the frames from first contact on.
@@ -103,6 +106,17 @@ def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:
     if defect.min_impact_speed > 0.0:
         hit &= trace.closing_speed[idx] >= defect.min_impact_speed
     return bool(hit.any())
+
+
+def silenced_by_full(trace: SimpleNamespace, defect: DefectModel) -> str | None:
+    """The gate no inspected frame of a full-array trace passed, or None if the detector fires."""
+    idx = np.arange(0, trace.length, defect.sample_period)
+    touching = trace.gt_overlap[idx]
+    deep = touching & (trace.penetration[idx] >= defect.min_penetration)
+    fast = deep & (trace.closing_speed[idx] >= defect.min_impact_speed)
+    if fast.any() or (deep.any() and defect.min_impact_speed <= 0.0):
+        return None
+    return "closing_speed" if deep.any() else "penetration" if touching.any() else "sampling"
 
 
 def max_iou_whole_trace(trace) -> float:

@@ -170,8 +170,17 @@ class TestRun:
             ({"scenario_overrides": {"FLV": {"npc": [1]}}}, "scenario_overrides.FLV"),
             ({"scenario_overrides": {"FLV": {"npc": {"speed": float("nan")}}}}, "scenario_overrides.FLV"),
             ({"scenario_overrides": {"FLB": {"npc": {"speed": 1e308}}}}, "non-finite"),
+            ({"defect": {"min_penetration": 10**400}}, "defect.min_penetration"),
+            ({"sim": {"dt": 10**400}}, "sim.dt"),
         ],
-        ids=["plan-block-list", "actor-override-list", "nan-npc-speed", "overflowing-npc-speed"],
+        ids=[
+            "plan-block-list",
+            "actor-override-list",
+            "nan-npc-speed",
+            "overflowing-npc-speed",
+            "huge-integer-penetration",
+            "huge-integer-dt",
+        ],
     )
     def test_malformed_config_shapes_are_config_errors(self, tmp_path, capsys, change, fragment):
         path = write_config(tmp_path, dict(MINI_CONFIG, **change))
@@ -289,6 +298,46 @@ class TestReplay:
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict=DC" in out or "verdict=NC" in out
+
+    @pytest.mark.parametrize(
+        "overrides, gate",
+        [
+            (["--sample-period", "100000"], "sampling"),
+            (["--sample-period", "1", "--min-penetration", "100", "--min-impact-speed", "0"], "penetration"),
+            (["--sample-period", "1", "--min-penetration", "0", "--min-impact-speed", "1000"], "closing_speed"),
+        ],
+        ids=["sampling", "penetration", "closing_speed"],
+    )
+    def test_ignored_collision_names_the_gate_that_silenced_it(self, campaign, tmp_path, capsys, overrides, gate):
+        records = [json.loads(l) for l in (campaign / "records.jsonl").read_text().splitlines()]
+        detected = next(r for r in records if r["verdict"] == "DC" and r["first_contact_time"] > 0.0)
+        out = tmp_path / "trace.jsonl"
+        argv = ["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", str(detected["ordinal"])]
+        assert main([*argv, "--out", str(out), *overrides]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict=IC " in lines[0] and lines[1:] == [f"silenced_by={gate}"]
+        assert "silenced_by" not in out.read_text()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_logged_ignored_collisions_name_the_gate_their_trace_shows(self, campaign, tmp_path, capsys):
+        # the gate recomputed from the replayed trace's own frames under the
+        # default defect model: every 5th frame, depth 0.05, closing speed 0.5
+        records = [json.loads(l) for l in (campaign / "records.jsonl").read_text().splitlines()]
+        ics = [r for r in records if r["verdict"] == "IC"][:20]
+        gates = set()
+        for record in ics:
+            out = tmp_path / "trace.jsonl"
+            argv = ["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", str(record["ordinal"])]
+            assert main([*argv, "--out", str(out)]) == 0
+            frames = [json.loads(l) for l in out.read_text().splitlines()][::5]
+            touching = [f for f in frames if f["gt_overlap"]]
+            deep = [f for f in touching if f["penetration"] >= 0.05]
+            assert not any(f["closing_speed"] >= 0.5 for f in deep)
+            gate = "closing_speed" if deep else "penetration" if touching else "sampling"
+            assert capsys.readouterr().out.splitlines()[1:] == [f"silenced_by={gate}"]
+            gates.add(gate)
+        assert len(gates) > 1
 
     @pytest.mark.parametrize("flag, value", [("--min-penetration", "nan"), ("--min-impact-speed", "-1")])
     def test_invalid_defect_override_is_config_error(self, campaign, capsys, flag, value):
@@ -412,6 +461,12 @@ class TestSweepStep:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,mean_ics,trial_counts"
         assert len(lines) == 2
+
+    def test_step_giving_too_many_values_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep-step", "--kind", "FLV", "--axis", "distance", "--steps", "1e-300", "--trials", "1", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "more than 10000 values")
+        assert not out.exists()
 
     def test_empty_steps_list_is_config_error(self, tmp_path, capsys):
         assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", ",", "--trials", "1", "--out", str(tmp_path / "s.csv")]) == 1

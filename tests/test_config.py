@@ -84,6 +84,13 @@ def test_explicit_schedules_are_validated():
         ({"scenario_overrides": {"FLV": {"npc": {"x": "40"}}}}, "scenario_overrides.FLV"),
         ({"scenario_overrides": {"FLV": {"initial_gap": 30.0}}}, "scenario_overrides.FLV"),
         ({"scenario_overrides": {"FLV": {"lane_width": 4.0}}}, "scenario_overrides.FLV"),
+        ({"defect": {"min_penetration": 10**400}}, "defect.min_penetration: must be a finite number"),
+        ({"defect": {"min_impact_speed": -(10**400)}}, "defect.min_impact_speed: must be a finite number"),
+        ({"defect": {"min_impact_speed": "0.5"}}, "defect.min_impact_speed"),
+        ({"sim": {"dt": 10**400}}, "sim.dt: must be a finite number"),
+        ({"sim": {"horizon": 10**400}}, "sim.horizon: must be a finite number"),
+        ({"sim": {"horizon": True}}, "sim.horizon"),
+        ({"oracle": {"t_bbox": [0.5]}}, "oracle.t_bbox"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):

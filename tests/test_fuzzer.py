@@ -9,8 +9,10 @@ from silentcrash.fuzzer import (
     CampaignConfig,
     InvalidSeedError,
     MutatorKind,
+    SWEEP_AXES,
     SearchPlan,
     SweepExhausted,
+    _axis_grid,
     _Executor,
     mutate_step,
     run_campaign,
@@ -334,6 +336,21 @@ class TestStepSizeSweep:
             step_size_sweep(ScenarioKind.FLB, "mass", [0.05], trials=1)
         with pytest.raises(ValueError):
             step_size_sweep(ScenarioKind.FLB, "angle", [0.0], trials=1)
+
+    def test_step_giving_too_many_values_is_rejected_before_simulating(self, monkeypatch):
+        monkeypatch.setattr("silentcrash.fuzzer.simulate", lambda *args: pytest.fail("simulated"))
+        for axis in SWEEP_AXES:
+            with pytest.raises(ValueError, match="more than 10000 values"):
+                step_size_sweep(ScenarioKind.FLB, axis, [0.5, 1e-300], trials=1)
+
+    def test_axis_grids_are_stepped_schedules_over_each_range(self):
+        assert _axis_grid("distance", 2.0) == [2.0, 4.0, 6.0]
+        assert _axis_grid("distance", 0.4)[-1] == 6.8
+        assert _axis_grid("speed", 20.0) == [20.0, 40.0]
+        assert _axis_grid("angle_long", 0.3) == [0.3, 0.6, 0.9]
+        for axis in ("angle", "angle_lat"):
+            assert _axis_grid(axis, 0.5) == [0.0, 0.5, -0.5, 1.0, -1.0]
+            assert _axis_grid(axis, 2.5) == [0.0]
 
 
 def test_search_plan_validation():

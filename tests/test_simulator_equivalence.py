@@ -1,26 +1,30 @@
 """The located simulator against the full-array reference in sim_oracle.
 
 Every case must agree on the trigger frame, the first-contact frame, the
-trace length and duration, the built-in verdict under several defect models,
-and every per-frame array bit for bit. The column-wise trace encoder must
-write the same bytes as the per-frame reference encoder, and the peak IoU
-read from the frames after first contact must equal the whole-trace loop.
+trace length and duration, the built-in verdict and the gate that silenced it
+under several defect models, and every per-frame array bit for bit. The
+built-in verdict must also agree under defect models whose thresholds equal,
+or neighbour, a frame's own penetration and closing speed. The column-wise
+trace encoder must write the same bytes as the per-frame reference encoder,
+and the peak IoU read from the frames after first contact must equal the
+whole-trace loop.
 A trace built on a cruise stage shared with other (v_hat, a) must equal one
 simulated from scratch.
 """
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd
+from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, silenced_by
 from silentcrash.geometry import Point2
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, cruise_stage, simulate, trace_to_jsonl
-from sim_oracle import builtin_cd_full, max_iou_whole_trace, simulate_full, trace_to_jsonl_per_frame
+from sim_oracle import builtin_cd_full, max_iou_whole_trace, silenced_by_full, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
     DefectModel(),
@@ -53,6 +57,7 @@ def assert_equivalent(spec, params, cfg, cruise=None):
     assert trace.duration == ref.duration, case
     for defect in DEFECTS:
         assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, defect)
+        assert silenced_by(trace, defect) == silenced_by_full(ref, defect), (case, defect)
     for name in ARRAYS:
         got, want = getattr(trace, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, (case, name)
@@ -110,6 +115,76 @@ def test_lc_lateral_offset_equal_to_summed_half_widths():
                 if trace.first_contact is not None and abs(y) == flush:
                     touches += float(trace.penetration[trace.first_contact]) == 0.0
     assert touches > 0
+
+
+def _tie_models(ref, i):
+    """Defect models that inspect frame i (and few others) with thresholds at or next to its values.
+
+    The penetration and closing speed come from the reference arrays, so a
+    closing speed evaluated with another hypot lands on either side of it.
+    """
+    pen, closing = float(ref.penetration[i]), float(ref.closing_speed[i])
+    depths = {d for d in (pen, np.nextafter(pen, 0.0), np.nextafter(pen, np.inf)) if d >= 0.0}
+    speeds = {c for c in (closing, np.nextafter(closing, 0.0), np.nextafter(closing, np.inf)) if c > 0.0}
+    k = max(i, 1)
+    models = [DefectModel(k, float(d), 0.0) for d in depths]
+    models += [DefectModel(k, depth, float(c)) for c in speeds for depth in (0.0, pen)]
+    return models
+
+
+def _tie_cases():
+    """(spec, params, cfg) of random executions of every kind, plus contacts that span the trigger frame."""
+    cases = []
+    for kind in ScenarioKind:
+        rng = np.random.default_rng([23, list(ScenarioKind).index(kind)])
+        spec, _ = make_seed(kind)
+        for i in range(30):
+            params = ControlParameters.from_angle(
+                d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(0.5, 50)), a=float(rng.uniform(-1, 1))
+            )
+            cases.append((spec, params, CONFIGS[i % len(CONFIGS)]))
+        # a standing NPC dead ahead: contact starts on the cruise path and the
+        # trigger can fall inside it
+        ev = spec.ev.position
+        standing = _standing(apply_overrides(spec, {"npc": {"x": ev.x + 20.0, "y": ev.y}}))
+        for d in (2.0, 2.3, 2.6, 3.0):
+            for v_hat, a in SWITCHES:
+                cases += [(standing, ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg) for cfg in CONFIGS]
+    return cases
+
+
+def _hypot_frames(ref):
+    """Contact frames whose center distance math.hypot and np.hypot round differently."""
+    delta = ref.npc_centers - ref.ev_centers
+    dist = np.hypot(delta[:, 0], delta[:, 1]).tolist()
+    return {i for i in np.flatnonzero(ref.gt_overlap).tolist() if math.hypot(*delta[i].tolist()) != dist[i]}
+
+
+def test_builtin_verdict_on_exact_ties():
+    # ties at the first and deepest contact frames, the last frame, around the
+    # trigger frame, and wherever the two hypots disagree in the last bit
+    checked = boundary = hypot = 0
+    for spec, params, cfg in _tie_cases():
+        trace, ref = simulate(spec, params, cfg), simulate_full(spec, params, cfg)
+        case = (spec.kind.value, params, cfg)
+        for defect in DEFECTS:
+            assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, defect)
+        if ref.first_contact is None:
+            continue
+        unequal = _hypot_frames(ref)
+        frames = {ref.first_contact, ref.length - 1, int(np.argmax(ref.penetration)), *unequal}
+        if ref.trigger_frame is not None:
+            frames |= {ref.trigger_frame - 1, ref.trigger_frame, ref.trigger_frame + 1}
+        for i in sorted(frames):
+            if not (0 <= i < ref.length and ref.gt_overlap[i]):
+                continue
+            boundary += i + 1 == ref.trigger_frame
+            hypot += i in unequal
+            for defect in _tie_models(ref, i):
+                assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, i, defect)
+                assert silenced_by(trace, defect) == silenced_by_full(ref, defect), (case, i, defect)
+                checked += 1
+    assert checked > 3000 and boundary > 0 and hypot > 0, (checked, boundary, hypot)
 
 
 def assert_same_jsonl(trace, case):
