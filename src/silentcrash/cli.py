@@ -63,10 +63,15 @@ class LogError(Exception):
 def _parse_record(line: bytes, path: Path, lineno: int) -> OutcomeRecord:
     try:
         return OutcomeRecord.from_json_dict(json.loads(line))
-    except json.JSONDecodeError as exc:
-        raise LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}") from None
     except (KeyError, TypeError, ValueError) as exc:
-        raise LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}") from None
+        raise _record_error(exc, path, lineno) from None
+
+
+def _record_error(exc: Exception, path: Path, lineno: int) -> LogError:
+    """The one-line error for a log line that json.loads or from_json_dict rejected with exc."""
+    if isinstance(exc, json.JSONDecodeError):
+        return LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}")
+    return LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}")
 
 
 def _numbered_records(fh):
@@ -82,16 +87,23 @@ def _read_records(path: Path) -> list[OutcomeRecord]:
 def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
     """Parse only the requested record, reading the log no further than its line.
 
-    Ordinals count non-blank lines. The log is counted in full only for the
-    out-of-range error.
+    Ordinals count non-blank lines, which are skipped without a Python-level
+    loop. Line numbers are counted only for the error messages: the log is
+    read again up to the record's line when the record is damaged, and in
+    full when the ordinal is out of range.
     """
     with path.open("rb") as fh:
         if 0 <= ordinal <= sys.maxsize:  # the range islice accepts
-            found = next(itertools.islice(_numbered_records(fh), ordinal, None), None)
-            if found is not None:
-                return _parse_record(found[1], path, found[0])
+            line = next(itertools.islice(filter(bytes.strip, fh), ordinal, None), None)
+            if line is not None:
+                try:
+                    return OutcomeRecord.from_json_dict(json.loads(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    fh.seek(0)
+                    lineno, _ = next(itertools.islice(_numbered_records(fh), ordinal, None))
+                    raise _record_error(exc, path, lineno) from None
         fh.seek(0)
-        count = sum(1 for _ in _numbered_records(fh))
+        count = sum(1 for _ in filter(bytes.strip, fh))
     raise LogError(f"ordinal {ordinal} outside log (0..{count - 1})")
 
 

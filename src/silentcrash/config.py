@@ -7,7 +7,6 @@ with the config-error status.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -56,6 +55,10 @@ def load_config_file(path) -> tuple[CampaignConfig, dict, str]:
     digest covers the bytes, not the parsed value, so any byte change in the
     file changes the digest.
     """
+    # imported here: it loads OpenSSL (~3.5 MB, ~4 ms), which only `run`
+    # and the sweeps need, never `replay` or `report`
+    import hashlib
+
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:

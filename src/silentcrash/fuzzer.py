@@ -170,7 +170,7 @@ def _next_in(schedule: tuple[float, ...], current: float, name: str) -> float:
     raise SweepExhausted(f"{name} {current} at range bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeRecord:
     kind: ScenarioKind
     params: ControlParameters

@@ -93,7 +93,7 @@ class ScenarioSpec:
             raise ValueError("actors must start disjoint")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlParameters:
     """The mutated triple: trigger distance, post-trigger speed, direction pair.
 

@@ -471,36 +471,89 @@ def simulate(
     )
 
 
+# One frame of trace_to_jsonl, keys sorted as json.dumps(..., sort_keys=True)
+# writes them. Each segment fills in the fields; a column spelled per frame,
+# and t, stay "%s".
+_ROW = (
+    '{{"closing_speed": {closing_speed}, "ev": {{"half_length": {ev_hl}, "half_width": {ev_hw}, '
+    '"x": {ev_x}, "y": {ev_y}, "yaw": {ev_yaw}}}, "gt_overlap": {gt_overlap}, '
+    '"npc": {{"half_length": {npc_hl}, "half_width": {npc_hw}, "x": {npc_x}, "y": {npc_y}, "yaw": {npc_yaw}}}, '
+    '"penetration": {penetration}, "t": %s, "triggered": {triggered}}}\n'
+)
+
+
 def trace_to_jsonl(trace: Trace) -> str:
     """Serialize a trace as JSONL, one frame per line.
 
     Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
-    gt_overlap, penetration, closing_speed and triggered. Each column is
-    spelled once and the lines are filled from one row template per trace.
+    gt_overlap, penetration, closing_speed and triggered. The frames are cut
+    into segments at each phase start and at first contact, and each segment
+    is written through its own row template. The yaws and `triggered` are
+    spelled once per segment from its phase. Any other column whose values in
+    a segment share one float64 bit pattern (so 0.0 and -0.0 differ, and NaN
+    runs match) is spelled once into the template too. Only the columns that
+    vary in a segment, and t, are spelled per frame.
     """
-    ev_hl, ev_hw, npc_hl, npc_hw = (json.dumps(h) for h in (*trace.ev_half, *trace.npc_half))
-    row = (
-        '{"closing_speed": %s, '
-        f'"ev": {{"half_length": {ev_hl}, "half_width": {ev_hw}, "x": %s, "y": %s, "yaw": %s}}, '
-        '"gt_overlap": %s, '
-        f'"npc": {{"half_length": {npc_hl}, "half_width": {npc_hw}, "x": %s, "y": %s, "yaw": %s}}, '
-        '"penetration": %s, "t": %s, "triggered": %s}\n'
-    )
-    columns = zip(
-        _json_floats(trace.closing_speed),
-        _json_floats(trace.ev_centers[:, 0]),
-        _json_floats(trace.ev_centers[:, 1]),
-        _json_floats(trace.ev_yaws),
-        _json_bools(trace.gt_overlap),
-        _json_floats(trace.npc_centers[:, 0]),
-        _json_floats(trace.npc_centers[:, 1]),
-        _json_floats(trace.npc_yaws),
-        _json_floats(trace.penetration),
-        [repr(round(t, 9)) for t in trace.times.tolist()],
-        _json_bools(trace.triggered),
-    )
-    return "".join([row % values for values in columns])
+    # the per-frame columns, in row order
+    columns = {
+        "closing_speed": (trace.closing_speed, _json_floats),
+        "ev_x": (trace.ev_centers[:, 0], _json_floats),
+        "ev_y": (trace.ev_centers[:, 1], _json_floats),
+        "gt_overlap": (trace.gt_overlap, _json_bools),
+        "npc_x": (trace.npc_centers[:, 0], _json_floats),
+        "npc_y": (trace.npc_centers[:, 1], _json_floats),
+        "penetration": (trace.penetration, _json_floats),
+    }
+    bits = np.column_stack([column for column, _ in columns.values()]).view(np.int64)
+    changes = bits[1:] != bits[:-1]
+    halves = (*trace.ev_half, *trace.npc_half)
+    fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
+    fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
+    times = _json_times(trace.times)
+    lines = []
+    for start, stop, phase in _segments(trace):
+        fields, per_frame = dict(fixed), []
+        for (name, (column, spell)), vary in zip(columns.items(), changes[start : stop - 1].any(axis=0).tolist()):
+            if vary:
+                fields[name] = "%s"
+                per_frame.append(spell(column[start:stop]))
+            else:
+                fields[name] = spell(column[start : start + 1])[0]
+        fields["ev_yaw"] = json.dumps(float(phase.ev_yaw))
+        fields["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
+        lines += map(_ROW.format(**fields).__mod__, zip(*per_frame, times[start:stop]))
+    return "".join(lines)
+
+
+def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:
+    """(start, stop, phase) covering frames 0..len-1, cut at each phase start and at first contact."""
+    for phase in trace.phases:
+        start, stop = phase.first, min(phase.last + 1, trace.length)
+        contact = trace.first_contact
+        if contact is not None and start < contact < stop:
+            yield start, contact, phase
+            start = contact
+        if start < stop:
+            yield start, stop, phase
+
+
+def _json_times(times: np.ndarray) -> list[str]:
+    """repr(round(t, 9)) of each time t, rounded by numpy where that gives the same double.
+
+    rint(t * 1e9) / 1e9 is Python's correctly rounded result wherever the
+    float product t * 1e9 lies more than one spacing from a half-integer: the
+    exact product then rounds to the same integer N, and N / 1e9 is the double
+    nearest to N / 10**9, as round returns. The other times (ties, near-ties,
+    products beyond 2**51, non-finite) are rounded by Python.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = times * 1e9
+        values = (np.rint(scaled) / 1e9).tolist()
+        unsure = ~(np.abs(scaled - np.floor(scaled) - 0.5) > np.abs(np.spacing(scaled)))
+    for i in np.flatnonzero(unsure).tolist():
+        values[i] = round(float(times[i]), 9)
+    return list(map(float.__repr__, values))
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
@@ -510,4 +563,4 @@ def _json_floats(column: np.ndarray) -> list[str]:
 
 
 def _json_bools(column: np.ndarray) -> list[str]:
-    return ["true" if value else "false" for value in column.tolist()]
+    return list(map(("false", "true").__getitem__, column.tolist()))

@@ -384,6 +384,20 @@ class TestReplay:
         assert main(["report", "--log", str(log), "--format", "csv", "--out", str(tmp_path / "r")]) == 2
         assert f"line {cut + 1}: " in capsys.readouterr().err
 
+    def test_damaged_record_after_blank_lines_names_its_physical_line(self, campaign, tmp_path, capsys):
+        # the lookup skips blank lines without numbering them; only a damaged
+        # record's error message counts the physical lines up to it
+        lines = (campaign / "records.jsonl").read_text().splitlines()
+        physical = ["", " ", "\t\r", lines[0], "", lines[1], "   ", "\t", lines[2][: len(lines[2]) // 2], lines[3]]
+        log = copy_log(campaign, tmp_path / "spaced", "\n".join(physical) + "\n")
+        argv = ["replay", "--log", str(log), "--out", str(tmp_path / "t.jsonl"), "--ordinal"]
+        assert main([*argv, "2"]) == 2
+        assert_one_error_line(capsys, f"error: {log} line 9: invalid JSON")
+        assert main([*argv, "3"]) == 0 and main([*argv, "1"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "4"]) == 2
+        assert_one_error_line(capsys, "outside log (0..3)")
+
     def test_corrupt_manifest_is_io_error(self, campaign, capsys):
         (campaign / "manifest.json").write_text("{")
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2

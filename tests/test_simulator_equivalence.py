@@ -4,8 +4,9 @@ Every case must agree on the trigger frame, the first-contact frame, the
 trace length and duration, the built-in verdict and the gate that silenced it
 under several defect models, and every per-frame array bit for bit. The
 built-in verdict must also agree under defect models whose thresholds equal,
-or neighbour, a frame's own penetration and closing speed. The column-wise
+or neighbour, a frame's own penetration and closing speed. The segment-wise
 trace encoder must write the same bytes as the per-frame reference encoder,
+also when its columns hold runs of values that == cannot tell apart,
 and the peak IoU read from the frames after first contact must equal the
 whole-trace loop.
 A trace built on a cruise stage shared with other (v_hat, a) must equal one
@@ -18,12 +19,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, silenced_by
 from silentcrash.geometry import Point2
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, cruise_stage, simulate, trace_to_jsonl
+from silentcrash.simulator import SimConfig, _json_times, cruise_stage, simulate, trace_to_jsonl
 from sim_oracle import builtin_cd_full, max_iou_whole_trace, silenced_by_full, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
@@ -311,3 +314,92 @@ def test_stage_built_for_other_inputs_is_not_used():
     for stage in (cruise_stage(spec, 5.0, cfg), cruise_stage(psf, 4.0, cfg), cruise_stage(spec, 4.0, CONFIGS[1])):
         trace = assert_equivalent(spec, params, cfg, stage)
         assert trace.cruise is not stage
+
+
+def _run_cases():
+    """label -> (spec, params, cfg) of traces whose segment cuts fall on frame 0, coincide or are clipped."""
+    spec, seed_params = make_seed(ScenarioKind.FLV)
+    ahead = _standing(apply_overrides(spec, {"npc": {"x": 20.0, "y": 0.0}}))
+    close = apply_overrides(spec, {"npc": {"x": 6.0, "y": 0.0}})
+    return {
+        "trigger-at-0": (close, ControlParameters.from_angle(7.0, 20.0, 0.25), SimConfig()),
+        "contact-at-0": (_started_in_contact(spec), seed_params, SimConfig()),
+        # d is the two cars' summed half lengths, so the trigger and first
+        # contact fall on one frame
+        "contact-at-trigger": (ahead, ControlParameters.from_angle(4.6, 5.0, 0.0), SimConfig()),
+        "settle-clipped": (spec, ControlParameters.from_angle(6.0, 20.0, 0.0), SimConfig(dt=0.02, settle_frames=2000)),
+        "no-trigger": (apply_overrides(spec, {"npc": {"x": 400.0}}), seed_params, CONFIGS[1]),
+    }
+
+
+RUN_CASES = _run_cases()
+# spellings json.dumps distinguishes although == does not (0.0, -0.0), or
+# although no two of them compare equal (NaN)
+RUN_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25, 1e-7, 123456.789)
+
+
+def _cuts(trace):
+    """Frames where the encoder may start a segment: phase starts and first contact."""
+    return {phase.first for phase in trace.phases if phase.first < len(trace)} | {trace.first_contact or 0}
+
+
+@st.composite
+def _runs(draw, column, marks):
+    """column with runs of RUN_VALUES (or of its own values) between boundaries on, next to and away from marks."""
+    n = len(column)
+    near = sorted({m + k for m in marks for k in (-1, 0, 1) if 0 < m + k < n})
+    anywhere = st.integers(1, n - 1) if n > 1 else st.nothing()
+    bounds = sorted({0, n, *draw(st.lists(st.sampled_from(near) | anywhere if near else anywhere, max_size=6))})
+    out = column.copy()
+    for lo, hi in zip(bounds, bounds[1:]):
+        value = draw(st.sampled_from((None, *RUN_VALUES)))
+        if value is not None:
+            out[lo:hi] = value
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), label=st.sampled_from(sorted(RUN_CASES)))
+def test_trace_jsonl_spells_runs_like_per_frame_encoder(data, label):
+    trace = simulate(*RUN_CASES[label])
+    marks = _cuts(trace)
+    # per-frame arrays are cached on the instance; overwrite the ones the
+    # encoder reads, with runs that start and end on, next to and away from
+    # the segment cuts
+    trace.closing_speed = data.draw(_runs(trace.closing_speed, marks))
+    trace.penetration = data.draw(_runs(trace.penetration, marks))
+    trace.ev_centers = np.column_stack([data.draw(_runs(c, marks)) for c in trace.ev_centers.T])
+    trace.npc_centers = np.column_stack([data.draw(_runs(c, marks)) for c in trace.npc_centers.T])
+    gt = data.draw(_runs(trace.gt_overlap.astype(float), marks))
+    trace.gt_overlap = np.where(np.isnan(gt), False, gt != 0.0)
+    assert_same_jsonl(trace, label)
+
+
+def test_run_cases_put_the_segment_cuts_where_they_are_named():
+    traces = {label: simulate(*case) for label, case in RUN_CASES.items()}
+    assert traces["trigger-at-0"].trigger_frame == 0
+    assert traces["contact-at-0"].first_contact == 0
+    assert traces["contact-at-trigger"].first_contact == traces["contact-at-trigger"].trigger_frame > 0
+    clipped, cfg = traces["settle-clipped"], RUN_CASES["settle-clipped"][2]
+    assert clipped.trigger_frame < clipped.first_contact < len(clipped) - 1 < clipped.first_contact + cfg.settle_frames
+    assert traces["no-trigger"].trigger_frame is None and traces["no-trigger"].first_contact is None
+
+
+# times whose product with 1e9 lies on, or one double either side of, a
+# half-integer, where rounding the float product can differ from round()
+_NEAR_HALF = st.integers(0, 10**13).map(lambda k: (k + 0.5) / 1e9).flatmap(
+    lambda t: st.sampled_from([t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, np.inf))])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        _NEAR_HALF | st.floats(0.0, 1e7) | st.floats(0.0, 1e-6) | st.floats(allow_nan=True, allow_infinity=True),
+        max_size=40,
+    ),
+    st.sampled_from([0.01, 0.005, 0.02, 1e-5, 2.0**-10, 1 / 3]),
+)
+def test_frame_times_are_spelled_like_round_to_9_digits(times, dt):
+    for column in (np.array(times, dtype=float), np.arange(len(times) * 50) * dt):
+        assert _json_times(column) == [repr(round(t, 9)) for t in column.tolist()]
