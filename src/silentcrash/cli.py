@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import sys
@@ -332,7 +333,9 @@ def cmd_sweep_threshold(args) -> int:
     return _write_csv(args.out, lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse_args call gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="silentcrash", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,8 @@ yaw. The boolean overlap test runs the separating-axis theorem over the four
 face normals; the intersection area clips one quad against the other's
 half-planes. The two routes are deliberately independent so they can be
 cross-checked against each other and against a Monte-Carlo membership oracle.
+Corners are plain (x, y) float tuples, so a trace's frames can be scored
+from its center floats without building a box per frame.
 """
 
 from __future__ import annotations
@@ -51,8 +53,15 @@ class OrientedBox:
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
 
+def rect_area(half_length: float, half_width: float) -> float:
+    return 4.0 * half_length * half_width
+
+
 def area(box: OrientedBox) -> float:
-    return 4.0 * box.half_length * box.half_width
+    return rect_area(box.half_length, box.half_width)
+
+
+Corners = tuple[tuple[float, float], tuple[float, float], tuple[float, float], tuple[float, float]]
 
 
 def _body_axes(box: OrientedBox) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -60,16 +69,34 @@ def _body_axes(box: OrientedBox) -> tuple[tuple[float, float], tuple[float, floa
     return (c, s), (-s, c)
 
 
-def corners(box: OrientedBox) -> tuple[Point2, Point2, Point2, Point2]:
-    """Corner points of the box in counter-clockwise order."""
-    (ux, uy), (vx, vy) = _body_axes(box)
-    hl, hw = box.half_length, box.half_width
-    cx, cy = box.center.x, box.center.y
-    # local CCW order: (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
-    offsets = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return tuple(
-        Point2(cx + a * ux + b * vx, cy + a * uy + b * vy) for a, b in offsets
-    )
+def heading(yaw: float) -> tuple[float, float]:
+    """cos and sin of the yaw wrapped into [-pi, pi), the one an OrientedBox keeps."""
+    yaw = normalize_yaw(yaw)
+    return math.cos(yaw), math.sin(yaw)
+
+
+def rect_corners(cx: float, cy: float, half_length: float, half_width: float, c: float, s: float) -> Corners:
+    """Corner points (x, y), counter-clockwise, of the box with body axes (c, s) and (-s, c).
+
+    Local CCW order: (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw). Each
+    coordinate is cx + a*ux + b*vx with a, b = +-hl, +-hw; negating a
+    product and adding a negated term round exactly as the written-out
+    expression does, so four products serve all eight coordinates.
+    """
+    hc, hs = half_length * c, half_length * s
+    wc, ws = half_width * c, half_width * s
+    fx, fy, bx, by = cx + hc, cy + hs, cx - hc, cy - hs
+    pts = ((fx - ws, fy + wc), (bx - ws, by + wc), (bx + ws, by - wc), (fx + ws, fy - wc))
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+    return pts
+
+
+def corners(box: OrientedBox) -> Corners:
+    """Corner points (x, y) of the box in counter-clockwise order."""
+    (c, s), _ = _body_axes(box)
+    return rect_corners(box.center.x, box.center.y, box.half_length, box.half_width, c, s)
 
 
 def _axis_overlaps(a: OrientedBox, b: OrientedBox) -> list[float]:
@@ -101,56 +128,56 @@ def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
     return m if m > 0.0 else 0.0
 
 
-def _clip_polygon(points: list[tuple[float, float]], quad: tuple[Point2, ...]) -> list[tuple[float, float]]:
+def _clip_polygon(points: Corners, quad: Corners) -> list[tuple[float, float]]:
     """Sutherland-Hodgman clip of `points` against a CCW quad's half-planes."""
-    for i in range(4):
+    for (px, py), (qx, qy) in zip(quad, quad[1:] + quad[:1]):
         if not points:
             return []
-        px, py = quad[i].x, quad[i].y
-        qx, qy = quad[(i + 1) % 4].x, quad[(i + 1) % 4].y
         ex, ey = qx - px, qy - py
         clipped: list[tuple[float, float]] = []
-        prev = points[-1]
-        prev_side = ex * (prev[1] - py) - ey * (prev[0] - px)
-        for cur in points:
-            cur_side = ex * (cur[1] - py) - ey * (cur[0] - px)
-            if cur_side >= 0.0:
-                if prev_side < 0.0:
-                    clipped.append(_edge_intersection(prev, cur, prev_side, cur_side))
-                clipped.append(cur)
-            elif prev_side >= 0.0:
-                clipped.append(_edge_intersection(prev, cur, prev_side, cur_side))
-            prev, prev_side = cur, cur_side
+        x0, y0 = points[-1]
+        s0 = ex * (y0 - py) - ey * (x0 - px)
+        for x1, y1 in points:
+            s1 = ex * (y1 - py) - ey * (x1 - px)
+            if s1 >= 0.0:
+                if s0 < 0.0:
+                    clipped.append(_edge_intersection(x0, y0, x1, y1, s0, s1))
+                clipped.append((x1, y1))
+            elif s0 >= 0.0:
+                clipped.append(_edge_intersection(x0, y0, x1, y1, s0, s1))
+            x0, y0, s0 = x1, y1, s1
         points = clipped
     return points
 
 
-def _edge_intersection(p, q, sp, sq) -> tuple[float, float]:
-    t = sp / (sp - sq)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+def _edge_intersection(x0, y0, x1, y1, s0, s1) -> tuple[float, float]:
+    t = s0 / (s0 - s1)
+    return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
 
 
 def _shoelace(points: list[tuple[float, float]]) -> float:
     if len(points) < 3:
         return 0.0
     acc = 0.0
-    for i, (x0, y0) in enumerate(points):
-        x1, y1 = points[(i + 1) % len(points)]
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
         acc += x0 * y1 - x1 * y0
     return abs(acc) / 2.0
 
 
+def corners_iou(a: Corners, b: Corners, area_a: float, area_b: float) -> float:
+    """IoU of two boxes given by their corners and areas."""
+    inter = _shoelace(_clip_polygon(a, b))
+    value = inter / (area_a + area_b - inter)
+    return min(max(value, 0.0), 1.0)
+
+
 def intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Area of the convex intersection polygon, in square meters."""
-    poly = [(p.x, p.y) for p in corners(a)]
-    return _shoelace(_clip_polygon(poly, corners(b)))
+    return _shoelace(_clip_polygon(corners(a), corners(b)))
 
 
 def iou(a: OrientedBox, b: OrientedBox) -> float:
-    inter = intersection_area(a, b)
-    union = area(a) + area(b) - inter
-    value = inter / union
-    return min(max(value, 0.0), 1.0)
+    return corners_iou(corners(a), corners(b), area(a), area(b))
 
 
 def center_distance(a: OrientedBox, b: OrientedBox) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import DefectModel, builtin_cd, ground_truth
-from .geometry import iou
+from .geometry import corners_iou, rect_area
 from .simulator import Trace
 
 
@@ -45,15 +45,17 @@ def classify(cond1: bool, cond2: bool) -> ScenarioType:
 def max_iou(trace: Trace) -> float:
     """Largest per-frame IoU over the trace; 0 without any overlap frame.
 
-    Only frames from first contact on can overlap. The value is kept in
+    Only frames from first contact on can overlap. Each frame's value is
+    geometry.iou of its two boxes, bit for bit. The value is kept in
     trace.memo, so a trace scored at several thresholds computes it once.
     """
     peak = trace.memo.get("max_iou")
     if peak is None:
         peak = 0.0
         if trace.first_contact is not None:
-            for ev, npc in trace.overlap_boxes(range(trace.first_contact, len(trace))):
-                peak = max(peak, iou(ev, npc))
+            ev_area, npc_area = rect_area(*trace.ev_half), rect_area(*trace.npc_half)
+            for ev, npc in trace.overlap_corners(range(trace.first_contact, len(trace))):
+                peak = max(peak, corners_iou(ev, npc, ev_area, npc_area))
         trace.memo["max_iou"] = peak
     return peak
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import OrientedBox, Point2
+from .geometry import Corners, OrientedBox, Point2, heading, rect_corners
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 # Slack on every located threshold, relative to the magnitude of the
@@ -278,18 +278,22 @@ class Trace:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
 
-    def overlap_boxes(self, frames: range) -> Iterator[tuple[OrientedBox, OrientedBox]]:
-        """(EV box, NPC box) at each of the ascending frames where the footprints overlap.
+    def overlap_corners(self, frames: range) -> Iterator[tuple[Corners, Corners]]:
+        """(EV corners, NPC corners) at each of the ascending frames where the footprints overlap.
 
-        The boxes hold the same floats as ev_box(i) and npc_box(i); no
-        per-frame array of the whole trace is built.
+        They hold the same floats as corners(ev_box(i)) and corners(npc_box(i));
+        no box object and no per-frame array of the whole trace is built.
         """
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
+        nc, ns = heading(self.npc_yaw)
         for phase, idx in self._phase_frames(frames):
             ev, npc, overlap, _ = phase.frame_values(idx)
-            for i in np.flatnonzero(overlap >= 0.0).tolist():
+            hits = overlap >= 0.0
+            ec, es = heading(phase.ev_yaw)
+            for ex, ey, nx, ny in np.hstack((ev[hits], npc[hits])).tolist():
                 yield (
-                    OrientedBox(Point2(*ev[i].tolist()), *self.ev_half, phase.ev_yaw),
-                    OrientedBox(Point2(*npc[i].tolist()), *self.npc_half, self.npc_yaw),
+                    rect_corners(ex, ey, ev_hl, ev_hw, ec, es),
+                    rect_corners(nx, ny, npc_hl, npc_hw, nc, ns),
                 )
 
     @cached_property

@@ -13,9 +13,12 @@ call per frame dict.
 `silenced_by_full` names the detector gate no inspected frame passed, over
 every inspected frame of the whole-trace arrays.
 
-`max_iou_whole_trace` is the peak IoU as a loop over every overlap frame of
-a trace's whole-trace arrays, the way oracle.max_iou computed it before it
-read only the frames from first contact on.
+`iou_reference` is the box IoU built the object way: each box's corners as
+Point2 values, clipped with Sutherland-Hodgman and measured with the
+shoelace formula, as geometry computed it before it worked on float tuples.
+`max_iou_whole_trace` is the peak of it over every overlap frame of a
+trace's whole-trace arrays, the way oracle.max_iou computed it before it
+read only the frames from first contact on and scored them from floats.
 """
 
 import json
@@ -25,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from silentcrash.detector import DefectModel
-from silentcrash.geometry import iou
+from silentcrash.geometry import OrientedBox, Point2, area
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
     SimConfig,
@@ -119,12 +122,70 @@ def silenced_by_full(trace: SimpleNamespace, defect: DefectModel) -> str | None:
     return "closing_speed" if deep.any() else "penetration" if touching.any() else "sampling"
 
 
+def corner_points(box: OrientedBox) -> tuple[Point2, ...]:
+    ux, uy = math.cos(box.yaw), math.sin(box.yaw)
+    vx, vy = -uy, ux
+    hl, hw = box.half_length, box.half_width
+    cx, cy = box.center.x, box.center.y
+    offsets = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    return tuple(Point2(cx + a * ux + b * vx, cy + a * uy + b * vy) for a, b in offsets)
+
+
+def _clip(points: list[tuple[float, float]], quad: tuple[Point2, ...]) -> list[tuple[float, float]]:
+    for i in range(4):
+        if not points:
+            return []
+        px, py = quad[i].x, quad[i].y
+        qx, qy = quad[(i + 1) % 4].x, quad[(i + 1) % 4].y
+        ex, ey = qx - px, qy - py
+        clipped = []
+        prev = points[-1]
+        prev_side = ex * (prev[1] - py) - ey * (prev[0] - px)
+        for cur in points:
+            cur_side = ex * (cur[1] - py) - ey * (cur[0] - px)
+            if cur_side >= 0.0:
+                if prev_side < 0.0:
+                    clipped.append(_edge_intersection(prev, cur, prev_side, cur_side))
+                clipped.append(cur)
+            elif prev_side >= 0.0:
+                clipped.append(_edge_intersection(prev, cur, prev_side, cur_side))
+            prev, prev_side = cur, cur_side
+        points = clipped
+    return points
+
+
+def _edge_intersection(p, q, sp, sq) -> tuple[float, float]:
+    t = sp / (sp - sq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _shoelace(points: list[tuple[float, float]]) -> float:
+    if len(points) < 3:
+        return 0.0
+    acc = 0.0
+    for i, (x0, y0) in enumerate(points):
+        x1, y1 = points[(i + 1) % len(points)]
+        acc += x0 * y1 - x1 * y0
+    return abs(acc) / 2.0
+
+
+def intersection_area_reference(a: OrientedBox, b: OrientedBox) -> float:
+    poly = [(p.x, p.y) for p in corner_points(a)]
+    return _shoelace(_clip(poly, corner_points(b)))
+
+
+def iou_reference(a: OrientedBox, b: OrientedBox) -> float:
+    inter = intersection_area_reference(a, b)
+    union = area(a) + area(b) - inter
+    return min(max(inter / union, 0.0), 1.0)
+
+
 def max_iou_whole_trace(trace) -> float:
-    """Largest IoU over the overlap frames of the trace's whole-trace arrays."""
+    """Largest iou_reference over the overlap frames of the trace's whole-trace arrays."""
     best = 0.0
     for i in np.flatnonzero(trace.gt_overlap):
         i = int(i)
-        best = max(best, iou(trace.ev_box(i), trace.npc_box(i)))
+        best = max(best, iou_reference(trace.ev_box(i), trace.npc_box(i)))
     return best
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import shutil
 
 import pytest
 
 from conftest import CONFIG_DIR
+from silentcrash import cli
 from silentcrash.cli import main
 
 # sha256 of (records.jsonl, manifest.json) for each shipped config; these
@@ -344,6 +346,21 @@ class TestReplay:
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0", flag, value]) == 1
         assert "defect override invalid" in capsys.readouterr().err
 
+    def test_options_of_one_call_do_not_reach_the_next(self, campaign, capsys, monkeypatch):
+        seen = []
+        override = cli._defect_override
+
+        def spy(args, defect):
+            seen.append(args.min_penetration)
+            return override(args, defect)
+
+        monkeypatch.setattr(cli, "_defect_override", spy)
+        argv = ["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]
+        assert main([*argv, "--min-penetration", "100"]) == 0
+        assert main(argv) == 0
+        assert seen == [100.0, None]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_ordinal_out_of_range_is_io_error(self, campaign):
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "99999"]) == 2
 
@@ -520,6 +537,20 @@ class TestSweepThreshold:
 
     def test_threshold_out_of_range_is_config_error(self, tmp_path):
         assert main(["sweep-threshold", "--thresholds", "0,1.5", "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_non_finite_box_corner_is_config_error(self, tmp_path, capsys, monkeypatch):
+        simulate = cli.simulate
+
+        def widened(*args):
+            trace = simulate(*args)
+            trace.npc_half = (math.inf, trace.npc_half[1])
+            return trace
+
+        monkeypatch.setattr(cli, "simulate", widened)
+        path = write_config(tmp_path, MINI_CONFIG)
+        argv = ["sweep-threshold", "--thresholds", "0.1", "--config", str(path), "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "non-finite point (inf, ")
 
     def test_invalid_seed_is_config_error(self, tmp_path, capsys):
         config = {"kinds": ["FLB"], "budget": 10, "scenario_overrides": {"FLB": {"npc": {"y": 30.0}}}}

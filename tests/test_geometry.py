@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_oracles import mc_intersection_area, random_box, rigid_transform
+from sim_oracle import corner_points, intersection_area_reference, iou_reference
 from silentcrash.geometry import (
     AREA_EPSILON,
     OrientedBox,
@@ -17,6 +18,7 @@ from silentcrash.geometry import (
     iou,
     overlaps,
     penetration_depth,
+    rect_corners,
 )
 
 
@@ -29,28 +31,28 @@ UNIT = box(0, 0, 0.5, 0.5)
 
 def shoelace(points):
     acc = 0.0
-    for i, p in enumerate(points):
-        q = points[(i + 1) % len(points)]
-        acc += p.x * q.y - q.x * p.y
+    for i, (px, py) in enumerate(points):
+        qx, qy = points[(i + 1) % len(points)]
+        acc += px * qy - qx * py
     return acc / 2.0
 
 
 class TestCorners:
     def test_unit_axis_aligned(self):
-        got = {(round(p.x, 12), round(p.y, 12)) for p in corners(UNIT)}
+        got = {(round(x, 12), round(y, 12)) for x, y in corners(UNIT)}
         assert got == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
         assert shoelace(corners(UNIT)) > 0  # CCW
 
     def test_quarter_turn_square_same_corner_set(self):
         turned = box(0, 0, 0.5, 0.5, math.pi / 2)
-        got = {(round(p.x, 9), round(p.y, 9)) for p in corners(turned)}
-        ref = {(round(p.x, 9), round(p.y, 9)) for p in corners(UNIT)}
+        got = {(round(x, 9), round(y, 9)) for x, y in corners(turned)}
+        ref = {(round(x, 9), round(y, 9)) for x, y in corners(UNIT)}
         assert got == ref
 
     def test_rotated_rect_corner_distance(self):
         b = box(0, 0, 1.0, 0.5, math.pi / 4)
-        for p in corners(b):
-            assert math.hypot(p.x, p.y) == pytest.approx(math.sqrt(1.25))
+        for x, y in corners(b):
+            assert math.hypot(x, y) == pytest.approx(math.sqrt(1.25))
 
     def test_ccw_for_random_boxes(self):
         rng = np.random.default_rng(3)
@@ -185,3 +187,48 @@ def test_yaw_normalized_into_range():
     b = box(0, 0, 1, 1, 3 * math.pi)
     assert -math.pi <= b.yaw < math.pi
     assert b.yaw == pytest.approx(math.pi, abs=1e-9) or b.yaw == pytest.approx(-math.pi)
+
+
+wide_yaw = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes, random or sharing an edge, one inside the other, or identical."""
+    x, y, hl, hw, th = draw(finite), draw(finite), draw(half_extent), draw(half_extent), draw(wide_yaw)
+    a = box(x, y, hl, hw, th)
+    how = draw(st.sampled_from(["random", "shared_edge", "contained", "identical"]))
+    if how == "random":
+        b = draw(boxes)
+    elif how == "shared_edge":
+        other_hl, other_hw = draw(half_extent), draw(half_extent)
+        reach = hl + other_hl
+        b = box(x + reach * math.cos(th), y + reach * math.sin(th), other_hl, other_hw, th)
+    elif how == "contained":
+        scale = draw(st.floats(min_value=0.05, max_value=0.5)) * min(hl, hw)
+        b = box(x, y, scale, scale * draw(st.floats(min_value=0.2, max_value=1.0)), draw(wide_yaw))
+    else:
+        b = box(x, y, hl, hw, th)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_pairs())
+def test_iou_matches_object_reference_bit_for_bit(pair):
+    a, b = pair
+    assert intersection_area(a, b).hex() == intersection_area_reference(a, b).hex()
+    assert iou(a, b).hex() == iou_reference(a, b).hex()
+
+
+def test_non_finite_corner_raises_like_point2():
+    far = box(1.7e308, 0.0, 1e308, 1.0)
+    with pytest.raises(ValueError) as want:
+        corner_points(far)
+    with pytest.raises(ValueError) as got:
+        corners(far)
+    assert str(got.value) == str(want.value) == "non-finite point (inf, 1.0)"
+    with pytest.raises(ValueError) as got:
+        rect_corners(1.0, 2.0, math.inf, 1.0, 1.0, 0.0)  # inf * 0.0 is nan
+    with pytest.raises(ValueError) as want:
+        Point2(math.inf, math.nan)
+    assert str(got.value) == str(want.value)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,16 @@ def test_overlap_condition_shrinks_monotonically_in_threshold():
         for t, cond in zip(thresholds, conds):
             verdict = check_ic(trace, DefectModel(), OracleConfig(t_bbox=t))
             assert (verdict in (ScenarioType.IC, ScenarioType.DC)) == cond
+
+
+def test_non_finite_box_corner_propagates_from_max_iou():
+    spec, params = make_seed(ScenarioKind.FLV)
+    trace = simulate(spec, params)
+    # the overlap frames come from the phases; only the corners see the halves
+    trace.npc_half = (math.inf, trace.npc_half[1])
+    with pytest.raises(ValueError, match="^non-finite point"):
+        max_iou(trace)
+    assert "max_iou" not in trace.memo
 
 
 def test_oracle_config_range():

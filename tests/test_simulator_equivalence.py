@@ -8,7 +8,8 @@ or neighbour, a frame's own penetration and closing speed. The segment-wise
 trace encoder must write the same bytes as the per-frame reference encoder,
 also when its columns hold runs of values that == cannot tell apart,
 and the peak IoU read from the frames after first contact must equal the
-whole-trace loop.
+whole-trace loop over the object-based reference IoU, with the same corner
+floats at the same overlap frames.
 A trace built on a cruise stage shared with other (v_hat, a) must equal one
 simulated from scratch.
 """
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, silenced_by
-from silentcrash.geometry import Point2
+from silentcrash.geometry import Point2, corners
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, _json_times, cruise_stage, simulate, trace_to_jsonl
@@ -262,8 +263,9 @@ def test_max_iou_matches_whole_trace_loop(kind):
         peak = max_iou(trace)
         assert peak == max_iou_whole_trace(trace), case
         overlap = np.flatnonzero(trace.gt_overlap).tolist()
-        boxes = [(trace.ev_box(i), trace.npc_box(i)) for i in overlap]
-        assert list(trace.overlap_boxes(range(len(trace)))) == boxes, case
+        want = np.array([(corners(trace.ev_box(i)), corners(trace.npc_box(i))) for i in overlap])
+        got = np.array(list(trace.overlap_corners(range(len(trace)))))
+        assert got.shape == want.shape and (got.view(np.int64) == want.view(np.int64)).all(), case
         contacts += peak > 0.0
     assert contacts > 0
 
