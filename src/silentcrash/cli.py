@@ -233,7 +233,10 @@ def cmd_report(args) -> int:
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
     report = report_mod.success_rates(records) if records else report_mod.empty_report()
-    paths = report_mod.export(report, args.format, args.out)
+    try:
+        paths = report_mod.export(report, args.format, args.out)
+    except OSError as exc:
+        return _fail(ExitStatus.IO_ERROR, f"cannot write {exc.filename or args.out}: {exc.strerror}")
     for p in paths:
         print(p)
     return int(ExitStatus.OK)

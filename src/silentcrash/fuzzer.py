@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -43,10 +44,6 @@ from .scenario import (
     validate_seed,
 )
 from .simulator import CruiseStage, SimConfig, simulate
-
-
-class SweepExhausted(Exception):
-    """A mutation step would leave the parameter range."""
 
 
 class InvalidSeedError(ValueError):
@@ -143,31 +140,20 @@ DEFAULT_PLANS: Mapping[ScenarioKind, SearchPlan] = {
 }
 
 
-def mutate_step(params: ControlParameters, axis: str, plan: SearchPlan) -> ControlParameters:
-    """Move exactly one parameter by one plan step in the plan direction."""
-    if axis == "distance":
-        return replace(params, d=_next_in(plan.distance_schedule, params.d, "distance"))
-    if axis == "speed":
-        return replace(params, v_hat=_next_in(plan.speed_schedule, params.v_hat, "speed"))
-    if axis in ("angle+", "angle-"):
-        sign = 1.0 if axis == "angle+" else -1.0
-        if plan.angle_mode is AngleMode.SCALAR:
-            a = round(params.a + sign * plan.angle_step_lat, 9)
-            if abs(a) > 1.0 + 1e-9:
-                raise SweepExhausted(f"angle {a} past range bound")
-            return params.with_angle(max(-1.0, min(1.0, a)))
-        lat = round(params.theta_lat + sign * plan.angle_step_lat, 9)
-        if abs(lat) > 1.0 + 1e-9:
-            raise SweepExhausted(f"theta_lat {lat} past range bound")
-        return replace(params, theta_lat=max(-1.0, min(1.0, lat)))
-    raise ValueError(f"unknown mutation axis {axis!r}")
+def _branch(params: ControlParameters, sign: int, plan: SearchPlan) -> Iterator[ControlParameters]:
+    """params, then each angle one lateral step further in direction sign, until a step leaves the range.
 
-
-def _next_in(schedule: tuple[float, ...], current: float, name: str) -> float:
-    for value in schedule:
-        if value > current + 1e-9:
-            return value
-    raise SweepExhausted(f"{name} {current} at range bound")
+    Scalar mode steps the angle a; per-axis mode steps theta_lat and holds
+    theta_long. A step that lands within 1e-9 past a bound is clamped to it.
+    """
+    scalar = plan.angle_mode is AngleMode.SCALAR
+    while True:
+        yield params
+        value = round((params.a if scalar else params.theta_lat) + sign * plan.angle_step_lat, 9)
+        if abs(value) > 1.0 + 1e-9:
+            return
+        value = max(-1.0, min(1.0, value))
+        params = params.with_angle(value) if scalar else replace(params, theta_lat=value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,9 +230,6 @@ class CampaignConfig:
             if kind not in self.plans:
                 raise ValueError(f"no search plan for kind {kind.value}")
 
-    def plan_for(self, kind: ScenarioKind) -> SearchPlan:
-        return self.plans[kind]
-
     def seed_for(self, kind: ScenarioKind) -> tuple[ScenarioSpec, ControlParameters]:
         spec, params = make_seed(kind)
         overrides = self.scenario_overrides.get(kind)
@@ -319,30 +302,26 @@ class _Executor:
         return record
 
 
-def _angle_branch(
+def _walk(
     executor: _Executor,
     spec: ScenarioSpec,
-    start: ControlParameters,
-    axis: str,
-    plan: SearchPlan,
-    include_start: bool,
+    branch: Iterable[ControlParameters],
+    k_nc: int,
+    armed: bool = True,
 ) -> None:
-    """Sweep one angle branch until k_nc consecutive NCs or the range bound."""
-    params = start
-    if not include_start:
-        try:
-            params = mutate_step(params, axis, plan)
-        except SweepExhausted:
-            return
+    """Run a branch in order until k_nc consecutive NCs once armed, its end, or the budget's end.
+
+    An unarmed walk arms at its first verdict other than NC.
+    """
     consecutive_nc = 0
-    while executor.budget_left() > 0:
-        record = executor.run(spec, params)
-        consecutive_nc = consecutive_nc + 1 if record.verdict is ScenarioType.NC else 0
-        if consecutive_nc >= plan.k_nc:
+    for params in branch:
+        if executor.budget_left() <= 0:
             return
-        try:
-            params = mutate_step(params, axis, plan)
-        except SweepExhausted:
+        if executor.run(spec, params).verdict is ScenarioType.NC:
+            consecutive_nc += 1
+        else:
+            armed, consecutive_nc = True, 0
+        if armed and consecutive_nc >= k_nc:
             return
 
 
@@ -356,15 +335,15 @@ def run_round(
     if not validate_seed(spec, seed_params, config.sim):
         raise InvalidSeedError(f"seed for {spec.kind.value} does not produce a determined collision")
     executor = executor if executor is not None else _Executor(config)
-    plan = config.plan_for(spec.kind)
+    plan = config.plans[spec.kind]
     start = len(executor.records)
     for d in plan.distance_schedule:
         for v in plan.speed_schedule:
             if executor.budget_left() <= 0:
                 return executor.records[start:]
             center = ControlParameters.from_angle(d=d, v_hat=v, a=seed_params.a)
-            _angle_branch(executor, spec, center, "angle+", plan, include_start=True)
-            _angle_branch(executor, spec, center, "angle-", plan, include_start=False)
+            _walk(executor, spec, _branch(center, +1, plan), plan.k_nc)
+            _walk(executor, spec, islice(_branch(center, -1, plan), 1, None), plan.k_nc)
     return executor.records[start:]
 
 
@@ -384,8 +363,8 @@ def _run_nc_start_round(
     observe anything, which is the structural handicap of starting from
     non-collision scenarios.
     """
-    spec, seed_params = seed
-    plan = config.plan_for(spec.kind)
+    spec, _ = seed
+    plan = config.plans[spec.kind]
     displaced = ControlParameters.from_angle(
         d=plan.distance_schedule[-1], v_hat=plan.speed_schedule[0], a=1.0
     )
@@ -395,24 +374,8 @@ def _run_nc_start_round(
         )
     for d in reversed(plan.distance_schedule):
         for v in plan.speed_schedule:
-            params = ControlParameters.from_angle(d=d, v_hat=v, a=1.0)
-            armed = False
-            consecutive_nc = 0
-            while executor.budget_left() > 0:
-                record = executor.run(spec, params)
-                if record.verdict is ScenarioType.NC:
-                    consecutive_nc += 1
-                else:
-                    armed = True
-                    consecutive_nc = 0
-                if armed and consecutive_nc >= plan.k_nc:
-                    break
-                try:
-                    params = mutate_step(params, "angle-", plan)
-                except SweepExhausted:
-                    break
-            if executor.budget_left() <= 0:
-                return
+            start = ControlParameters.from_angle(d=d, v_hat=v, a=1.0)
+            _walk(executor, spec, _branch(start, -1, plan), plan.k_nc, armed=False)
 
 
 def _run_random(config: CampaignConfig, executor: _Executor) -> None:
@@ -422,7 +385,7 @@ def _run_random(config: CampaignConfig, executor: _Executor) -> None:
     while executor.budget_left() > 0:
         kind = config.kinds[i % len(config.kinds)]
         spec, _ = seeds[kind]
-        plan = config.plan_for(kind)
+        plan = config.plans[kind]
         params = ControlParameters.from_angle(
             d=float(rng.uniform(plan.distance_schedule[0], plan.distance_schedule[-1])),
             v_hat=float(rng.uniform(plan.speed_schedule[0], plan.speed_schedule[-1])),
@@ -505,7 +468,7 @@ def step_size_sweep(
     if config is None:
         config = CampaignConfig(kinds=(kind,), budget=1)
     spec, _ = config.seed_for(kind)
-    plan = config.plan_for(kind)
+    plan = config.plans[kind]
 
     points = []
     cruise = None

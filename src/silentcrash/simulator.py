@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Corners, OrientedBox, Point2, heading, rect_corners
+from .geometry import Corners, heading, rect_corners
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 # Slack on every located threshold, relative to the magnitude of the
@@ -281,8 +281,9 @@ class Trace:
     def overlap_corners(self, frames: range) -> Iterator[tuple[Corners, Corners]]:
         """(EV corners, NPC corners) at each of the ascending frames where the footprints overlap.
 
-        They hold the same floats as corners(ev_box(i)) and corners(npc_box(i));
-        no box object and no per-frame array of the whole trace is built.
+        They hold the same floats as the corners of the frame's boxes built from
+        the whole-trace centers and yaws; no box object and no per-frame array
+        of the whole trace is built.
         """
         (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
         nc, ns = heading(self.npc_yaw)
@@ -341,22 +342,6 @@ class Trace:
         if self.trigger_frame is not None:
             triggered[self.trigger_frame :] = True
         return triggered
-
-    def ev_box(self, i: int) -> OrientedBox:
-        return OrientedBox(
-            Point2(float(self.ev_centers[i, 0]), float(self.ev_centers[i, 1])),
-            self.ev_half[0],
-            self.ev_half[1],
-            float(self.ev_yaws[i]),
-        )
-
-    def npc_box(self, i: int) -> OrientedBox:
-        return OrientedBox(
-            Point2(float(self.npc_centers[i, 0]), float(self.npc_centers[i, 1])),
-            self.npc_half[0],
-            self.npc_half[1],
-            float(self.npc_yaws[i]),
-        )
 
 
 def _behavior_velocity(actor) -> np.ndarray:

@@ -13,6 +13,9 @@ call per frame dict.
 `silenced_by_full` names the detector gate no inspected frame passed, over
 every inspected frame of the whole-trace arrays.
 
+`ev_box` and `npc_box` build a frame's OrientedBox from the whole-trace
+centers and yaws.
+
 `iou_reference` is the box IoU built the object way: each box's corners as
 Point2 values, clipped with Sutherland-Hodgman and measured with the
 shoelace formula, as geometry computed it before it worked on float tuples.
@@ -174,6 +177,16 @@ def intersection_area_reference(a: OrientedBox, b: OrientedBox) -> float:
     return _shoelace(_clip(poly, corner_points(b)))
 
 
+def ev_box(trace, i: int) -> OrientedBox:
+    x, y = trace.ev_centers[i].tolist()
+    return OrientedBox(Point2(x, y), trace.ev_half[0], trace.ev_half[1], float(trace.ev_yaws[i]))
+
+
+def npc_box(trace, i: int) -> OrientedBox:
+    x, y = trace.npc_centers[i].tolist()
+    return OrientedBox(Point2(x, y), trace.npc_half[0], trace.npc_half[1], float(trace.npc_yaws[i]))
+
+
 def iou_reference(a: OrientedBox, b: OrientedBox) -> float:
     inter = intersection_area_reference(a, b)
     union = area(a) + area(b) - inter
@@ -185,7 +198,7 @@ def max_iou_whole_trace(trace) -> float:
     best = 0.0
     for i in np.flatnonzero(trace.gt_overlap):
         i = int(i)
-        best = max(best, iou_reference(trace.ev_box(i), trace.npc_box(i)))
+        best = max(best, iou_reference(ev_box(trace, i), npc_box(trace, i)))
     return best
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from conftest import CONFIG_DIR
 from silentcrash import cli
 from silentcrash.cli import main
+from silentcrash.fuzzer import AngleMode, run_campaign
 
 # sha256 of (records.jsonl, manifest.json) for each shipped config; these
 # bytes change only with a deliberate, documented change of the campaign
@@ -38,6 +40,14 @@ REFERENCE_TRACE_DIGESTS = {
     2774: "aad33b5f480eeaffdca5ca87267f1d9ad5dbe838d4e2209a27e3d0feca1d05ce",
     3323: "3b8d6f303712a7420e99e27ba5a8a3a93c2a425f8ebcde90275b2bb70eb5148a",
     5229: "03d4becfafd0ed29da5ead8f10beca77610397469ae752762e0455391b9de625",
+}
+
+# (sha256 of records.jsonl, record count) of reference-config variants that
+# the shipped configs do not run
+VARIANT_DIGESTS = {
+    "nc_start": ("9062f21471b0bf8ac8c1a47eacc7d490ec812991bfc1f3d1ce5f91abeb111ede", 10529),
+    "random": ("017ba15598f831cd432fba686fade0f725bbd4e98262767a3099ec0136b89343", 20000),
+    "per-axis": ("e343d299eb91b0167ed194f51bd387d0bc938f375aba55129b7cc94b1e80b53a", 7146),
 }
 
 MINI_CONFIG = {
@@ -230,6 +240,18 @@ def test_shipped_config_outputs_are_pinned(name, tmp_path):
     assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
     for file, digest in zip(("records.jsonl", "manifest.json"), SHIPPED_DIGESTS[name]):
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_DIGESTS))
+def test_reference_variant_records_are_pinned(variant, request, reference_config, tmp_path):
+    if variant == "per-axis":
+        plans = {k: dataclasses.replace(p, angle_mode=AngleMode.PER_AXIS) for k, p in reference_config.plans.items()}
+        records = run_campaign(dataclasses.replace(reference_config, plans=plans)).records
+    else:
+        records = request.getfixturevalue(f"{variant}_result").records
+    cli._write_records(records, tmp_path / "records.jsonl")
+    digest = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
+    assert (digest, len(records)) == VARIANT_DIGESTS[variant]
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +504,18 @@ class TestReportCommand:
     def test_log_that_is_a_directory_is_io_error(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path), "--format", "csv", "--out", str(tmp_path / "r")]) == 2
         assert_one_error_line(capsys, f"cannot read {tmp_path}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_is_a_file_is_io_error(self, tmp_path, capsys, fmt, below):
+        log = tmp_path / "records.jsonl"
+        log.write_text("")
+        blocker = tmp_path / "some_file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        assert main(["report", "--log", str(log), "--format", fmt, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}: ")
+        assert blocker.read_text() == "kept"
 
 
 class TestSweepStep:

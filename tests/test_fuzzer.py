@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +13,10 @@ from silentcrash.fuzzer import (
     MutatorKind,
     SWEEP_AXES,
     SearchPlan,
-    SweepExhausted,
     _axis_grid,
+    _branch,
     _Executor,
-    mutate_step,
+    _walk,
     run_campaign,
     run_round,
     step_size_sweep,
@@ -44,53 +46,80 @@ def small_config(kind=ScenarioKind.FLV, budget=4000, **kw):
     )
 
 
+def branch_angles(params, sign, plan):
+    return [round(q.a, 9) for q in _branch(params, sign, plan)]
+
+
 class TestMutateStep:
+    """One angle branch: the seed, then one lateral step at a time up to the range bound."""
+
     def test_angle_plus_small_step(self):
         p = ControlParameters.from_angle(d=3.0, v_hat=10.0, a=0.02)
-        assert mutate_step(p, "angle+", PLAN).a == pytest.approx(0.04)
+        assert list(islice(_branch(p, +1, PLAN), 2))[1].a == pytest.approx(0.04)
 
     def test_angle_minus_from_zero(self):
         plan = SearchPlan.from_steps(angle_step_lat=0.03)
         p = ControlParameters.from_angle(d=3.0, v_hat=10.0, a=0.0)
-        assert mutate_step(p, "angle-", plan).a == pytest.approx(-0.03)
-
-    def test_distance_step_moves_along_schedule(self):
-        p = ControlParameters.from_angle(d=2.0, v_hat=10.0, a=0.0)
-        assert mutate_step(p, "distance", PLAN).d == 3.0
-
-    def test_distance_at_bound_exhausts(self):
-        p = ControlParameters.from_angle(d=7.0, v_hat=10.0, a=0.0)
-        with pytest.raises(SweepExhausted):
-            mutate_step(p, "distance", PLAN)
-
-    def test_speed_at_bound_exhausts(self):
-        p = ControlParameters.from_angle(d=2.0, v_hat=50.0, a=0.0)
-        with pytest.raises(SweepExhausted):
-            mutate_step(p, "speed", PLAN)
+        first, second = islice(_branch(p, -1, plan), 2)
+        assert first is p
+        assert (second.d, second.v_hat, second.a) == (3.0, 10.0, pytest.approx(-0.03))
 
     def test_angle_past_range_exhausts(self):
         p = ControlParameters.from_angle(d=2.0, v_hat=10.0, a=1.0)
-        with pytest.raises(SweepExhausted):
-            mutate_step(p, "angle+", PLAN)
+        assert list(_branch(p, +1, PLAN)) == [p]
+        p = ControlParameters.from_angle(d=2.0, v_hat=10.0, a=0.95)
+        assert branch_angles(p, +1, PLAN) == [0.95, 0.97, 0.99]
 
-    def test_only_one_parameter_changes(self):
-        p = ControlParameters.from_angle(d=3.0, v_hat=10.0, a=0.1)
-        q = mutate_step(p, "speed", PLAN)
-        assert (q.d, q.a) == (p.d, pytest.approx(p.a))
-        assert q.v_hat == 11.0
+    def test_step_landing_on_the_bound_is_kept(self):
+        plan = SearchPlan.from_steps(angle_step_lat=0.25)
+        p = ControlParameters.from_angle(d=3.0, v_hat=10.0, a=0.5)
+        assert branch_angles(p, +1, plan) == [0.5, 0.75, 1.0]
+        assert branch_angles(p, -1, plan) == [0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0]
 
     def test_per_axis_mode_steps_lateral_component(self):
         plan = dataclasses.replace(PLAN, angle_mode=AngleMode.PER_AXIS)
         p = ControlParameters(d=3.0, v_hat=10.0, theta_long=1.0, theta_lat=0.0)
-        q = mutate_step(p, "angle+", plan)
-        assert (q.theta_long, q.theta_lat) == (1.0, 0.02)
-        r = mutate_step(q, "angle-", plan)
-        assert r.theta_lat == pytest.approx(0.0)
+        up, down = list(_branch(p, +1, plan)), list(_branch(p, -1, plan))
+        assert (up[1].theta_long, up[1].theta_lat) == (1.0, 0.02)
+        assert all(q.theta_long == 1.0 and (q.d, q.v_hat) == (3.0, 10.0) for q in up + down)
+        assert len(up) == len(down) == 51
+        assert (up[-1].theta_lat, down[-1].theta_lat) == (1.0, -1.0)
 
-    def test_unknown_axis(self):
-        p = ControlParameters.from_angle(d=3.0, v_hat=10.0, a=0.0)
-        with pytest.raises(ValueError):
-            mutate_step(p, "yaw", PLAN)
+
+class ScriptedExecutor:
+    """Stands in for _Executor: gives the scripted verdicts in order and keeps the parameters run."""
+
+    def __init__(self, verdicts, budget=100):
+        self.verdicts = [ScenarioType(v) for v in verdicts]
+        self.budget = budget
+        self.ran = []
+
+    def budget_left(self):
+        return self.budget - len(self.ran)
+
+    def run(self, spec, params):
+        self.ran.append(params)
+        return SimpleNamespace(verdict=self.verdicts[len(self.ran) - 1])
+
+
+class TestWalk:
+    VERDICTS = ["NC"] * 4 + ["DC", "NC", "IC"] + ["NC"] * 5
+
+    def walk(self, budget=100, branch=range(12), **kw):
+        executor = ScriptedExecutor(self.VERDICTS, budget)
+        _walk(executor, None, branch, 3, **kw)
+        return executor.ran
+
+    def test_armed_walk_stops_at_k_nc_consecutive_ncs(self):
+        assert self.walk() == [0, 1, 2]
+
+    def test_unarmed_walk_does_not_stop_on_leading_ncs(self):
+        assert self.walk(armed=False) == list(range(10))
+
+    def test_walk_stops_at_branch_end_and_budget(self):
+        assert self.walk(branch=range(5), armed=False) == list(range(5))
+        assert self.walk(budget=6, armed=False) == list(range(6))
+        assert self.walk(budget=0) == []
 
 
 def split_cells(records):
@@ -126,7 +155,7 @@ class TestGuidedRound:
 
     def test_branches_end_with_exactly_k_nc_trailing_ncs(self, flv_perfect):
         config, records = flv_perfect
-        plan = config.plan_for(ScenarioKind.FLV)
+        plan = config.plans[ScenarioKind.FLV]
         checked = 0
         for cell in split_cells(records).values():
             for branch in split_branches(cell):
@@ -147,13 +176,13 @@ class TestGuidedRound:
 
     def test_cells_cover_the_full_schedule(self, flv_perfect):
         config, records = flv_perfect
-        plan = config.plan_for(ScenarioKind.FLV)
+        plan = config.plans[ScenarioKind.FLV]
         expected = {(d, v) for d in plan.distance_schedule for v in plan.speed_schedule}
         assert set(split_cells(records)) == expected
 
     def test_stepping_faithfulness_within_branches(self, flv_perfect):
         config, records = flv_perfect
-        step = config.plan_for(ScenarioKind.FLV).angle_step_lat
+        step = config.plans[ScenarioKind.FLV].angle_step_lat
         for cell in split_cells(records).values():
             for branch in split_branches(cell):
                 for prev, cur in zip(branch, branch[1:]):
@@ -161,9 +190,18 @@ class TestGuidedRound:
                     assert cur.params.v_hat == prev.params.v_hat
                     assert abs(abs(cur.params.a - prev.params.a) - step) < 1e-9
 
+    def test_guided_minus_branch_excludes_the_center(self, flv_perfect):
+        _, records = flv_perfect
+        seed_a = make_seed(ScenarioKind.FLV)[1].a
+        for (d, v), cell in split_cells(records).items():
+            center = ControlParameters.from_angle(d=d, v_hat=v, a=seed_a)
+            plus, minus = split_branches(cell)
+            assert plus[0].params == center
+            assert center not in [r.params for r in plus[1:] + minus]
+
     def test_k_nc_one_branches_are_prefixes_of_k_nc_three(self):
         base = small_config(budget=10000)
-        fast_plan = dataclasses.replace(base.plan_for(ScenarioKind.FLV), k_nc=1)
+        fast_plan = dataclasses.replace(base.plans[ScenarioKind.FLV], k_nc=1)
         fast = small_config(budget=10000, plan=fast_plan)
         seed = make_seed(ScenarioKind.FLV)
         slow_cells = split_cells(run_round(seed, base))
@@ -229,7 +267,7 @@ class TestCampaign:
         a = run_campaign(config)
         b = run_campaign(config)
         assert [r.params for r in a.records] == [r.params for r in b.records]
-        plan = config.plan_for(ScenarioKind.FLV)
+        plan = config.plans[ScenarioKind.FLV]
         for rec in a.records:
             assert plan.distance_schedule[0] <= rec.params.d <= plan.distance_schedule[-1]
             assert plan.speed_schedule[0] <= rec.params.v_hat <= plan.speed_schedule[-1]

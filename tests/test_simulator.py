@@ -6,6 +6,7 @@ import pytest
 from silentcrash.geometry import center_distance, overlaps, penetration_depth
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, SimulationError, simulate, trace_to_jsonl
+from sim_oracle import ev_box, npc_box
 
 
 def test_flv_first_contact_matches_closed_form():
@@ -73,14 +74,14 @@ def test_frame_invariants_hold_on_samples():
         )
         trace = simulate(spec, params)
         for i in rng.integers(0, len(trace), size=25).tolist():
-            ev, npc = trace.ev_box(i), trace.npc_box(i)
+            ev, npc = ev_box(trace, i), npc_box(trace, i)
             assert trace.gt_overlap[i] == overlaps(ev, npc)
             assert trace.penetration[i] == pytest.approx(penetration_depth(ev, npc), abs=1e-9)
         if trace.trigger_frame is not None:
             assert not trace.triggered[: trace.trigger_frame].any()
             assert trace.triggered[trace.trigger_frame :].all()
             d_at_trigger = center_distance(
-                trace.ev_box(trace.trigger_frame), trace.npc_box(trace.trigger_frame)
+                ev_box(trace, trace.trigger_frame), npc_box(trace, trace.trigger_frame)
             )
             assert d_at_trigger <= params.d + 1e-9
         if trace.first_contact is not None:

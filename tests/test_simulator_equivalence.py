@@ -28,7 +28,7 @@ from silentcrash.geometry import Point2, corners
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, _json_times, cruise_stage, simulate, trace_to_jsonl
-from sim_oracle import builtin_cd_full, max_iou_whole_trace, silenced_by_full, simulate_full, trace_to_jsonl_per_frame
+from sim_oracle import builtin_cd_full, ev_box, max_iou_whole_trace, npc_box, silenced_by_full, simulate_full, trace_to_jsonl_per_frame
 
 DEFECTS = (
     DefectModel(),
@@ -263,7 +263,7 @@ def test_max_iou_matches_whole_trace_loop(kind):
         peak = max_iou(trace)
         assert peak == max_iou_whole_trace(trace), case
         overlap = np.flatnonzero(trace.gt_overlap).tolist()
-        want = np.array([(corners(trace.ev_box(i)), corners(trace.npc_box(i))) for i in overlap])
+        want = np.array([(corners(ev_box(trace, i)), corners(npc_box(trace, i))) for i in overlap])
         got = np.array(list(trace.overlap_corners(range(len(trace)))))
         assert got.shape == want.shape and (got.view(np.int64) == want.view(np.int64)).all(), case
         contacts += peak > 0.0
