@@ -22,6 +22,7 @@ horizon instead of stopping at contact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
@@ -68,8 +69,8 @@ MAX_SCHEDULE_LEN = 10_000
 
 def stepped_schedule(start: float, step: float, hi: float) -> tuple[float, ...]:
     """start, start + step, ... up to hi, each rounded to 9 decimals; SearchPlan checks the range."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     if (hi + 1e-9 - start) / step >= MAX_SCHEDULE_LEN:
         raise ValueError(f"step {step} from {start} gives more than {MAX_SCHEDULE_LEN} values")
     values = []

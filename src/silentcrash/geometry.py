@@ -6,13 +6,19 @@ face normals; the intersection area clips one quad against the other's
 half-planes. The two routes are deliberately independent so they can be
 cross-checked against each other and against a Monte-Carlo membership oracle.
 Corners are plain (x, y) float tuples, so a trace's frames can be scored
-from its center floats without building a box per frame.
+from its center floats without building a box per frame. The separating-axis
+overlaps also bound the clipped area from above (area_bound, iou_bound), so
+a frame whose bound cannot beat a running peak need not be clipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+# Slack on an intersection-area bound, per squared coordinate reach; see
+# area_bound.
+_BOUND_SLACK = 1e-9
 
 # Areas at or below this threshold count as "no contact". Gives the zero
 # overlap threshold of the scenario oracle a strict-inequality meaning.
@@ -171,6 +177,50 @@ def corners_iou(a: Corners, b: Corners, area_a: float, area_b: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def area_bound(overlaps, half_a: tuple[float, float], half_b: tuple[float, float], reach: float) -> float:
+    """Upper bound on the intersection area that corners_iou computes for boxes a and b.
+
+    overlaps are the boxes' signed overlaps along a's two face normals, then
+    b's: the summed half extents along the normal minus the projected center
+    offset, as _axis_overlaps gives them. The intersection lies inside a, so
+    its extent along a's length axis is at most min(overlap, 2 * half
+    length), and likewise along the other three normals (the separating-axis
+    projections of Ericson, Real-Time Collision Detection, 4.4 and 5.5). Its
+    area is at most the smaller of the two boxes' products of those extents.
+
+    reach must be at least every corner coordinate's magnitude: the largest
+    center coordinate magnitude plus the half length and the half width.
+    Every corner coordinate, clip vertex and overlap is within a few ulps of
+    reach of its exact value, and the headings from cos and sin are unit to
+    within an ulp. The clipped polygon has at most 8 vertices, so its area
+    moves by at most its perimeter (under 8 * reach) times such an error, and
+    the shoelace sum of its cross products, each up to 2 * reach**2, rounds by
+    a few ulps of each. In all that is a few hundred ulps of reach**2: an
+    absolute error, as large on a grazing contact, whose exact area is 0, as
+    on a deep one, so a margin relative to the area would not cover it. The
+    bound is raised by _BOUND_SLACK * reach**2, over 10^4 times that.
+    """
+    o0, o1, o2, o3 = overlaps
+    length_a, width_a = 2.0 * half_a[0], 2.0 * half_a[1]
+    length_b, width_b = 2.0 * half_b[0], 2.0 * half_b[1]
+    inside_a = min(max(o0, 0.0), length_a) * min(max(o1, 0.0), width_a)
+    inside_b = min(max(o2, 0.0), length_b) * min(max(o3, 0.0), width_b)
+    return min(inside_a, inside_b) + _BOUND_SLACK * reach * reach
+
+
+def iou_bound(inter: float, area_a: float, area_b: float) -> float:
+    """Upper bound on corners_iou of two boxes, from an area_bound of them; +inf where it gives none.
+
+    I / (A + B - I) rises with I. area_bound's slack is at least
+    _BOUND_SLACK * (A + B) / 2, since each area is at most reach**2, so it
+    raises the quotient by at least _BOUND_SLACK / 2: far more than the
+    rounding of corners_iou's division and of this one. A NaN inter, or one
+    that leaves no positive union, gives +inf.
+    """
+    union = (area_a + area_b) - inter
+    return inter / union if union > 0.0 else math.inf
+
+
 def intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Area of the convex intersection polygon, in square meters."""
     return _shoelace(_clip_polygon(corners(a), corners(b)))
@@ -178,7 +228,3 @@ def intersection_area(a: OrientedBox, b: OrientedBox) -> float:
 
 def iou(a: OrientedBox, b: OrientedBox) -> float:
     return corners_iou(corners(a), corners(b), area(a), area(b))
-
-
-def center_distance(a: OrientedBox, b: OrientedBox) -> float:
-    return math.hypot(b.center.x - a.center.x, b.center.y - a.center.y)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import DefectModel, builtin_cd, ground_truth
-from .geometry import corners_iou, rect_area
+from .geometry import corners_iou, heading, rect_area, rect_corners
 from .simulator import Trace
 
 
@@ -46,16 +46,26 @@ def max_iou(trace: Trace) -> float:
     """Largest per-frame IoU over the trace; 0 without any overlap frame.
 
     Only frames from first contact on can overlap. Each frame's value is
-    geometry.iou of its two boxes, bit for bit. The value is kept in
-    trace.memo, so a trace scored at several thresholds computes it once.
+    geometry.iou of its two boxes, bit for bit. The frames are clipped in
+    descending order of an upper bound on their IoU (Trace.overlap_frames),
+    ties in time order, and the walk stops at the first frame whose bound is
+    below the peak so far: no frame from there on can raise it, so the peak
+    is the max over every overlap frame. The value is kept in trace.memo, so
+    a trace scored at several thresholds computes it once.
     """
     peak = trace.memo.get("max_iou")
     if peak is None:
         peak = 0.0
-        if trace.first_contact is not None:
-            ev_area, npc_area = rect_area(*trace.ev_half), rect_area(*trace.npc_half)
-            for ev, npc in trace.overlap_corners(range(trace.first_contact, len(trace))):
-                peak = max(peak, corners_iou(ev, npc, ev_area, npc_area))
+        bounds, frames = trace.overlap_frames()
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
+        ev_area, npc_area = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
+        nc, ns = heading(trace.npc_yaw)
+        for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+            if bounds[i] < peak:
+                break
+            ex, ey, ec, es, nx, ny = frames[i]
+            ev, npc = rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns)
+            peak = max(peak, corners_iou(ev, npc, ev_area, npc_area))
         trace.memo["max_iou"] = peak
     return peak
 

@@ -32,7 +32,8 @@ a at a fixed d locates its trigger once.
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace. A
 Trace keeps the located frames; its per-frame arrays are built from the same
-formulas on first access. The overlap and penetration values use the same
+formulas on first access, and the overlap frames the peak IoU needs are
+evaluated one by one in Python floats that round the same way. The overlap and penetration values use the same
 face-normal projections as the scalar geometry module; frame invariants are
 cross-checked against it in tests.
 """
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Corners, heading, rect_corners
+from .geometry import area_bound, heading, iou_bound, normalize_yaw, rect_area
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 # Slack on every located threshold, relative to the magnitude of the
@@ -79,8 +80,8 @@ class SimConfig:
             raise SimulationError("settle_frames must be non-negative")
 
 
-def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[np.ndarray, np.ndarray]:
-    """The four face normals of both boxes, (4, 2), and the boxes' summed half extents along each, (4,)."""
+def _face_normals(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[tuple, list[float]]:
+    """The four face normals of both boxes, as (x, y) floats, and the boxes' summed half extents along each."""
     ce, se = math.cos(ev_yaw), math.sin(ev_yaw)
     cn, sn = math.cos(npc_yaw), math.sin(npc_yaw)
     axes = ((ce, se), (-se, ce), (cn, sn), (-sn, cn))
@@ -89,6 +90,12 @@ def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[
         + (npc_half[0] * abs(ax * cn + ay * sn) + npc_half[1] * abs(ay * cn - ax * sn))
         for ax, ay in axes
     ]
+    return axes, radii
+
+
+def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[np.ndarray, np.ndarray]:
+    """The four face normals of both boxes, (4, 2), and the boxes' summed half extents along each, (4,)."""
+    axes, radii = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
     return np.array(axes), np.array(radii)
 
 
@@ -278,24 +285,71 @@ class Trace:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
 
-    def overlap_corners(self, frames: range) -> Iterator[tuple[Corners, Corners]]:
-        """(EV corners, NPC corners) at each of the ascending frames where the footprints overlap.
+    def overlap_frames(self) -> tuple[list[float], list[tuple[float, float, float, float, float, float]]]:
+        """Each overlap frame, in time order: an upper bound on its IoU, and its inputs.
 
-        They hold the same floats as the corners of the frame's boxes built from
-        the whole-trace centers and yaws; no box object and no per-frame array
-        of the whole trace is built.
+        The inputs are (ex, ey, ec, es, nx, ny): the EV center, cos and sin of
+        the EV yaw as geometry.heading gives them, and the NPC center. Only
+        frames from first contact on can overlap. They are evaluated one by one
+        in Python floats, phase by phase, with the operations of the
+        elementwise kernel in the same order (see detector.py): a frame is
+        listed iff its _min_overlap is >= 0, and its centers are the floats of
+        the whole-trace arrays.
+
+        The bound is geometry.iou_bound of geometry.area_bound, from the
+        boxes' overlaps along the face normals of the frame's corners, that is
+        along the wrapped yaws, so it bounds geometry.corners_iou of those
+        corners. reach is the largest center coordinate magnitude of the
+        listed frames plus the largest half length and half width. It bounds
+        every corner coordinate, and while it is finite every corner is
+        finite. When it is not, every bound is +inf, so max_iou meets the
+        frames in time order and raises the first non-finite corner's error,
+        as a clip of every frame would; a non-finite heading makes its
+        phase's bounds NaN, which iou_bound also reads as +inf.
         """
+        if self.first_contact is None:
+            return [], []
         (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
-        nc, ns = heading(self.npc_yaw)
-        for phase, idx in self._phase_frames(frames):
-            ev, npc, overlap, _ = phase.frame_values(idx)
-            hits = overlap >= 0.0
+        npc_yaw = normalize_yaw(self.npc_yaw)
+        overlaps, frames, reach = [], [], 0.0
+        for phase in self.phases:
+            frame_range = range(max(phase.first, self.first_contact), min(phase.last + 1, self.length))
+            if not frame_range:
+                continue
+            nx, ny, ux, uy, ox, oy, vx, vy = phase._motion
+            (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes.tolist()
+            r0, r1, r2, r3 = phase.radii.tolist()
             ec, es = heading(phase.ev_yaw)
-            for ex, ey, nx, ny in np.hstack((ev[hits], npc[hits])).tolist():
-                yield (
-                    rect_corners(ex, ey, ev_hl, ev_hw, ec, es),
-                    rect_corners(nx, ny, npc_hl, npc_hw, nc, ns),
-                )
+            ((b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y)), (q0, q1, q2, q3) = _face_normals(
+                normalize_yaw(phase.ev_yaw), self.ev_half, npc_yaw, self.npc_half
+            )
+            dt, t0 = phase.dt, phase.t0
+            for i in frame_range:
+                t = i * dt
+                since = t - t0
+                ex, ey, px, py = ox + since * vx, oy + since * vy, nx + t * ux, ny + t * uy
+                dx, dy = px - ex, py - ey
+                # all four >= 0 iff their min is, NaN included
+                if (
+                    r0 - abs(dx * a0x + dy * a0y) >= 0.0
+                    and r1 - abs(dx * a1x + dy * a1y) >= 0.0
+                    and r2 - abs(dx * a2x + dy * a2y) >= 0.0
+                    and r3 - abs(dx * a3x + dy * a3y) >= 0.0
+                ):
+                    overlaps.append((
+                        q0 - abs(dx * b0x + dy * b0y),
+                        q1 - abs(dx * b1x + dy * b1y),
+                        q2 - abs(dx * b2x + dy * b2y),
+                        q3 - abs(dx * b3x + dy * b3y),
+                    ))
+                    frames.append((ex, ey, ec, es, px, py))
+                    reach = max(reach, abs(ex), abs(ey), abs(px), abs(py))
+        reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
+        ev_area, npc_area = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
+        bounds = [
+            iou_bound(area_bound(o, self.ev_half, self.npc_half, reach), ev_area, npc_area) for o in overlaps
+        ]
+        return bounds, frames
 
     @cached_property
     def _arrays(self) -> list[np.ndarray]:

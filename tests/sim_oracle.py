@@ -14,7 +14,9 @@ call per frame dict.
 every inspected frame of the whole-trace arrays.
 
 `ev_box` and `npc_box` build a frame's OrientedBox from the whole-trace
-centers and yaws.
+centers and yaws, and `center_distance` is the distance between two boxes'
+centers. `overlap_corners` builds the corners oracle.max_iou clips from
+each frame of Trace.overlap_frames.
 
 `iou_reference` is the box IoU built the object way: each box's corners as
 Point2 values, clipped with Sutherland-Hodgman and measured with the
@@ -31,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from silentcrash.detector import DefectModel
-from silentcrash.geometry import OrientedBox, Point2, area
+from silentcrash.geometry import OrientedBox, Point2, area, heading, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
     SimConfig,
@@ -185,6 +187,21 @@ def ev_box(trace, i: int) -> OrientedBox:
 def npc_box(trace, i: int) -> OrientedBox:
     x, y = trace.npc_centers[i].tolist()
     return OrientedBox(Point2(x, y), trace.npc_half[0], trace.npc_half[1], float(trace.npc_yaws[i]))
+
+
+def center_distance(a: OrientedBox, b: OrientedBox) -> float:
+    return math.hypot(b.center.x - a.center.x, b.center.y - a.center.y)
+
+
+def overlap_corners(trace) -> list:
+    """(EV corners, NPC corners) at each overlap frame of trace.overlap_frames, in time order."""
+    (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
+    nc, ns = heading(trace.npc_yaw)
+    _, frames = trace.overlap_frames()
+    return [
+        (rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns))
+        for ex, ey, ec, es, nx, ny in frames
+    ]
 
 
 def iou_reference(a: OrientedBox, b: OrientedBox) -> float:

@@ -533,6 +533,13 @@ class TestSweepStep:
         assert_one_error_line(capsys, "more than 10000 values")
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["inf", "-inf", "nan"])
+    def test_non_finite_step_is_config_error(self, tmp_path, capsys, step):
+        out = tmp_path / "s.csv"
+        assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", f"0.5,{step}", "--trials", "1", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, f"step must be positive and finite, got {step}")
+        assert not out.exists()
+
     def test_empty_steps_list_is_config_error(self, tmp_path, capsys):
         assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", ",", "--trials", "1", "--out", str(tmp_path / "s.csv")]) == 1
 

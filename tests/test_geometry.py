@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_oracles import mc_intersection_area, random_box, rigid_transform
-from sim_oracle import corner_points, intersection_area_reference, iou_reference
+from sim_oracle import center_distance, corner_points, intersection_area_reference, iou_reference
 from silentcrash.geometry import (
     AREA_EPSILON,
     OrientedBox,
     Point2,
+    _axis_overlaps,
     area,
-    center_distance,
+    area_bound,
     corners,
     intersection_area,
     iou,
+    iou_bound,
     overlaps,
     penetration_depth,
     rect_corners,
@@ -194,16 +196,31 @@ wide_yaw = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 @st.composite
 def box_pairs(draw):
-    """Two boxes, random or sharing an edge, one inside the other, or identical."""
+    """Two boxes: random, sharing an edge, grazing or nearly touching, one inside the other, or identical.
+
+    A grazing pair overlaps by at most 1e-6 along the first box's length
+    axis, a nearly touching one is apart by at most 1e-6 along it; the second
+    box of both has any yaw.
+    """
     x, y, hl, hw, th = draw(finite), draw(finite), draw(half_extent), draw(half_extent), draw(wide_yaw)
     a = box(x, y, hl, hw, th)
-    how = draw(st.sampled_from(["random", "shared_edge", "contained", "identical"]))
+    how = draw(st.sampled_from(["random", "shared_edge", "grazing", "near_touching", "contained", "identical"]))
     if how == "random":
         b = draw(boxes)
     elif how == "shared_edge":
         other_hl, other_hw = draw(half_extent), draw(half_extent)
         reach = hl + other_hl
         b = box(x + reach * math.cos(th), y + reach * math.sin(th), other_hl, other_hw, th)
+    elif how in ("grazing", "near_touching"):
+        other_hl, other_hw, other_th = draw(half_extent), draw(half_extent), draw(wide_yaw)
+        gap = draw(st.floats(min_value=0.0, max_value=1e-6))
+        # the second box's half extent along the first one's length axis
+        along = other_hl * abs(math.cos(other_th - th)) + other_hw * abs(math.sin(other_th - th))
+        reach = hl + along + (gap if how == "near_touching" else -gap)
+        side = draw(st.floats(min_value=-1.0, max_value=1.0)) * hw
+        cx = x + reach * math.cos(th) - side * math.sin(th)
+        cy = y + reach * math.sin(th) + side * math.cos(th)
+        b = box(cx, cy, other_hl, other_hw, other_th)
     elif how == "contained":
         scale = draw(st.floats(min_value=0.05, max_value=0.5)) * min(hl, hw)
         b = box(x, y, scale, scale * draw(st.floats(min_value=0.2, max_value=1.0)), draw(wide_yaw))
@@ -218,6 +235,22 @@ def test_iou_matches_object_reference_bit_for_bit(pair):
     a, b = pair
     assert intersection_area(a, b).hex() == intersection_area_reference(a, b).hex()
     assert iou(a, b).hex() == iou_reference(a, b).hex()
+
+
+def _reach(a, b):
+    """Largest center coordinate magnitude plus the largest half length and half width, as in Trace.overlap_frames."""
+    centers = max(abs(a.center.x), abs(a.center.y), abs(b.center.x), abs(b.center.y))
+    return (centers + max(a.half_length, b.half_length)) + max(a.half_width, b.half_width)
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_pairs())
+def test_overlap_bounds_cover_the_clipped_area_and_iou(pair):
+    a, b = pair
+    half_a, half_b = (a.half_length, a.half_width), (b.half_length, b.half_width)
+    inter = area_bound(_axis_overlaps(a, b), half_a, half_b, _reach(a, b))
+    assert inter >= intersection_area(a, b)
+    assert iou_bound(inter, area(a), area(b)) >= iou(a, b)
 
 
 def test_non_finite_corner_raises_like_point2():

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from silentcrash import cli, oracle
+from silentcrash.config import parse_config
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, ground_truth
 from silentcrash.oracle import (
     OracleConfig,
@@ -12,9 +15,11 @@ from silentcrash.oracle import (
     max_iou,
     recall_sweep,
 )
+from silentcrash.fuzzer import run_campaign
+from silentcrash.geometry import heading, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
-from sim_oracle import builtin_cd_full, simulate_full
+from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, simulate_full
 from test_detector import PSF_GRAZE, sample_traces
 
 TUNNELING = DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0)
@@ -94,6 +99,81 @@ def test_non_finite_box_corner_propagates_from_max_iou():
     with pytest.raises(ValueError, match="^non-finite point"):
         max_iou(trace)
     assert "max_iou" not in trace.memo
+
+
+def _default_sweep_traces():
+    """The traces sweep-threshold scores under its default config."""
+    config = parse_config(cli._SWEEP_THRESHOLD_DEFAULT)
+    specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
+    traces, cruise = [], None
+    for rec in run_campaign(config).records:
+        trace = simulate(specs[rec.kind], rec.params, config.sim, cruise)
+        cruise = trace.cruise
+        traces.append(trace)
+    return traces
+
+
+def test_max_iou_clips_under_half_the_overlap_frames_of_the_default_sweep(monkeypatch):
+    traces = _default_sweep_traces()
+    clip, calls = oracle.corners_iou, []
+
+    def counted(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(oracle, "corners_iou", counted)
+    peaks = [max_iou(trace) for trace in traces]
+    monkeypatch.undo()
+    assert len(traces) == 600
+    assert sum(int(trace.gt_overlap.sum()) for trace in traces) == 7215
+    assert len(calls) <= 3100
+    assert [peak.hex() for peak in peaks] == [max_iou_whole_trace(trace).hex() for trace in traces]
+
+
+def _scaled(trace, scale):
+    """The trace with every length times scale, a power of two: each float scales exactly until it overflows."""
+    phases = tuple(
+        phase._replace(
+            npc_origin=phase.npc_origin * scale,
+            npc_velocity=phase.npc_velocity * scale,
+            ev_origin=phase.ev_origin * scale,
+            ev_velocity=phase.ev_velocity * scale,
+            radii=phase.radii * scale,
+        )
+        for phase in trace.phases
+    )
+    halves = {name: tuple(h * scale for h in getattr(trace, name)) for name in ("ev_half", "npc_half")}
+    return dataclasses.replace(trace, phases=phases, memo={}, **halves)
+
+
+def _corner_error(trace, frame) -> str | None:
+    ex, ey, ec, es, nx, ny = frame
+    try:
+        rect_corners(ex, ey, *trace.ev_half, ec, es)
+        rect_corners(nx, ny, *trace.npc_half, *heading(trace.npc_yaw))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_non_finite_corner_error_comes_from_the_first_overlap_frame_in_time_order():
+    spec, _ = make_seed(ScenarioKind.InC)
+    trace = simulate(spec, ControlParameters.from_angle(d=3.0, v_hat=20.0, a=0.3))
+    bounds, frames = trace.overlap_frames()
+    # scaled up, the corners of the later overlap frames overflow, those of the earlier ones do not
+    big = _scaled(trace, 2.0**1019)
+    big_frames = big.overlap_frames()[1]
+    assert len(big_frames) == len(frames)
+    errors = [_corner_error(big, frame) for frame in big_frames]
+    first = next(i for i, error in enumerate(errors) if error)
+    by_bound = next(i for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True) if errors[i])
+    assert 0 < first and errors[first] != errors[by_bound]
+    with pytest.raises(ValueError) as want:
+        overlap_corners(big)
+    with pytest.raises(ValueError) as got:
+        max_iou(big)
+    assert str(got.value) == str(want.value) == errors[first]
+    assert "max_iou" not in big.memo
 
 
 def test_oracle_config_range():

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from silentcrash.geometry import center_distance, overlaps, penetration_depth
+from silentcrash.geometry import overlaps, penetration_depth
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, SimulationError, simulate, trace_to_jsonl
-from sim_oracle import ev_box, npc_box
+from sim_oracle import center_distance, ev_box, npc_box
 
 
 def test_flv_first_contact_matches_closed_form():

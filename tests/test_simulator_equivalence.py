@@ -28,7 +28,16 @@ from silentcrash.geometry import Point2, corners
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, _json_times, cruise_stage, simulate, trace_to_jsonl
-from sim_oracle import builtin_cd_full, ev_box, max_iou_whole_trace, npc_box, silenced_by_full, simulate_full, trace_to_jsonl_per_frame
+from sim_oracle import (
+    builtin_cd_full,
+    ev_box,
+    max_iou_whole_trace,
+    npc_box,
+    overlap_corners,
+    silenced_by_full,
+    simulate_full,
+    trace_to_jsonl_per_frame,
+)
 
 DEFECTS = (
     DefectModel(),
@@ -264,7 +273,7 @@ def test_max_iou_matches_whole_trace_loop(kind):
         assert peak == max_iou_whole_trace(trace), case
         overlap = np.flatnonzero(trace.gt_overlap).tolist()
         want = np.array([(corners(ev_box(trace, i)), corners(npc_box(trace, i))) for i in overlap])
-        got = np.array(list(trace.overlap_corners(range(len(trace)))))
+        got = np.array(overlap_corners(trace))
         assert got.shape == want.shape and (got.view(np.int64) == want.view(np.int64)).all(), case
         contacts += peak > 0.0
     assert contacts > 0
