@@ -9,14 +9,14 @@ frame only qualifies if the boxes actually overlap there, so with
 (k=1, p_min=0, v_min=0) the built-in verdict coincides with ground truth.
 
 A contact trace has only a few inspected frames, so they are evaluated one
-by one in Python floats rather than as arrays. Within a phase the center
-offset, the axis projections and the minimum overlap are the simulator's
-per-frame expressions (see simulator.py) written out for one frame: each
-operation rounds as the elementwise numpy kernel does, so the overlap and
-penetration gates give the kernel's answer bit for bit. The closing speed
-divides by math.hypot, which can differ from np.hypot in the last bit; a
-frame whose closing speed lies within a relative 1e-9 of the threshold, or
-is not finite, is decided by the kernel itself (_Phase.frame_values).
+at a time in Python floats by the simulator's scalar frame evaluator
+(_Phase.frames and _Phase.closing_speed) rather than as arrays. Its overlaps
+are the array kernel's bit for bit, so the overlap and penetration gates
+give the kernel's answer. Its closing speed can differ from the kernel's in
+the last bit; a frame whose closing speed lies within a relative 1e-9 of the
+threshold, or is not finite, is decided by the kernel itself
+(_Phase.frame_values). So is a frame with a non-finite center offset: it
+leaves an overlap NaN or infinite, and some overlap below zero or NaN.
 """
 
 from __future__ import annotations
@@ -104,44 +104,22 @@ def _inspect(trace: Trace, defect: DefectModel) -> int:
     k, depth, speed = defect.sample_period, defect.min_penetration, defect.min_impact_speed
     band = _TIE * max(speed, sys.float_info.min)
     reached = 0
-    for phase in trace.phases:
-        start = -(-max(trace.first_contact, phase.first) // k) * k
-        frames = range(start, min(phase.last + 1, len(trace)), k)
-        if not frames:
-            continue
-        nx, ny, ux, uy, ox, oy, vx, vy = phase._motion
-        (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes.tolist()
-        r0, r1, r2, r3 = phase.radii.tolist()
-        rx, ry = vx - ux, vy - uy
-        dt, t0 = phase.dt, phase.t0
-        for i in frames:
-            t = i * dt
-            since = t - t0
-            dx = (nx + t * ux) - (ox + since * vx)
-            dy = (ny + t * uy) - (oy + since * vy)
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                level = _kernel_level(phase, i, depth, speed)
+    for phase, frames in trace.phase_frames(range(-(-trace.first_contact // k) * k, len(trace), k)):
+        for i, ex, ey, nx, ny, o0, o1, o2, o3 in phase.frames(frames):
+            # all four >= 0 iff their np.min is, NaN included; past this test
+            # none is NaN, so min is np.min
+            if not (o0 >= 0.0 and o1 >= 0.0 and o2 >= 0.0 and o3 >= 0.0):
+                level = 0 if math.isfinite(o0 + o1 + o2 + o3) else _kernel_level(phase, i, depth, speed)
+            elif min(o0, o1, o2, o3) < depth:
+                level = 1
+            elif speed <= 0.0:
+                level = _FIRED
             else:
-                overlap = min(
-                    r0 - abs(dx * a0x + dy * a0y),
-                    r1 - abs(dx * a1x + dy * a1y),
-                    r2 - abs(dx * a2x + dy * a2y),
-                    r3 - abs(dx * a3x + dy * a3y),
-                )
-                if overlap < 0.0:
-                    level = 0
-                elif overlap < depth:
-                    level = 1
-                elif speed <= 0.0:
-                    level = _FIRED
+                gap = phase.closing_speed(ex, ey, nx, ny) - speed
+                if band < abs(gap) < math.inf:
+                    level = _FIRED if gap > 0.0 else 2
                 else:
-                    # the kernel's closing speed is 0 at a distance up to 1e-12
-                    dist = math.hypot(dx, dy)
-                    gap = (rx * dx + ry * dy) / dist - speed if dist > 2e-12 else math.nan
-                    if band < abs(gap) < math.inf:
-                        level = _FIRED if gap > 0.0 else 2
-                    else:
-                        level = _kernel_level(phase, i, depth, speed)
+                    level = _kernel_level(phase, i, depth, speed)
             if level == _FIRED:
                 return _FIRED
             reached = max(reached, level)

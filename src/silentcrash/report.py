@@ -196,32 +196,6 @@ def _summary(records: Sequence["OutcomeRecord"]) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CategoryRow:
-    kind: str
-    distance: str
-    speed: str
-    angle: str
-    count: int
-    mean_time: float
-
-
-def categorize_ics(records: Sequence["OutcomeRecord"]) -> tuple[CategoryRow, ...]:
-    """Distinct (kind, distance, speed, angle) classes of the ignored collisions."""
-    offsets = _kind_offsets(records)
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        if rec.verdict is not ScenarioType.IC:
-            continue
-        cat = rec.category
-        key = (rec.kind.value, cat.distance, cat.speed, cat.angle)
-        groups.setdefault(key, []).append(rec.clock_seconds - offsets[rec.kind])
-    return tuple(
-        CategoryRow(*key, count=len(times), mean_time=round(sum(times) / len(times), 9))
-        for key, times in sorted(groups.items())
-    )
-
-
 def empty_report() -> SRReport:
     return SRReport(
         axes={},

@@ -239,6 +239,10 @@ def _override_actor(actor: ActorSpec, fields: dict, label: str) -> ActorSpec:
         if not finite_number(value):
             raise ValueError(f"{label} override {key!r} must be a finite number")
         value = float(value)
+        if key == "yaw" and not -math.pi <= value <= math.pi:
+            # the simulator takes cos/sin of the yaw as given, the IoU corners of
+            # the yaw wrapped into [-pi, pi): far outside, the two differ
+            raise ValueError(f"{label} override 'yaw' must lie in [-pi, pi], got {value!r}")
         if key == "speed":
             behavior = Behavior(behavior.kind, value)
         elif key == "x":

@@ -30,19 +30,20 @@ spec and sim config objects and an equal d; a campaign that sweeps v_hat and
 a at a fixed d locates its trigger once.
 
 Each per-frame value is an elementwise expression of the frame index, so it
-has the same bits whether it is evaluated alone or inside the whole trace. A
-Trace keeps the located frames; its per-frame arrays are built from the same
-formulas on first access, and the overlap frames the peak IoU needs are
-evaluated one by one in Python floats that round the same way. The overlap and penetration values use the same
-face-normal projections as the scalar geometry module; frame invariants are
-cross-checked against it in tests.
+has the same bits whether it is evaluated alone or inside the whole trace.
+_Phase owns these expressions in two forms that round alike: a numpy kernel
+over an array of frames (the confirm windows and a Trace's per-frame arrays,
+built on first access) and one scalar evaluator in Python floats,
+_Phase.frames, which the built-in detector and the peak IoU's overlap walk
+call for the few frames they read. The overlap and penetration values use
+the same face-normal projections as the scalar geometry module; frame
+invariants are cross-checked against it in tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,26 +81,21 @@ class SimConfig:
             raise SimulationError("settle_frames must be non-negative")
 
 
-def _face_normals(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[tuple, list[float]]:
+def _face_normals(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[tuple, tuple[float, ...]]:
     """The four face normals of both boxes, as (x, y) floats, and the boxes' summed half extents along each."""
+    (el, ew), (nl, nw) = ev_half, npc_half
     ce, se = math.cos(ev_yaw), math.sin(ev_yaw)
     cn, sn = math.cos(npc_yaw), math.sin(npc_yaw)
     axes = ((ce, se), (-se, ce), (cn, sn), (-sn, cn))
     radii = [
-        (ev_half[0] * abs(ax * ce + ay * se) + ev_half[1] * abs(ay * ce - ax * se))
-        + (npc_half[0] * abs(ax * cn + ay * sn) + npc_half[1] * abs(ay * cn - ax * sn))
+        (el * abs(ax * ce + ay * se) + ew * abs(ay * ce - ax * se))
+        + (nl * abs(ax * cn + ay * sn) + nw * abs(ay * cn - ax * sn))
         for ax, ay in axes
     ]
-    return axes, radii
+    return axes, tuple(radii)
 
 
-def _separating_axes(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[np.ndarray, np.ndarray]:
-    """The four face normals of both boxes, (4, 2), and the boxes' summed half extents along each, (4,)."""
-    axes, radii = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
-    return np.array(axes), np.array(radii)
-
-
-def _min_overlap(delta: np.ndarray, axes: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
     """Signed minimum axis overlap for each center offset in delta, (k, 2).
 
     Negative values mean a separating axis exists; the value clamped at zero
@@ -107,11 +103,12 @@ def _min_overlap(delta: np.ndarray, axes: np.ndarray, radii: np.ndarray) -> np.n
     elementwise products are used, never a matrix product, so a frame's value
     does not depend on how many frames are evaluated with it.
     """
-    proj = np.abs(delta[:, :1] * axes[:, 0] + delta[:, 1:] * axes[:, 1])  # (k, 4)
+    ax, ay = zip(*axes)
+    proj = np.abs(delta[:, :1] * ax + delta[:, 1:] * ay)  # (k, 4)
     return (radii - proj).min(axis=1)
 
 
-def _closing_speed(delta: np.ndarray, rel_v: np.ndarray) -> np.ndarray:
+def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
     """Rate at which the EV approaches the NPC center, for each center offset in delta."""
     dist = np.hypot(delta[:, 0], delta[:, 1])
     towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
@@ -135,20 +132,23 @@ class _Phase(NamedTuple):
     """Frames first..last, over which both actors keep one velocity and yaw.
 
     At time t the NPC center is npc_origin + t * npc_velocity and the EV
-    center ev_origin + (t - t0) * ev_velocity.
+    center ev_origin + (t - t0) * ev_velocity. Points and velocities are
+    (x, y) floats; axes and radii are _face_normals of the two boxes. Frames
+    are evaluated by the numpy kernel (centers, _min_overlap, _closing_speed)
+    or, rounding alike, by `frames` and `closing_speed` in Python floats.
     """
 
     first: int
     last: int
     dt: float
-    npc_origin: np.ndarray
-    npc_velocity: np.ndarray
+    npc_origin: tuple[float, float]
+    npc_velocity: tuple[float, float]
     t0: float
-    ev_origin: np.ndarray
-    ev_velocity: np.ndarray
+    ev_origin: tuple[float, float]
+    ev_velocity: tuple[float, float]
     ev_yaw: float
-    axes: np.ndarray
-    radii: np.ndarray
+    axes: tuple[tuple[float, float], ...]
+    radii: tuple[float, ...]
 
     def centers(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = idx * self.dt
@@ -156,32 +156,59 @@ class _Phase(NamedTuple):
         npc = self.npc_origin + t[:, None] * self.npc_velocity
         return ev, npc
 
-    @property
-    def _motion(self) -> tuple[float, ...]:
-        """(nx, ny, ux, uy, ox, oy, vx, vy): NPC origin and velocity, then the EV's, as floats."""
-        return (
-            *self.npc_origin.tolist(),
-            *self.npc_velocity.tolist(),
-            *self.ev_origin.tolist(),
-            *self.ev_velocity.tolist(),
-        )
+    def frames(self, idx, axes=None, radii=None) -> Iterator[tuple[float, ...]]:
+        """The scalar frame evaluator: (i, ex, ey, nx, ny, o0, o1, o2, o3) for each frame i of idx.
+
+        (ex, ey) and (nx, ny) are the EV and NPC centers, and o0..o3 the
+        overlaps radii[k] - |(npc - ev) . axes[k]| along the given face
+        normals, the phase's own by default. Each is computed with the
+        operations of centers and _min_overlap in the same order, so it is
+        the kernel's value at frame i bit for bit, and the np.min of o0..o3
+        is _min_overlap's. Python's min skips a NaN that np.min propagates,
+        so a frame overlaps iff all four are >= 0: a NaN counts as apart.
+        """
+        (px, py), (ux, uy) = self.npc_origin, self.npc_velocity
+        (ox, oy), (vx, vy) = self.ev_origin, self.ev_velocity
+        (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = self.axes if axes is None else axes
+        r0, r1, r2, r3 = self.radii if radii is None else radii
+        dt, t0 = self.dt, self.t0
+        for i in idx:
+            t = i * dt
+            since = t - t0
+            ex, ey, nx, ny = ox + since * vx, oy + since * vy, px + t * ux, py + t * uy
+            dx, dy = nx - ex, ny - ey
+            yield (
+                i, ex, ey, nx, ny,
+                r0 - abs(dx * a0x + dy * a0y),
+                r1 - abs(dx * a1x + dy * a1y),
+                r2 - abs(dx * a2x + dy * a2y),
+                r3 - abs(dx * a3x + dy * a3y),
+            )
+
+    def closing_speed(self, ex: float, ey: float, nx: float, ny: float) -> float:
+        """Closing speed in Python floats at the EV and NPC centers that `frames` gives for a frame.
+
+        math.hypot can differ from the kernel's np.hypot in the last bit, so
+        this is _closing_speed's value only to about an ulp; it is NaN within
+        2e-12 of a zero distance, where the kernel's 1e-12 cutoff could fall
+        on either side.
+        """
+        dx, dy = nx - ex, ny - ey
+        (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
+        dist = math.hypot(dx, dy)
+        return ((vx - ux) * dx + (vy - uy) * dy) / dist if dist > 2e-12 else math.nan
 
     def finite(self) -> bool:
-        """Whether both centers stay finite; they move monotonically, so the last frame decides.
-
-        Python floats round like the numpy expressions in centers().
-        """
-        nx, ny, ux, uy, ox, oy, vx, vy = self._motion
-        t = self.last * self.dt
-        since = t - self.t0
-        return all(map(math.isfinite, (nx + t * ux, ny + t * uy, ox + since * vx, oy + since * vy)))
+        """Whether both centers stay finite; they move monotonically, so the last frame decides."""
+        return all(map(math.isfinite, next(self.frames((self.last,)))[1:5]))
 
     @property
     def _offset(self) -> tuple[float, float, float, float, float]:
         """Center offset P + t*Q as (Px, Py, Qx, Qy), and the slack for its magnitude."""
-        nx, ny, ux, uy, ox, oy, vx, vy = self._motion
+        (nx, ny), (ux, uy) = self.npc_origin, self.npc_velocity
+        (ox, oy), (vx, vy) = self.ev_origin, self.ev_velocity
         reach = (1.0 + self.last * self.dt) * (abs(ux) + abs(uy) + abs(vx) + abs(vy))
-        slack = _SLACK * (abs(nx) + abs(ny) + abs(ox) + abs(oy) + reach + float(self.radii.max()))
+        slack = _SLACK * (abs(nx) + abs(ny) + abs(ox) + abs(oy) + reach + max(self.radii))
         return nx - ox + self.t0 * vx, ny - oy + self.t0 * vy, ux - vx, uy - vy, slack
 
     def first_within(self, d: float) -> int | None:
@@ -213,7 +240,7 @@ class _Phase(NamedTuple):
         """First frame at which the boxes overlap."""
         px, py, qx, qy, slack = self._offset
         lo, hi = -math.inf, math.inf
-        for (ax, ay), r in zip(self.axes.tolist(), self.radii.tolist()):
+        for (ax, ay), r in zip(self.axes, self.radii):
             p, q, reach = px * ax + py * ay, qx * ax + qy * ay, r + slack
             if q == 0.0:
                 if abs(p) > reach:
@@ -234,7 +261,8 @@ class _Phase(NamedTuple):
         """EV centers, NPC centers, minimum axis overlap and closing speed at frames idx."""
         ev, npc = self.centers(idx)
         delta = npc - ev
-        closing = _closing_speed(delta, self.ev_velocity - self.npc_velocity)
+        (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
+        closing = _closing_speed(delta, (vx - ux, vy - uy))
         return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
 
 
@@ -271,16 +299,19 @@ class Trace:
         """Simulated seconds consumed by this execution."""
         return self.time(self.length - 1)
 
-    def _phase_frames(self, frames: range) -> Iterator[tuple[_Phase, np.ndarray]]:
+    def phase_frames(self, frames: range) -> Iterator[tuple[_Phase, range]]:
         """Each phase that holds some of the ascending frames, with those frames."""
+        start, step = frames.start, frames.step
         for phase in self.phases:
-            part = frames[bisect_left(frames, phase.first) : bisect_left(frames, phase.last + 1)]
+            # the indices in frames of the first frame >= phase.first and of the first > phase.last
+            lo, hi = (phase.first - start + step - 1) // step, (phase.last - start + step) // step
+            part = frames[max(lo, 0) : max(hi, 0)]
             if part:
-                yield phase, np.arange(part.start, part.stop, part.step)
+                yield phase, part
 
     def _frame_values(self, frames: range) -> list[np.ndarray]:
         """frame_values of each phase, joined over the ascending frames."""
-        parts = [phase.frame_values(idx) for phase, idx in self._phase_frames(frames)]
+        parts = [phase.frame_values(np.arange(p.start, p.stop, p.step)) for phase, p in self.phase_frames(frames)]
         if len(parts) == 1:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
@@ -290,65 +321,48 @@ class Trace:
 
         The inputs are (ex, ey, ec, es, nx, ny): the EV center, cos and sin of
         the EV yaw as geometry.heading gives them, and the NPC center. Only
-        frames from first contact on can overlap. They are evaluated one by one
-        in Python floats, phase by phase, with the operations of the
-        elementwise kernel in the same order (see detector.py): a frame is
-        listed iff its _min_overlap is >= 0, and its centers are the floats of
-        the whole-trace arrays.
+        frames from first contact on can overlap. Each is evaluated by
+        _Phase.frames, so a frame is listed iff its _min_overlap is >= 0, and
+        its centers are the floats of the whole-trace arrays.
 
         The bound is geometry.iou_bound of geometry.area_bound, from the
         boxes' overlaps along the face normals of the frame's corners, that is
-        along the wrapped yaws, so it bounds geometry.corners_iou of those
-        corners. reach is the largest center coordinate magnitude of the
-        listed frames plus the largest half length and half width. It bounds
-        every corner coordinate, and while it is finite every corner is
-        finite. When it is not, every bound is +inf, so max_iou meets the
-        frames in time order and raises the first non-finite corner's error,
-        as a clip of every frame would; a non-finite heading makes its
-        phase's bounds NaN, which iou_bound also reads as +inf.
+        along the wrapped yaws (_Phase.frames again, with those normals), so it
+        bounds geometry.corners_iou of those corners. reach is the largest center
+        coordinate magnitude of the listed frames plus the largest half
+        length and half width. It bounds every corner coordinate, and while
+        it is finite every corner is finite. When it is not, every bound is
+        +inf, so max_iou meets the frames in time order and raises the first
+        non-finite corner's error, as a clip of every frame would; a
+        non-finite heading makes its phase's bounds NaN, which iou_bound also
+        reads as +inf.
         """
         if self.first_contact is None:
             return [], []
-        (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
+        ev_half, npc_half = self.ev_half, self.npc_half
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = ev_half, npc_half
         npc_yaw = normalize_yaw(self.npc_yaw)
         overlaps, frames, reach = [], [], 0.0
-        for phase in self.phases:
-            frame_range = range(max(phase.first, self.first_contact), min(phase.last + 1, self.length))
-            if not frame_range:
+        for phase, span in self.phase_frames(range(self.first_contact, self.length)):
+            # all four overlaps >= 0 iff their np.min is, NaN included
+            hits = [f for f in phase.frames(span) if f[5] >= 0.0 and f[6] >= 0.0 and f[7] >= 0.0 and f[8] >= 0.0]
+            if not hits:
                 continue
-            nx, ny, ux, uy, ox, oy, vx, vy = phase._motion
-            (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes.tolist()
-            r0, r1, r2, r3 = phase.radii.tolist()
+            ev_yaw = normalize_yaw(phase.ev_yaw)
             ec, es = heading(phase.ev_yaw)
-            ((b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y)), (q0, q1, q2, q3) = _face_normals(
-                normalize_yaw(phase.ev_yaw), self.ev_half, npc_yaw, self.npc_half
-            )
-            dt, t0 = phase.dt, phase.t0
-            for i in frame_range:
-                t = i * dt
-                since = t - t0
-                ex, ey, px, py = ox + since * vx, oy + since * vy, nx + t * ux, ny + t * uy
-                dx, dy = px - ex, py - ey
-                # all four >= 0 iff their min is, NaN included
-                if (
-                    r0 - abs(dx * a0x + dy * a0y) >= 0.0
-                    and r1 - abs(dx * a1x + dy * a1y) >= 0.0
-                    and r2 - abs(dx * a2x + dy * a2y) >= 0.0
-                    and r3 - abs(dx * a3x + dy * a3y) >= 0.0
-                ):
-                    overlaps.append((
-                        q0 - abs(dx * b0x + dy * b0y),
-                        q1 - abs(dx * b1x + dy * b1y),
-                        q2 - abs(dx * b2x + dy * b2y),
-                        q3 - abs(dx * b3x + dy * b3y),
-                    ))
-                    frames.append((ex, ey, ec, es, px, py))
-                    reach = max(reach, abs(ex), abs(ey), abs(px), abs(py))
+            frames += [(ex, ey, ec, es, nx, ny) for _, ex, ey, nx, ny, _, _, _, _ in hits]
+            # each center coordinate is monotonic over a phase's frames, so its
+            # first and last hit hold the largest magnitudes
+            reach = max(reach, *map(abs, hits[0][1:5]), *map(abs, hits[-1][1:5]))
+            if ev_yaw == phase.ev_yaw and npc_yaw == self.npc_yaw:
+                # the phase's own normals, up to the sign of a zero, which abs absorbs
+                along = hits
+            else:
+                along = phase.frames([f[0] for f in hits], *_face_normals(ev_yaw, ev_half, npc_yaw, npc_half))
+            overlaps += [f[5:] for f in along]
         reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
         ev_area, npc_area = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
-        bounds = [
-            iou_bound(area_bound(o, self.ev_half, self.npc_half, reach), ev_area, npc_area) for o in overlaps
-        ]
+        bounds = [iou_bound(area_bound(o, ev_half, npc_half, reach), ev_area, npc_area) for o in overlaps]
         return bounds, frames
 
     @cached_property
@@ -398,11 +412,11 @@ class Trace:
         return triggered
 
 
-def _behavior_velocity(actor) -> np.ndarray:
+def _behavior_velocity(actor) -> tuple[float, float]:
     if actor.behavior.kind is BehaviorKind.STATIC:
-        return np.zeros(2)
+        return 0.0, 0.0
     speed = actor.behavior.speed
-    return np.array([speed * math.cos(actor.yaw), speed * math.sin(actor.yaw)])
+    return speed * math.cos(actor.yaw), speed * math.sin(actor.yaw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,15 +444,15 @@ class CruiseStage:
 
     def switched(self, params: ControlParameters) -> _Phase:
         """The phase from the trigger frame on, at speed v_hat along heading + a * 90 deg."""
-        path = self.path
+        (ox, oy), (vx, vy) = self.path.ev_origin, self.path.ev_velocity
         yaw1 = self.spec.ev.yaw + params.a * (math.pi / 2.0)
-        v1 = np.array([params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1)])
+        v1 = (params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1))
         t0 = self.trigger * self.cfg.dt
-        axes, radii = _separating_axes(yaw1, self.ev_half, self.spec.npc.yaw, self.npc_half)
-        phase = path._replace(
+        axes, radii = _face_normals(yaw1, self.ev_half, self.spec.npc.yaw, self.npc_half)
+        phase = self.path._replace(
             first=self.trigger,
             t0=t0,
-            ev_origin=path.ev_origin + t0 * path.ev_velocity,
+            ev_origin=(ox + t0 * vx, oy + t0 * vy),
             ev_velocity=v1,
             ev_yaw=yaw1,
             axes=axes,
@@ -452,16 +466,16 @@ class CruiseStage:
 def cruise_stage(spec: ScenarioSpec, d: float, cfg: SimConfig = SimConfig()) -> CruiseStage:
     """Locate the trigger and any contact before it, for every execution at (spec, d, cfg)."""
     n = int(round(cfg.horizon / cfg.dt))
-    ev0 = np.array([spec.ev.position.x, spec.ev.position.y])
-    npc0 = np.array([spec.npc.position.x, spec.npc.position.y])
+    ev0 = (spec.ev.position.x, spec.ev.position.y)
+    npc0 = (spec.npc.position.x, spec.npc.position.y)
     ev_v0 = _behavior_velocity(spec.ev)
     npc_v = _behavior_velocity(spec.npc)
-    if not np.isfinite(np.concatenate([ev0, npc0, ev_v0, npc_v])).all():
+    if not all(map(math.isfinite, (*ev0, *npc0, *ev_v0, *npc_v))):
         raise SimulationError("non-finite initial state")
 
     ev_half = (spec.ev.half_length, spec.ev.half_width)
     npc_half = (spec.npc.half_length, spec.npc.half_width)
-    axes, radii = _separating_axes(spec.ev.yaw, ev_half, spec.npc.yaw, npc_half)
+    axes, radii = _face_normals(spec.ev.yaw, ev_half, spec.npc.yaw, npc_half)
     path = _Phase(0, n, cfg.dt, npc0, npc_v, 0.0, ev0, ev_v0, spec.ev.yaw, axes, radii)
 
     # the first crossing of the trigger distance along the cruise path is the

@@ -35,13 +35,7 @@ import numpy as np
 from silentcrash.detector import DefectModel
 from silentcrash.geometry import OrientedBox, Point2, area, heading, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioSpec
-from silentcrash.simulator import (
-    SimConfig,
-    _behavior_velocity,
-    _closing_speed,
-    _min_overlap,
-    _separating_axes,
-)
+from silentcrash.simulator import SimConfig, _behavior_velocity, _closing_speed, _face_normals, _min_overlap
 
 
 def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = SimConfig()) -> SimpleNamespace:
@@ -50,8 +44,8 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
 
     ev0 = np.array([spec.ev.position.x, spec.ev.position.y])
     npc0 = np.array([spec.npc.position.x, spec.npc.position.y])
-    ev_v0 = _behavior_velocity(spec.ev)
-    npc_v = _behavior_velocity(spec.npc)
+    ev_v0 = np.array(_behavior_velocity(spec.ev))
+    npc_v = np.array(_behavior_velocity(spec.npc))
 
     ev_pos = ev0[None, :] + times[:, None] * ev_v0[None, :]
     npc_pos = npc0[None, :] + times[:, None] * npc_v[None, :]
@@ -76,7 +70,7 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
     split = n + 1 if trigger is None else trigger
     for lo, hi in ((0, split), (split, n + 1)):
         if hi > lo:
-            axes, radii = _separating_axes(float(ev_yaws[lo]), ev_half, spec.npc.yaw, npc_half)
+            axes, radii = _face_normals(float(ev_yaws[lo]), ev_half, spec.npc.yaw, npc_half)
             min_overlap[lo:hi] = _min_overlap(delta[lo:hi], axes, radii)
             closing[lo:hi] = _closing_speed(delta[lo:hi], ev_vel[lo] - npc_v)
     gt = min_overlap >= 0.0

@@ -184,6 +184,7 @@ class TestRun:
             ({"scenario_overrides": {"FLB": {"npc": {"speed": 1e308}}}}, "non-finite"),
             ({"defect": {"min_penetration": 10**400}}, "defect.min_penetration"),
             ({"sim": {"dt": 10**400}}, "sim.dt"),
+            ({"scenario_overrides": {"FLV": {"npc": {"yaw": 1e300}}}}, "scenario_overrides.FLV: npc override 'yaw'"),
         ],
         ids=[
             "plan-block-list",
@@ -192,6 +193,7 @@ class TestRun:
             "overflowing-npc-speed",
             "huge-integer-penetration",
             "huge-integer-dt",
+            "npc-yaw-out-of-range",
         ],
     )
     def test_malformed_config_shapes_are_config_errors(self, tmp_path, capsys, change, fragment):

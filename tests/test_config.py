@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,9 @@ def test_explicit_schedules_are_validated():
         ({"sim": {"horizon": 10**400}}, "sim.horizon: must be a finite number"),
         ({"sim": {"horizon": True}}, "sim.horizon"),
         ({"oracle": {"t_bbox": [0.5]}}, "oracle.t_bbox"),
+        ({"scenario_overrides": {"FLV": {"npc": {"yaw": 1e300}}}}, r"overrides.FLV: npc override 'yaw' .*\[-pi, pi\]"),
+        ({"scenario_overrides": {"PSF": {"ev": {"yaw": -3.1416}}}}, r"scenario_overrides.PSF: ev override 'yaw'"),
+        ({"scenario_overrides": {"FLV": {"npc": {"yaw": 7}}}}, r"scenario_overrides.FLV: npc override 'yaw'"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):
@@ -123,6 +127,13 @@ def test_scenario_overrides_pass_through():
     config = parse_config(dict(BASE, scenario_overrides={"FLV": {"npc": {"speed": 12.0}}}))
     spec, _ = config.seed_for(ScenarioKind.FLV)
     assert spec.npc.behavior.speed == 12.0
+
+
+@pytest.mark.parametrize("yaw", [math.pi, -math.pi, 3.0, -1.2345678901234567, 0.1])
+def test_override_yaw_in_range_is_kept_as_given(yaw):
+    config = parse_config(dict(BASE, scenario_overrides={"FLV": {"npc": {"yaw": yaw}}}))
+    spec, _ = config.seed_for(ScenarioKind.FLV)
+    assert spec.npc.yaw == yaw
 
 
 JSON = st.recursive(

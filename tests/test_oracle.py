@@ -132,14 +132,9 @@ def test_max_iou_clips_under_half_the_overlap_frames_of_the_default_sweep(monkey
 
 def _scaled(trace, scale):
     """The trace with every length times scale, a power of two: each float scales exactly until it overflows."""
+    fields = ("npc_origin", "npc_velocity", "ev_origin", "ev_velocity", "radii")
     phases = tuple(
-        phase._replace(
-            npc_origin=phase.npc_origin * scale,
-            npc_velocity=phase.npc_velocity * scale,
-            ev_origin=phase.ev_origin * scale,
-            ev_velocity=phase.ev_velocity * scale,
-            radii=phase.radii * scale,
-        )
+        phase._replace(**{name: tuple(v * scale for v in getattr(phase, name)) for name in fields})
         for phase in trace.phases
     )
     halves = {name: tuple(h * scale for h in getattr(trace, name)) for name in ("ev_half", "npc_half")}

@@ -9,7 +9,6 @@ from silentcrash.report import (
     CROSS_PAIRS,
     bucket,
     categorize,
-    categorize_ics,
     cross_csv,
     empty_report,
     report_csv,
@@ -125,16 +124,6 @@ class TestOnCampaign:
             assert bucket(rec.params) == rec.buckets
             assert categorize(rec.params) == rec.category
 
-    def test_categorize_ics_rows(self, campaign_records):
-        rows = categorize_ics(campaign_records)
-        assert len(rows) >= 2
-        keys = [(r.kind, r.distance, r.speed, r.angle) for r in rows]
-        assert len(keys) == len(set(keys))
-        assert sum(r.count for r in rows) == sum(
-            1 for r in campaign_records if r.verdict is ScenarioType.IC
-        )
-        assert all(r.mean_time > 0 for r in rows)
-
     def test_csv_row_count_matches_defined_buckets(self, campaign_records):
         report = success_rates(campaign_records)
         lines = report_csv(report).splitlines()
@@ -152,10 +141,6 @@ class TestOnCampaign:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert len(list(root)) > 0
-
-
-def test_categorize_ics_empty_is_empty():
-    assert categorize_ics([record(0, ScenarioType.NC)]) == ()
 
 
 def test_empty_report_exports_header_only():

@@ -1,12 +1,27 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from silentcrash.geometry import overlaps, penetration_depth
+from silentcrash.detector import PERFECT_DETECTOR, silenced_by
+from silentcrash.geometry import normalize_yaw, overlaps, penetration_depth
+from silentcrash.oracle import max_iou
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, SimulationError, simulate, trace_to_jsonl
+from silentcrash.simulator import (
+    SimConfig,
+    SimulationError,
+    Trace,
+    _face_normals,
+    _min_overlap,
+    _Phase,
+    simulate,
+    trace_to_jsonl,
+)
 from sim_oracle import center_distance, ev_box, npc_box
+from test_oracle import _scaled
 
 
 def test_flv_first_contact_matches_closed_form():
@@ -128,3 +143,55 @@ def test_trace_jsonl_export_shape():
     assert not first["gt_overlap"]
     last = json.loads(lines[trace.first_contact])
     assert last["gt_overlap"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**200, 2.0**1000, 2.0**1012, 2.0**1016, 2.0**1019, 2.0**1023)),
+    pick=st.data(),
+)
+def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg, scale, pick):
+    """_Phase.frames gives the kernel's centers and minimum overlap bit for bit, and a NaN counts as apart.
+
+    The phases are scaled as test_oracle._scaled scales them, so large scales
+    overflow the centers or the radii and make offsets and overlaps
+    infinite or NaN. The overlaps are checked along the phase's own normals
+    and along those of the wrapped yaws, as the peak IoU's walk reads them.
+    """
+    trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
+    phase = pick.draw(st.sampled_from(trace.phases))
+    i = pick.draw(st.integers(min_value=phase.first, max_value=phase.last))
+    wrapped = _face_normals(normalize_yaw(phase.ev_yaw), trace.ev_half, normalize_yaw(trace.npc_yaw), trace.npc_half)
+    with np.errstate(all="ignore"):
+        ev, npc, low, _ = phase.frame_values(np.array([i]))
+        wrapped_low = _min_overlap(npc - ev, *wrapped)
+        for normals, want in ((None, low[0]), (wrapped, wrapped_low[0])):
+            got_i, ex, ey, nx, ny, *overlaps = next(phase.frames((i,), *(normals or ())))
+            assert got_i == i
+            assert list(map(float.hex, (ex, ey, nx, ny))) == list(map(float.hex, (*ev[0].tolist(), *npc[0].tolist())))
+            assert float.hex(float(np.min(overlaps))) == float.hex(float(want))
+            assert all(o >= 0.0 for o in overlaps) == bool(want >= 0.0)
+
+
+def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
+    # boxes with infinite extents whose center offset (1.7e308, 1.7e308)
+    # projects to inf on the EV's second normal only: that overlap is
+    # inf - inf = NaN and the other three are inf, so Python's min reads
+    # inf where the kernel's np.min reads NaN
+    axes, _ = _face_normals(-math.pi / 4, (1.0, 1.0), 0.0, (1.0, 1.0))
+    huge = 1.7e308
+    at_rest = (0.0, 0.0)
+    phase = _Phase(0, 0, 0.01, (huge, huge), at_rest, 0.0, at_rest, at_rest, -math.pi / 4, axes, (math.inf,) * 4)
+    *_, o0, o1, o2, o3 = next(phase.frames((0,)))
+    assert math.isnan(o1) and min(o0, o1, o2, o3) == math.inf
+    trace = Trace(0, None, (1.0, 1.0), (1.0, 1.0), 1, 0.01, 0.0, (phase,), cruise=None)
+    assert trace.overlap_frames() == ([], [])
+    assert max_iou(trace) == 0.0
+    with np.errstate(all="ignore"):
+        assert math.isnan(phase.frame_values(np.array([0]))[2][0])
+        assert silenced_by(trace, PERFECT_DETECTOR) == "sampling"
