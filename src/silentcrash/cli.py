@@ -19,6 +19,8 @@ import enum
 import functools
 import itertools
 import json
+import os
+import struct
 import sys
 from pathlib import Path
 
@@ -50,11 +52,31 @@ def _fail(status: ExitStatus, message: str) -> int:
     return int(status)
 
 
+# The record index beside a log: this magic line, then little-endian u64s:
+# the log's byte size, the record count n, and the n+1 byte offsets at which
+# the log's lines start (the last is the log's end).
+_INDEX_MAGIC = b"silentcrash record index 1\n"
+_INDEX_HEAD = len(_INDEX_MAGIC) + 16
+
+
+def _index_path(log: Path) -> Path:
+    """The index of a log is named after the log, so a renamed or copied log has none."""
+    return log.with_name(log.name + ".idx")
+
+
 def _write_records(records, path: Path) -> None:
+    """Write the log, then its index; a write that stops in between leaves no index."""
+    index = _index_path(path)
+    index.unlink(missing_ok=True)
+    offsets = [0]
     with path.open("w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True))
+            line = json.dumps(rec.to_json_dict(), sort_keys=True)
+            fh.write(line)
             fh.write("\n")
+            # ensure_ascii: one character per byte
+            offsets.append(offsets[-1] + len(line) + 1)
+    index.write_bytes(_INDEX_MAGIC + struct.pack(f"<{len(offsets) + 2}Q", offsets[-1], len(offsets) - 1, *offsets))
 
 
 class LogError(Exception):
@@ -85,14 +107,58 @@ def _read_records(path: Path) -> list[OutcomeRecord]:
         return [_parse_record(line, path, lineno) for lineno, line in _numbered_records(fh)]
 
 
-def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
-    """Parse only the requested record, reading the log no further than its line.
+def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
+    """The record at ordinal, read through the log's index; None if the index cannot be trusted.
 
-    Ordinals count non-blank lines, which are skipped without a Python-level
-    loop. Line numbers are counted only for the error messages: the log is
-    read again up to the record's line when the record is damaged, and in
-    full when the ordinal is out of range.
+    The index is trusted for this ordinal only when it is whole, was written
+    no earlier than the log was last modified, records the log's size, and
+    points at exactly one line whose record parses and carries this ordinal.
     """
+    try:
+        # unbuffered, so that each read takes only the bytes it asks for
+        with open(path, "rb", buffering=0) as log, open(_index_path(path), "rb", buffering=0) as idx:
+            log_stat, idx_stat = os.fstat(log.fileno()), os.fstat(idx.fileno())
+            head = idx.read(_INDEX_HEAD)
+            if not head.startswith(_INDEX_MAGIC) or log_stat.st_mtime_ns > idx_stat.st_mtime_ns:
+                return None
+            size, count = struct.unpack_from("<QQ", head, len(_INDEX_MAGIC))
+            whole = idx_stat.st_size == _INDEX_HEAD + 8 * (count + 1)
+            if not (whole and size == log_stat.st_size and 0 <= ordinal < count):
+                return None
+            idx.seek(_INDEX_HEAD + 8 * ordinal)
+            start, stop = struct.unpack("<QQ", idx.read(16))
+            if not start < stop <= size:
+                return None
+            before = 1 if start else 0  # the byte before the line must end the previous one
+            log.seek(start - before)
+            chunk = log.read(stop - start + before)
+    except (OSError, struct.error):  # struct.error: a header or offset pair cut short
+        return None
+    line = chunk[before:]
+    if chunk[:before] != b"\n" * before or line.find(b"\n") != len(line) - 1:  # one whole line
+        return None
+    try:
+        data = json.loads(line)
+        if type(data) is not dict or data.get("ordinal") != ordinal:
+            return None
+        return OutcomeRecord.from_json_dict(data)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
+    """Parse only the requested record: through the log's index, or else by streaming the log.
+
+    When the index cannot be trusted, the log is read no further than the
+    record's line. Ordinals count non-blank lines, which are skipped without
+    a Python-level loop. Line numbers are counted only for the error
+    messages: the log is read again up to the record's line when the record
+    is damaged, and in full when the ordinal is out of range. Every error
+    comes from this streaming path.
+    """
+    record = _indexed_record(path, ordinal)
+    if record is not None:
+        return record
     with path.open("rb") as fh:
         if 0 <= ordinal <= sys.maxsize:  # the range islice accepts
             line = next(itertools.islice(filter(bytes.strip, fh), ordinal, None), None)

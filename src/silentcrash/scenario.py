@@ -113,6 +113,8 @@ class ControlParameters:
             raise ValueError(f"collision distance {self.d} outside {DISTANCE_MIN:.0f}..{DISTANCE_MAX:.0f}")
         if not (0.0 < self.v_hat <= SPEED_MAX + eps):
             raise ValueError(f"collision speed {self.v_hat} outside 0..{SPEED_MAX:.0f}")
+        if not (math.isfinite(self.theta_long) and math.isfinite(self.theta_lat)):
+            raise ValueError(f"direction pair must be finite, got ({self.theta_long}, {self.theta_lat})")
         if self.theta_long < 0.0 or (self.theta_long == 0.0 and self.theta_lat == 0.0):
             raise ValueError("direction pair must have theta_long >= 0 and be nonzero")
         if abs(self.a) > 1.0 + eps:

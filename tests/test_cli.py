@@ -1,10 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
+import os
 import shutil
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from silentcrash import cli
@@ -410,8 +419,9 @@ class TestReplay:
             (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "v_hat"}), "KeyError"),
             (lambda line: line.replace('"verdict": "', '"verdict": "X'), "ValueError"),
             (lambda line: "[1, 2]", "TypeError"),
+            (lambda line: json.dumps(dict(json.loads(line), theta_long=math.nan)), "ValueError: direction pair must be finite"),
         ],
-        ids=["truncated", "missing-field", "bad-verdict", "not-an-object"],
+        ids=["truncated", "missing-field", "bad-verdict", "not-an-object", "nan-direction"],
     )
     def test_damaged_record_is_io_error_naming_the_line(self, campaign, tmp_path, capsys, damage, message):
         lines = (campaign / "records.jsonl").read_text().splitlines()
@@ -482,6 +492,287 @@ class TestReplay:
         frames = [json.loads(l) for l in out.read_text().splitlines()]
         assert frames[0]["t"] == 0.0
         assert {"ev", "npc", "penetration"} <= set(frames[0])
+
+
+def replay_result(log, ordinal, out):
+    """(exit code, stdout, stderr, trace bytes) of one replay into out, which is removed afterwards."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["replay", "--log", str(log), "--ordinal", str(ordinal), "--out", str(out)])
+    trace = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), trace
+
+
+def without_index(log, ordinal, out):
+    """replay_result with the log's index moved aside for the call."""
+    index = cli._index_path(log)
+    aside = index.with_name("aside.idx")
+    index.rename(aside)
+    try:
+        return replay_result(log, ordinal, out)
+    finally:
+        aside.rename(index)
+
+
+def set_mtime_after(path, other):
+    """Give path a modification time one second later than other's."""
+    ns = other.stat().st_mtime_ns + 10**9
+    os.utime(path, ns=(ns, ns))
+
+
+def patch_offset(index, ordinal, value):
+    raw = bytearray(index.read_bytes())
+    struct.pack_into("<Q", raw, cli._INDEX_HEAD + 8 * ordinal, value)
+    index.write_bytes(bytes(raw))
+
+
+# Each damage below changes a run's log or index in place and returns an
+# ordinal whose lookup the index must refuse.
+
+
+def swap_equal_length_records(log, index):
+    lines = log.read_bytes().splitlines(keepends=True)
+    by_length = {}
+    for i, line in enumerate(lines):
+        by_length.setdefault(len(line), []).append(i)
+    i, j = next(group for group in by_length.values() if len(group) > 1)[:2]
+    lines[i], lines[j] = lines[j], lines[i]
+    log.write_bytes(b"".join(lines))
+    return i
+
+
+def append_record(log, index):
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines) + json.dumps(dict(json.loads(lines[-1]), ordinal=len(lines)), sort_keys=True) + "\n")
+    return len(lines) - 1
+
+
+def cut_log_short(log, index):
+    raw = log.read_bytes()
+    log.write_bytes(raw[: raw.index(b"\n", len(raw) // 2) + 40])
+    return raw.count(b"\n", 0, len(raw) // 2) + 1
+
+
+def cut_index(length):
+    def damage(log, index):
+        index.write_bytes(index.read_bytes()[:length])
+        return 5
+
+    return damage
+
+
+def garbage_index(keep_header):
+    def damage(log, index):
+        raw = index.read_bytes()
+        head = raw[: cli._INDEX_HEAD] if keep_header else b""
+        index.write_bytes(head + bytes(range(7, 256, 13)) * (len(raw) // 19))
+        return 5
+
+    return damage
+
+
+def inflate_count(log, index):
+    raw = bytearray(index.read_bytes())
+    struct.pack_into("<Q", raw, len(cli._INDEX_MAGIC) + 8, 2**63)
+    index.write_bytes(bytes(raw))
+    return 5
+
+
+def offset_mid_line(log, index):
+    start = struct.unpack_from("<Q", index.read_bytes(), cli._INDEX_HEAD + 8 * 5)[0]
+    patch_offset(index, 5, start + 7)
+    return 5
+
+
+def stop_one_byte_short(log, index):
+    # the slice is record 5 without its newline: it parses, but it is not a whole line
+    stop = struct.unpack_from("<Q", index.read_bytes(), cli._INDEX_HEAD + 8 * 6)[0]
+    patch_offset(index, 6, stop - 1)
+    return 5
+
+
+def offset_past_eof(log, index):
+    patch_offset(index, 5, log.stat().st_size + 64)
+    return 4
+
+
+def blank_a_record_in_place(log, index):
+    # same size, and every other record keeps its offset and ordinal; only
+    # the modification times tell that the log changed after its index
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[5] = b" " * (len(lines[5]) - 1) + b"\n"
+    log.write_bytes(b"".join(lines))
+    return 6
+
+
+class TestRecordIndex:
+    """`run` writes records.jsonl.idx; `replay` reads through it only when it can trust it."""
+
+    @pytest.fixture()
+    def campaign(self, tmp_path):
+        code, out_dir = run_mini(tmp_path, budget=300)
+        assert code == 0
+        return out_dir
+
+    def test_intact_index_gives_every_record_as_streaming_does(self, campaign):
+        log = campaign / "records.jsonl"
+        records = cli._read_records(log)
+        assert [cli._indexed_record(log, i) for i in range(len(records))] == records
+        assert cli._indexed_record(log, -1) is None and cli._indexed_record(log, len(records)) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda log, index: index.unlink() or 5,
+            append_record,
+            cut_log_short,
+            swap_equal_length_records,
+            cut_index(10),
+            cut_index(len(cli._INDEX_MAGIC) + 5),
+            garbage_index(keep_header=False),
+            garbage_index(keep_header=True),
+            inflate_count,
+            offset_mid_line,
+            stop_one_byte_short,
+            offset_past_eof,
+            blank_a_record_in_place,
+        ],
+        ids=[
+            "index-deleted",
+            "record-appended",
+            "log-cut-short",
+            "equal-length-records-swapped",
+            "index-cut-mid-magic",
+            "index-cut-mid-header",
+            "index-garbage",
+            "index-garbage-after-header",
+            "index-count-inflated",
+            "offset-mid-line",
+            "stop-one-byte-short",
+            "offset-past-eof",
+            "log-blanked-in-place",
+        ],
+    )
+    def test_untrusted_index_changes_no_replay(self, campaign, tmp_path, damage):
+        log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"
+        n = len(log.read_text().splitlines())
+        ordinal = damage(log, index)
+        if index.exists():
+            if damage is blank_a_record_in_place:
+                set_mtime_after(log, index)
+            else:  # so that only the content checks can reject the index
+                set_mtime_after(index, log)
+        assert cli._indexed_record(log, ordinal) is None
+        out = tmp_path / "trace.jsonl"
+        for o in sorted({0, ordinal - 1, ordinal, ordinal + 1, n - 1, n, n + 1, -1, 10**20}):
+            seen = replay_result(log, o, out)
+            assert seen == (without_index(log, o, out) if index.exists() else replay_result(log, o, out))
+            assert seen[0] in (0, 2, 3) and seen[2].count("\n") <= 1, seen[2]
+
+    def test_damaged_record_and_out_of_range_errors_name_the_same_lines(self, campaign, tmp_path):
+        log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[7] = lines[7].replace('"kind": "FLB"', '"kind": "FLX"')  # same size, same offsets
+        log.write_text("".join(lines))
+        set_mtime_after(index, log)
+        out = tmp_path / "trace.jsonl"
+        errors = {7: f"error: {log} line 8: malformed record: ValueError: ", 300: "error: ordinal 300 outside log (0..299)"}
+        for ordinal, message in errors.items():
+            seen = replay_result(log, ordinal, out)
+            assert seen == without_index(log, ordinal, out)
+            assert seen[0] == 2 and seen[2].startswith(message) and seen[2].count("\n") == 1
+
+    def test_a_copy_under_another_name_streams(self, campaign, tmp_path):
+        log = campaign / "records.jsonl"
+        copy = campaign / "copy.jsonl"
+        shutil.copy(log, copy)
+        assert not cli._index_path(copy).exists() and cli._indexed_record(copy, 3) is None
+        out = tmp_path / "trace.jsonl"
+        for ordinal in (0, 3, 299, 300):
+            assert replay_result(copy, ordinal, out)[:2] == replay_result(log, ordinal, out)[:2]
+
+    def test_a_log_write_that_stops_leaves_no_index(self, campaign):
+        log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"
+        records = cli._read_records(log)
+
+        def stopping():
+            yield from records[:10]
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            cli._write_records(stopping(), log)
+        assert not index.exists() and len(cli._read_records(log)) == 10
+
+    def test_index_bytes_are_deterministic_and_a_rerun_replaces_them(self, tmp_path):
+        _, first = run_mini(tmp_path, budget=120, out="first")
+        _, second = run_mini(tmp_path, budget=120, out="second")
+        raw = (first / "records.jsonl.idx").read_bytes()
+        assert raw == (second / "records.jsonl.idx").read_bytes()
+        log = (first / "records.jsonl").read_bytes()
+        size, count, *offsets = struct.unpack(f"<{(len(raw) - len(cli._INDEX_MAGIC)) // 8}Q", raw[len(cli._INDEX_MAGIC) :])
+        assert raw.startswith(cli._INDEX_MAGIC) and (size, count) == (len(log), 120)
+        assert offsets == [0, *itertools.accumulate(len(line) for line in log.splitlines(keepends=True))]
+
+        # a run into a directory that holds another config's log and index replaces both
+        other = write_config(tmp_path, dict(MINI_CONFIG, budget=200, rng_seed=11), name="other.json")
+        for out_dir in (first, tmp_path / "fresh"):
+            assert main(["run", "--config", str(other), "--out", str(out_dir)]) == 0
+        for name in ("records.jsonl", "records.jsonl.idx"):
+            assert (first / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        out = tmp_path / "trace.jsonl"
+        for ordinal in (5, 119, 150, 199):
+            assert cli._indexed_record(first / "records.jsonl", ordinal) is not None
+            assert replay_result(first / "records.jsonl", ordinal, out) == replay_result(tmp_path / "fresh" / "records.jsonl", ordinal, out)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    code, out_dir = run_mini(tmp_path_factory.mktemp("small"), budget=120)
+    assert code == 0
+    return out_dir
+
+
+# (file, how, where, xor mask): cut the file at a position, or flip bits of one byte
+DAMAGE = st.lists(
+    st.tuples(
+        st.sampled_from(["records.jsonl", "records.jsonl.idx"]),
+        st.sampled_from(["cut", "flip"]),
+        st.integers(0, 2**21),
+        st.integers(1, 255),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damage=DAMAGE, ordinal=st.integers(-1, 121) | st.just(10**20), fresh_index=st.booleans())
+def test_damaged_log_or_index_ends_in_an_exit_code_not_a_traceback(small_run, damage, ordinal, fresh_index):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        shutil.copytree(small_run, out_dir)
+        for name, how, where, mask in damage:
+            path = out_dir / name
+            raw = bytearray(path.read_bytes())
+            if how == "cut":
+                del raw[where % (len(raw) + 1) :]
+            elif raw:
+                raw[where % len(raw)] ^= mask
+            path.write_bytes(bytes(raw))
+        log, index = out_dir / "records.jsonl", out_dir / "records.jsonl.idx"
+        if fresh_index:
+            set_mtime_after(index, log)
+        trace = Path(tmp) / "trace.jsonl"
+        seen = replay_result(log, ordinal, trace)
+        if all(name == index.name for name, *_ in damage):
+            assert seen == without_index(log, ordinal, trace)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["report", "--log", str(log), "--format", "csv", "--out", str(Path(tmp) / "report")])
+        for code, err in ((seen[0], seen[2]), (code, stderr.getvalue())):
+            assert code in (0, 2, 3)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
 
 
 class TestReportCommand:

@@ -97,6 +97,15 @@ class TestControlParameters:
         with pytest.raises(ValueError):
             ControlParameters(d=3.0, v_hat=10.0, theta_long=0.0, theta_lat=0.0)
 
+    @pytest.mark.parametrize(
+        "theta_long, theta_lat",
+        [(math.nan, 0.0), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.0), (1.0, -math.inf)],
+    )
+    def test_direction_pair_must_be_finite(self, theta_long, theta_lat):
+        # every comparison with NaN is false, so the range checks alone let it through
+        with pytest.raises(ValueError, match="must be finite"):
+            ControlParameters(d=3.0, v_hat=10.0, theta_long=theta_long, theta_lat=theta_lat)
+
     def test_angle_is_derived_from_direction_pair(self):
         p = ControlParameters(d=3.0, v_hat=10.0, theta_long=1.0, theta_lat=1.0)
         assert p.a == pytest.approx(0.5)
