@@ -153,8 +153,9 @@ def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
     record's line. Ordinals count non-blank lines, which are skipped without
     a Python-level loop. Line numbers are counted only for the error
     messages: the log is read again up to the record's line when the record
-    is damaged, and in full when the ordinal is out of range. Every error
-    comes from this streaming path.
+    is damaged or carries another ordinal (two records merged onto one line
+    shift every later one), and in full when the ordinal is out of range.
+    Every error comes from this streaming path.
     """
     record = _indexed_record(path, ordinal)
     if record is not None:
@@ -164,11 +165,18 @@ def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
             line = next(itertools.islice(filter(bytes.strip, fh), ordinal, None), None)
             if line is not None:
                 try:
-                    return OutcomeRecord.from_json_dict(json.loads(line))
+                    record = OutcomeRecord.from_json_dict(json.loads(line))
                 except (KeyError, TypeError, ValueError) as exc:
-                    fh.seek(0)
-                    lineno, _ = next(itertools.islice(_numbered_records(fh), ordinal, None))
-                    raise _record_error(exc, path, lineno) from None
+                    error = exc
+                else:
+                    if record.ordinal == ordinal:
+                        return record
+                    error = None
+                fh.seek(0)
+                lineno, _ = next(itertools.islice(_numbered_records(fh), ordinal, None))
+                if error is None:
+                    raise LogError(f"{path} line {lineno}: record carries ordinal {record.ordinal}, not {ordinal}")
+                raise _record_error(error, path, lineno) from None
         fh.seek(0)
         count = sum(1 for _ in filter(bytes.strip, fh))
     raise LogError(f"ordinal {ordinal} outside log (0..{count - 1})")

@@ -7,8 +7,8 @@ half-planes. The two routes are deliberately independent so they can be
 cross-checked against each other and against a Monte-Carlo membership oracle.
 Corners are plain (x, y) float tuples, so a trace's frames can be scored
 from its center floats without building a box per frame. The separating-axis
-overlaps also bound the clipped area from above (area_bound, iou_bound), so
-a frame whose bound cannot beat a running peak need not be clipped.
+overlaps also bound the clipped area and so the IoU from above (iou_bounds),
+so a frame whose bound cannot beat a running peak need not be clipped.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 # Slack on an intersection-area bound, per squared coordinate reach; see
-# area_bound.
+# iou_bounds.
 _BOUND_SLACK = 1e-9
 
 # Areas at or below this threshold count as "no contact". Gives the zero
@@ -177,16 +177,17 @@ def corners_iou(a: Corners, b: Corners, area_a: float, area_b: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def area_bound(overlaps, half_a: tuple[float, float], half_b: tuple[float, float], reach: float) -> float:
-    """Upper bound on the intersection area that corners_iou computes for boxes a and b.
+def iou_bounds(overlaps, half_a: tuple[float, float], half_b: tuple[float, float], reach: float) -> list[float]:
+    """Upper bounds on corners_iou of boxes a and b, one per entry of overlaps; +inf where there is none.
 
-    overlaps are the boxes' signed overlaps along a's two face normals, then
-    b's: the summed half extents along the normal minus the projected center
-    offset, as _axis_overlaps gives them. The intersection lies inside a, so
-    its extent along a's length axis is at most min(overlap, 2 * half
-    length), and likewise along the other three normals (the separating-axis
-    projections of Ericson, Real-Time Collision Detection, 4.4 and 5.5). Its
-    area is at most the smaller of the two boxes' products of those extents.
+    Each entry of overlaps holds the boxes' signed overlaps along a's two face
+    normals, then b's: the summed half extents along the normal minus the
+    projected center offset, as _axis_overlaps gives them. The intersection
+    lies inside a, so its extent along a's length axis is at most
+    min(overlap, 2 * half length), and likewise along the other three normals
+    (the separating-axis projections of Ericson, Real-Time Collision
+    Detection, 4.4 and 5.5). Its area I is at most the smaller of the two
+    boxes' products of those extents, and the IoU I / (A + B - I) rises with I.
 
     reach must be at least every corner coordinate's magnitude: the largest
     center coordinate magnitude plus the half length and the half width.
@@ -198,27 +199,34 @@ def area_bound(overlaps, half_a: tuple[float, float], half_b: tuple[float, float
     a few ulps of each. In all that is a few hundred ulps of reach**2: an
     absolute error, as large on a grazing contact, whose exact area is 0, as
     on a deep one, so a margin relative to the area would not cover it. The
-    bound is raised by _BOUND_SLACK * reach**2, over 10^4 times that.
+    area bound is raised by _BOUND_SLACK * reach**2, over 10^4 times that.
+    Each area is at most reach**2, so the slack is at least
+    _BOUND_SLACK * (A + B) / 2 and raises the quotient by at least
+    _BOUND_SLACK / 2: far more than the rounding of corners_iou's division and
+    of this one. A NaN area bound, or one that leaves no positive union,
+    gives +inf.
+
+    Each clamp is a conditional expression that keeps the operand the
+    builtins min(max(x, 0.0), side) and min(inside_a, inside_b) keep, NaN and
+    -0.0 included, so the bounds have their bits.
     """
-    o0, o1, o2, o3 = overlaps
     length_a, width_a = 2.0 * half_a[0], 2.0 * half_a[1]
     length_b, width_b = 2.0 * half_b[0], 2.0 * half_b[1]
-    inside_a = min(max(o0, 0.0), length_a) * min(max(o1, 0.0), width_a)
-    inside_b = min(max(o2, 0.0), length_b) * min(max(o3, 0.0), width_b)
-    return min(inside_a, inside_b) + _BOUND_SLACK * reach * reach
-
-
-def iou_bound(inter: float, area_a: float, area_b: float) -> float:
-    """Upper bound on corners_iou of two boxes, from an area_bound of them; +inf where it gives none.
-
-    I / (A + B - I) rises with I. area_bound's slack is at least
-    _BOUND_SLACK * (A + B) / 2, since each area is at most reach**2, so it
-    raises the quotient by at least _BOUND_SLACK / 2: far more than the
-    rounding of corners_iou's division and of this one. A NaN inter, or one
-    that leaves no positive union, gives +inf.
-    """
-    union = (area_a + area_b) - inter
-    return inter / union if union > 0.0 else math.inf
+    areas = rect_area(*half_a) + rect_area(*half_b)
+    slack = _BOUND_SLACK * reach * reach
+    bounds = []
+    for o0, o1, o2, o3 in overlaps:
+        # min(max(o, 0.0), side), without the calls
+        inside_a = (length_a if length_a < o0 else 0.0 if 0.0 > o0 else o0) * (
+            width_a if width_a < o1 else 0.0 if 0.0 > o1 else o1
+        )
+        inside_b = (length_b if length_b < o2 else 0.0 if 0.0 > o2 else o2) * (
+            width_b if width_b < o3 else 0.0 if 0.0 > o3 else o3
+        )
+        inter = (inside_b if inside_b < inside_a else inside_a) + slack
+        union = areas - inter
+        bounds.append(inter / union if union > 0.0 else math.inf)
+    return bounds
 
 
 def intersection_area(a: OrientedBox, b: OrientedBox) -> float:

@@ -10,6 +10,8 @@ Four outcomes:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +44,70 @@ def classify(cond1: bool, cond2: bool) -> ScenarioType:
     return ScenarioType.NC if not cond2 else ScenarioType.FP
 
 
+class _PeakCursor:
+    """A trace's overlap frames, clipped lazily in descending order of their IoU bound.
+
+    `peak` is the largest IoU clipped so far (0 before any clip). `bounds`
+    and `frames` hold the frames still to clip, in ascending order of bound,
+    ties in reverse time order, so that the next frame to clip is the last:
+    the largest bound, ties in time order (Trace.overlap_frames gives the
+    frames). A frame not yet clipped has an IoU at or below its bound, and so
+    at or below the last bound. Once the peak exceeds a frame's bound, that
+    frame can raise no answer and is dropped; so the cursor only ever keeps
+    the frames whose bound is at least its peak. A frame whose bound is +inf
+    is bounded by nothing, so every such frame is clipped when the cursor is
+    built: a trace whose reach overflows (every bound +inf) raises the first
+    non-finite corner's error in time order, as a clip of every frame would.
+    Each clip builds both boxes' corners and runs geometry.corners_iou on
+    them, as geometry.iou would on the two boxes.
+    """
+
+    __slots__ = ("bounds", "frames", "peak", "_halves", "_areas", "_npc_heading")
+
+    def __init__(self, trace: Trace):
+        bounds, frames = trace.overlap_frames()
+        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)[::-1]
+        self.bounds = [bounds[i] for i in order]
+        self.frames = [frames[i] for i in order]
+        self.peak = 0.0
+        self._halves = (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
+        self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
+        self._npc_heading = heading(trace.npc_yaw)
+        while self.bounds and self.bounds[-1] == math.inf:
+            self._clip()
+
+    def _clip(self) -> None:
+        """Clip the last frame; then drop the frames whose bound is below the peak."""
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = self._halves
+        ex, ey, ec, es, nx, ny = self.frames[-1]
+        ev, npc = rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, *self._npc_heading)
+        self.peak = max(self.peak, corners_iou(ev, npc, *self._areas))
+        self.bounds.pop()
+        self.frames.pop()
+        below = bisect_left(self.bounds, self.peak)
+        del self.bounds[:below], self.frames[:below]
+
+    def reaches(self, t: float) -> bool:
+        """Whether the peak IoU is >= t: clip only while the peak is below t and the last bound is not."""
+        while self.peak < t and self.bounds and self.bounds[-1] >= t:
+            self._clip()
+        return self.peak >= t
+
+    def exact(self) -> float:
+        """The peak IoU: clip every frame kept, each of which has a bound at least the peak."""
+        while self.bounds:
+            self._clip()
+        return self.peak
+
+
+def _cursor(trace: Trace) -> _PeakCursor:
+    """The trace's peak cursor, kept in trace.memo; a trace whose cursor raises keeps none."""
+    cursor = trace.memo.get(_PeakCursor)
+    if cursor is None:
+        cursor = trace.memo[_PeakCursor] = _PeakCursor(trace)
+    return cursor
+
+
 def max_iou(trace: Trace) -> float:
     """Largest per-frame IoU over the trace; 0 without any overlap frame.
 
@@ -50,31 +116,26 @@ def max_iou(trace: Trace) -> float:
     descending order of an upper bound on their IoU (Trace.overlap_frames),
     ties in time order, and the walk stops at the first frame whose bound is
     below the peak so far: no frame from there on can raise it, so the peak
-    is the max over every overlap frame. The value is kept in trace.memo, so
-    a trace scored at several thresholds computes it once.
+    is the max over every overlap frame. The walk is the trace's peak cursor,
+    which check_ic may have advanced already; it clips the same frames
+    whichever asked first.
     """
-    peak = trace.memo.get("max_iou")
-    if peak is None:
-        peak = 0.0
-        bounds, frames = trace.overlap_frames()
-        (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
-        ev_area, npc_area = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
-        nc, ns = heading(trace.npc_yaw)
-        for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
-            if bounds[i] < peak:
-                break
-            ex, ey, ec, es, nx, ny = frames[i]
-            ev, npc = rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns)
-            peak = max(peak, corners_iou(ev, npc, ev_area, npc_area))
-        trace.memo["max_iou"] = peak
-    return peak
+    return _cursor(trace).exact()
 
 
 def check_ic(trace: Trace, defect: DefectModel, cfg: OracleConfig = OracleConfig()) -> ScenarioType:
+    """The verdict of the trace under defect, with cfg's overlap condition.
+
+    At t_bbox 0 the condition is any ground-truth overlap frame; above it,
+    peak IoU >= t_bbox, decided by the trace's peak cursor. The cursor clips
+    only while its peak is below t_bbox and the next bound is not, so each
+    answer is exact in any order of thresholds, a trace scored at several
+    thresholds clips no frame twice, and it never clips more than max_iou.
+    """
     if cfg.t_bbox == 0.0:
         cond1 = ground_truth(trace) is not None
     else:
-        cond1 = max_iou(trace) >= cfg.t_bbox
+        cond1 = _cursor(trace).reaches(cfg.t_bbox)
     cond2 = builtin_cd(trace, defect)
     return classify(cond1, cond2)
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import area_bound, heading, iou_bound, normalize_yaw, rect_area
+from .geometry import heading, iou_bounds, normalize_yaw
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 # Slack on every located threshold, relative to the magnitude of the
@@ -236,21 +236,45 @@ class _Phase(NamedTuple):
             below = np.hypot(delta[:, 0], delta[:, 1]) <= d
         return window.start + int(np.argmax(below)) if below.any() else None
 
-    def first_contact(self) -> int | None:
-        """First frame at which the boxes overlap."""
+    def contact_window(self) -> range | None:
+        """The frames of first..last that can overlap: every frame whose _min_overlap is >= 0 is in it.
+
+        The slab solve: along each face normal the offset P + t*Q must
+        satisfy |P.a + t*Q.a| <= r + slack, and the four time slabs meet in
+        one interval, widened by a frame on either side by _frame_span. Near
+        the top of the float range a projection or a slab edge can overflow;
+        the solve then says nothing, and the window is None: any frame can
+        overlap.
+        """
         px, py, qx, qy, slack = self._offset
+        # slack is _SLACK times a sum that bounds |P|, |Q| and every radius, so
+        # where 1.1 times that sum is finite, so is every projection and slab edge
+        if not math.isfinite(slack * (1.1 / _SLACK)):
+            return None
         lo, hi = -math.inf, math.inf
         for (ax, ay), r in zip(self.axes, self.radii):
             p, q, reach = px * ax + py * ay, qx * ax + qy * ay, r + slack
             if q == 0.0:
                 if abs(p) > reach:
-                    return None
+                    return range(0)
                 continue
             enter, leave = (-reach - p) / q, (reach - p) / q
             if enter > leave:
                 enter, leave = leave, enter
             lo, hi = max(lo, enter), min(hi, leave)
-        window = _frame_span(lo, hi, self.first, self.last, self.dt)
+        return _frame_span(lo, hi, self.first, self.last, self.dt)
+
+    def first_contact(self) -> int | None:
+        """First frame at which the boxes overlap: the kernel's first hit inside contact_window.
+
+        Without a window every frame is read through the scalar evaluator,
+        which gives the kernel's overlaps and lets their overflow pass as
+        inf or NaN where numpy would warn about it.
+        """
+        window = self.contact_window()
+        if window is None:
+            every = self.frames(range(self.first, self.last + 1))
+            return next((f[0] for f in every if f[5] >= 0.0 and f[6] >= 0.0 and f[7] >= 0.0 and f[8] >= 0.0), None)
         if not window:
             return None
         ev, npc = self.centers(np.arange(window.start, window.stop))
@@ -323,19 +347,22 @@ class Trace:
         the EV yaw as geometry.heading gives them, and the NPC center. Only
         frames from first contact on can overlap. Each is evaluated by
         _Phase.frames, so a frame is listed iff its _min_overlap is >= 0, and
-        its centers are the floats of the whole-trace arrays.
+        its centers are the floats of the whole-trace arrays. (Cutting a
+        phase's frames to its contact_window walks fewer of them, but the slab
+        solve costs more than the few frames a trace keeps after first
+        contact.)
 
-        The bound is geometry.iou_bound of geometry.area_bound, from the
-        boxes' overlaps along the face normals of the frame's corners, that is
-        along the wrapped yaws (_Phase.frames again, with those normals), so it
-        bounds geometry.corners_iou of those corners. reach is the largest center
-        coordinate magnitude of the listed frames plus the largest half
+        The bounds are geometry.iou_bounds, from the boxes' overlaps along the
+        face normals of the frame's corners, that is along the wrapped yaws
+        (_Phase.frames again, with those normals), so each bounds
+        geometry.corners_iou of its frame's corners. reach is the largest
+        center coordinate magnitude of the listed frames plus the largest half
         length and half width. It bounds every corner coordinate, and while
         it is finite every corner is finite. When it is not, every bound is
-        +inf, so max_iou meets the frames in time order and raises the first
-        non-finite corner's error, as a clip of every frame would; a
-        non-finite heading makes its phase's bounds NaN, which iou_bound also
-        reads as +inf.
+        +inf, which oracle.max_iou and the peak cursor clip in time order
+        before anything else, so they raise the first non-finite corner's
+        error as a clip of every frame would; a non-finite heading makes its
+        phase's bounds NaN, which iou_bounds also reads as +inf.
         """
         if self.first_contact is None:
             return [], []
@@ -361,9 +388,7 @@ class Trace:
                 along = phase.frames([f[0] for f in hits], *_face_normals(ev_yaw, ev_half, npc_yaw, npc_half))
             overlaps += [f[5:] for f in along]
         reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
-        ev_area, npc_area = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
-        bounds = [iou_bound(area_bound(o, ev_half, npc_half, reach), ev_area, npc_area) for o in overlaps]
-        return bounds, frames
+        return iou_bounds(overlaps, ev_half, npc_half, reach), frames
 
     @cached_property
     def _arrays(self) -> list[np.ndarray]:

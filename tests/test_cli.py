@@ -295,6 +295,23 @@ def test_reference_ordinal_outside_log_names_the_range(reference_run, capsys, or
     assert capsys.readouterr().err == f"error: ordinal {ordinal} outside log (0..5229)\n"
 
 
+def test_records_merged_onto_one_line_do_not_replay_under_another_ordinal(reference_run, tmp_path, capsys):
+    # the newline after record 3 turned into a space: line 4 holds records 3
+    # and 4, and from line 5 on each line holds the record one past its place
+    text = (reference_run / "records.jsonl").read_text()
+    cut = sum(len(line) + 1 for line in text.splitlines()[:4]) - 1
+    log = copy_log(reference_run, tmp_path / "merged", text[:cut] + " " + text[cut + 1 :])
+    assert not (log.parent / "records.jsonl.idx").exists()
+    argv = ["replay", "--log", str(log), "--out", str(tmp_path / "t.jsonl"), "--ordinal"]
+    assert main([*argv, "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {log} line 11: record carries ordinal 11, not 10\n"
+    assert main([*argv, "3"]) == 2
+    assert_one_error_line(capsys, f"error: {log} line 4: invalid JSON")
+    assert main([*argv, "2"]) == 0
+    assert capsys.readouterr().out.startswith("ordinal=2 ")
+
+
 class TestReplay:
     @pytest.fixture()
     def campaign(self, tmp_path):

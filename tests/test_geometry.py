@@ -13,11 +13,10 @@ from silentcrash.geometry import (
     Point2,
     _axis_overlaps,
     area,
-    area_bound,
     corners,
     intersection_area,
     iou,
-    iou_bound,
+    iou_bounds,
     overlaps,
     penetration_depth,
     rect_corners,
@@ -248,9 +247,11 @@ def _reach(a, b):
 def test_overlap_bounds_cover_the_clipped_area_and_iou(pair):
     a, b = pair
     half_a, half_b = (a.half_length, a.half_width), (b.half_length, b.half_width)
-    inter = area_bound(_axis_overlaps(a, b), half_a, half_b, _reach(a, b))
-    assert inter >= intersection_area(a, b)
-    assert iou_bound(inter, area(a), area(b)) >= iou(a, b)
+    [bound] = iou_bounds([_axis_overlaps(a, b)], half_a, half_b, _reach(a, b))
+    # I / (A + B - I) rises with I, in floats too: a bound on the IoU is one on the clipped area
+    assert bound >= iou(a, b)
+    inter = intersection_area(a, b)
+    assert bound >= inter / (area(a) + area(b) - inter)
 
 
 def test_non_finite_corner_raises_like_point2():

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silentcrash import cli, oracle
 from silentcrash.config import parse_config
@@ -16,13 +19,14 @@ from silentcrash.oracle import (
     recall_sweep,
 )
 from silentcrash.fuzzer import run_campaign
-from silentcrash.geometry import heading, rect_corners
+from silentcrash.geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
-from silentcrash.simulator import simulate
+from silentcrash.simulator import SimConfig, _face_normals, simulate
 from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, simulate_full
 from test_detector import PSF_GRAZE, sample_traces
 
 TUNNELING = DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0)
+SWEEP = [0.0, 0.05, 0.1, 0.15, 0.2]  # sweep-threshold's thresholds in the README and perfbench
 
 
 def test_decision_table_is_exhaustive_and_exclusive():
@@ -130,6 +134,102 @@ def test_max_iou_clips_under_half_the_overlap_frames_of_the_default_sweep(monkey
     assert [peak.hex() for peak in peaks] == [max_iou_whole_trace(trace).hex() for trace in traces]
 
 
+def test_recall_sweep_clips_under_a_quarter_of_the_overlap_frames_of_the_default_sweep(monkeypatch):
+    traces = _default_sweep_traces()
+    clip, calls = oracle.corners_iou, []
+
+    def counted(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(oracle, "corners_iou", counted)
+    points = recall_sweep([(trace, False) for trace in traces], SWEEP)
+    swept = len(calls)
+    peaks = [max_iou(trace) for trace in traces]
+    monkeypatch.undo()
+    # the sweep's clips are the first of those max_iou makes: the total is max_iou's alone
+    assert swept <= 1650 and len(calls) <= 3100
+    silent = [not builtin_cd(trace, DefectModel()) for trace in traces]
+    assert [p.fp for p in points[1:]] == [sum(q and peak >= t for q, peak in zip(silent, peaks)) for t in SWEEP[1:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    defect=st.sampled_from((DefectModel(), PERFECT_DETECTOR, TUNNELING)),
+    data=st.data(),
+)
+def test_threshold_verdicts_in_any_order_match_the_whole_trace_peak(kind, d, v_hat, a, cfg, defect, data):
+    """check_ic at t > 0 is classify(whole-trace peak >= t, built-in verdict), whatever thresholds came before.
+
+    The sequences mix random thresholds, the sweep's, the exact peak and its
+    neighbours, and are taken as drawn, descending, or each repeated. The
+    cursor never clips more frames than max_iou alone, and max_iou after the
+    sequence gives the whole-trace peak's bits with the same clips.
+    """
+    case = (make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg)
+    ref = simulate(*case)
+    peak, fired = max_iou_whole_trace(ref), builtin_cd(ref, defect)
+    near = [t for t in (peak, math.nextafter(peak, 0.0), math.nextafter(peak, 1.0)) if 0.0 < t < 1.0]
+    pool = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from((*near, *SWEEP[1:]))
+    thresholds = data.draw(st.lists(pool, min_size=1, max_size=8))
+    order = data.draw(st.sampled_from(("drawn", "descending", "repeated")))
+    if order == "descending":
+        thresholds.sort(reverse=True)
+    elif order == "repeated":
+        thresholds = [t for t in thresholds for _ in range(2)]
+    trace = simulate(*case)
+    with mock.patch.object(oracle, "corners_iou", side_effect=oracle.corners_iou) as clips:
+        for t in thresholds:
+            assert check_ic(trace, defect, OracleConfig(t)) is classify(peak >= t, fired), (case, t, peak)
+    swept = clips.call_count
+    alone = simulate(*case)
+    with mock.patch.object(oracle, "corners_iou", side_effect=oracle.corners_iou) as clips:
+        assert max_iou(alone).hex() == peak.hex()
+        clipped_alone = clips.call_count
+        clips.reset_mock()
+        assert max_iou(trace).hex() == peak.hex()
+    assert swept <= clipped_alone and swept + clips.call_count == clipped_alone
+
+
+def test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws():
+    """The IoU bounds come from the overlaps along the corners' face normals, not along the phase's own.
+
+    1e16 rad added to the EV yaw wraps to another heading than the phase's
+    own cos and sin give (the wrap rounds at that magnitude), so the ground
+    truth and the corners see differently turned EV boxes. Every listed
+    frame's bound still covers its clipped IoU; a bound from the phase's own
+    normals would not.
+    """
+    beaten = 0
+    for trace in _default_sweep_traces()[:200]:
+        if trace.first_contact is None:
+            continue
+        phases = []
+        for phase in trace.phases:
+            yaw = phase.ev_yaw + 1e16
+            axes, radii = _face_normals(yaw, trace.ev_half, trace.npc_yaw, trace.npc_half)
+            phases.append(phase._replace(ev_yaw=yaw, axes=axes, radii=radii))
+        turned = dataclasses.replace(trace, phases=tuple(phases), memo={})
+        bounds, _ = turned.overlap_frames()
+        areas = rect_area(*turned.ev_half), rect_area(*turned.npc_half)
+        ious = [corners_iou(ev, npc, *areas) for ev, npc in overlap_corners(turned)]
+        assert all(bound >= iou for bound, iou in zip(bounds, ious))
+        # the bounds from the overlaps along the phase's own normals, with the same reach
+        spans = turned.phase_frames(range(turned.first_contact, turned.length))
+        hits = [f for phase, span in spans for f in phase.frames(span) if all(o >= 0.0 for o in f[5:])]
+        reach = max(abs(v) for f in hits for v in f[1:5]) + max(turned.ev_half[0], turned.npc_half[0])
+        reach += max(turned.ev_half[1], turned.npc_half[1])
+        own = iou_bounds([f[5:] for f in hits], turned.ev_half, turned.npc_half, reach)
+        assert len(own) == len(ious)
+        beaten += sum(iou > bound for bound, iou in zip(own, ious))
+    assert beaten > 0
+
+
 def _scaled(trace, scale):
     """The trace with every length times scale, a power of two: each float scales exactly until it overflows."""
     fields = ("npc_origin", "npc_velocity", "ev_origin", "ev_velocity", "radii")
@@ -169,6 +269,30 @@ def test_non_finite_corner_error_comes_from_the_first_overlap_frame_in_time_orde
         max_iou(big)
     assert str(got.value) == str(want.value) == errors[first]
     assert "max_iou" not in big.memo
+
+
+def test_non_finite_corner_error_comes_from_check_ic_at_every_threshold(monkeypatch):
+    spec, _ = make_seed(ScenarioKind.InC)
+    trace = simulate(spec, ControlParameters.from_angle(d=3.0, v_hat=20.0, a=0.3))
+    big = _scaled(trace, 2.0**1019)
+    bounds, frames = big.overlap_frames()
+    assert bounds == [math.inf] * len(frames)
+    first = next(i for i, frame in enumerate(frames) if _corner_error(big, frame))
+    with pytest.raises(ValueError) as want:
+        max_iou(big)
+    # the IoUs of the frames before the first non-finite corner, unscaled: scaling leaves an IoU as it is
+    areas = rect_area(*trace.ev_half), rect_area(*trace.npc_half)
+    earlier = [corners_iou(ev, npc, *areas) for ev, npc in overlap_corners(trace)[:first]]
+    assert 0.0 < min(earlier)
+    thresholds = [*earlier, 1e-300, 0.05, 0.5, math.nextafter(1.0, 0.0)]
+    # scaled, the shoelace overflows and every finite frame scores 0; then every one scores 1
+    for scored in ("as computed", "every finite frame reaches every t"):
+        for t in thresholds:
+            with pytest.raises(ValueError) as got:
+                check_ic(big, DefectModel(), OracleConfig(t))
+            assert str(got.value) == str(want.value), (scored, t)
+            assert big.memo == {}
+        monkeypatch.setattr(oracle, "corners_iou", lambda *args: 1.0)
 
 
 def test_oracle_config_range():

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silentcrash.detector import PERFECT_DETECTOR, silenced_by
@@ -176,6 +177,35 @@ def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg,
             assert list(map(float.hex, (ex, ey, nx, ny))) == list(map(float.hex, (*ev[0].tolist(), *npc[0].tolist())))
             assert float.hex(float(np.min(overlaps))) == float.hex(float(want))
             assert all(o >= 0.0 for o in overlaps) == bool(want >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**200, 2.0**1000, 2.0**1012, 2.0**1016, 2.0**1019, 2.0**1023)),
+)
+# the slab solve's projections overflow where the frames' own center offsets do not
+@example(kind=ScenarioKind.PSF, d=2.0, v_hat=20.0, a=0.0, cfg=SimConfig(), scale=2.0**1019)
+@example(kind=ScenarioKind.InC, d=3.0, v_hat=20.0, a=-0.5, cfg=SimConfig(), scale=2.0**1019)
+def test_contact_window_holds_every_overlap_frame(kind, d, v_hat, a, cfg, scale):
+    """Every frame of a phase whose four overlaps are >= 0 lies in its contact_window, at every scale.
+
+    Near the top of the float range the slab solve's projections overflow;
+    the window is then None, any frame, so first_contact still finds the
+    first overlap frame, and it does so without a numpy warning.
+    """
+    trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
+    for phase in trace.phases:
+        window = phase.contact_window()
+        hits = [f[0] for f in phase.frames(range(phase.first, phase.last + 1)) if all(o >= 0.0 for o in f[5:])]
+        assert window is None or all(i in window for i in hits), (phase, window, hits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase.first_contact() == (hits[0] if hits else None)
 
 
 def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
