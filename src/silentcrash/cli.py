@@ -64,14 +64,18 @@ def _index_path(log: Path) -> Path:
     return log.with_name(log.name + ".idx")
 
 
-def _write_records(records, path: Path) -> None:
-    """Write the log, then its index; a write that stops in between leaves no index."""
+def _write_records(records, path: Path, buckets=None) -> None:
+    """Write the log, then its index; a write that stops in between leaves no index.
+
+    `buckets` are the records' report buckets, in order, when the caller
+    derived them already.
+    """
     index = _index_path(path)
     index.unlink(missing_ok=True)
     offsets = [0]
     with path.open("w") as fh:
-        for rec in records:
-            line = json.dumps(rec.to_json_dict(), sort_keys=True)
+        for rec, labels in zip(records, buckets or itertools.repeat(None)):
+            line = json.dumps(rec.to_json_dict(labels), sort_keys=True)
             fh.write(line)
             fh.write("\n")
             # ensure_ascii: one character per byte
@@ -218,12 +222,14 @@ def cmd_run(args) -> int:
             path.rmdir()
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
-    report = report_mod.success_rates(result.records) if result.records else report_mod.empty_report()
+    # each record's buckets, derived once for the report and the log
+    buckets = [rec.buckets for rec in result.records]
+    report = report_mod.success_rates(result.records, buckets) if result.records else report_mod.empty_report()
     manifest = result.manifest(report.summary)
     manifest["config"] = data
     manifest["config_digest"] = digest
     try:
-        _write_records(result.records, out / "records.jsonl")
+        _write_records(result.records, out / "records.jsonl", buckets)
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         report_mod.export(report, "csv", out)
     except OSError as exc:
@@ -248,27 +254,44 @@ def _defect_override(args, base: DefectModel) -> tuple[DefectModel, bool]:
     return dataclasses.replace(base, **fields), True
 
 
+class _NotAnObject(Exception):
+    """A manifest whose JSON is not an object."""
+
+
+@functools.lru_cache(maxsize=1)
+def _manifest_config(raw: bytes) -> CampaignConfig:
+    """The config held by a manifest's bytes, parsed once while the same bytes come back.
+
+    lru_cache keeps only a config that parsed, so bytes that fail raise their
+    error again on every call.
+    """
+    manifest = json.loads(raw)
+    if not isinstance(manifest, dict):
+        raise _NotAnObject
+    return parse_config(manifest["config"])
+
+
 def cmd_replay(args) -> int:
     log_path = Path(args.log)
     manifest_path = log_path.parent / "manifest.json"
     try:
         record = _read_record_at(log_path, args.ordinal)
-        manifest = json.loads(manifest_path.read_bytes())
+        raw = manifest_path.read_bytes()
     except FileNotFoundError as exc:
         return _fail(ExitStatus.IO_ERROR, f"missing file: {exc.filename}")
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot read {exc.filename}: {exc.strerror}")
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
+
+    try:
+        config = _manifest_config(raw)
     except json.JSONDecodeError as exc:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
     except UnicodeDecodeError as exc:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
-    if not isinstance(manifest, dict):
+    except _NotAnObject:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not a JSON object")
-
-    try:
-        config = parse_config(manifest["config"])
     except (KeyError, ConfigError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
 

@@ -177,7 +177,8 @@ class OutcomeRecord:
         """The IC category of the parameters, derived on each access."""
         return report_mod.categorize(self.params)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, buckets: report_mod.BucketLabels | None = None) -> dict:
+        """The record's log line as a dict; `buckets` are its buckets when the caller derived them already."""
         return {
             "ordinal": self.ordinal,
             "kind": self.kind.value,
@@ -190,7 +191,7 @@ class OutcomeRecord:
             "first_contact_time": self.first_contact_time,
             "sim_seconds": self.sim_seconds,
             "clock_seconds": self.clock_seconds,
-            "buckets": vars(self.buckets),
+            "buckets": vars(buckets or self.buckets),
             "category": vars(self.category),
         }
 

@@ -10,6 +10,7 @@ record list, and exports are byte-deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -58,12 +59,17 @@ class CategoryLabel:
 
 
 def bucket(params: ControlParameters) -> BucketLabels:
-    """Bucket labels for one parameter triple."""
-    return BucketLabels(
-        distance=_edge_bucket(params.d, DISTANCE_EDGES, LABELS["distance"]),
-        speed=_edge_bucket(params.v_hat, SPEED_EDGES, LABELS["speed"]),
-        angle=_nearest_center(params.a, ANGLE_CENTERS),
+    """Bucket labels for one parameter triple; equal labels are one shared instance."""
+    return _shared_labels(
+        _edge_bucket(params.d, DISTANCE_EDGES, LABELS["distance"]),
+        _edge_bucket(params.v_hat, SPEED_EDGES, LABELS["speed"]),
+        _nearest_center(params.a, ANGLE_CENTERS),
     )
+
+
+# at most 3 * 5 * 9 label triples, so a campaign's list of its records'
+# buckets costs a pointer per record
+_shared_labels = functools.cache(BucketLabels)
 
 
 def _edge_bucket(value: float, edges: tuple[tuple[float, float], ...], labels: tuple[str, ...]) -> str:
@@ -123,16 +129,18 @@ def _stats(bucket_label: str, counts: dict[ScenarioType, int]) -> BucketStats:
     )
 
 
-def success_rates(records: Sequence["OutcomeRecord"]) -> SRReport:
+def success_rates(records: Sequence["OutcomeRecord"], buckets: Iterable[BucketLabels] | None = None) -> SRReport:
+    """The SR report of the records; `buckets` are their buckets, in order, when the caller derived them already."""
     if not records:
         raise ValueError("records must not be empty")
+    if buckets is None:
+        buckets = (rec.buckets for rec in records)
 
     axis_counts: dict[str, dict[str, dict[ScenarioType, int]]] = {axis: {} for axis in AXES}
     cross_counts: dict[tuple[str, str], dict[tuple[str, str], dict[ScenarioType, int]]] = {
         pair: {} for pair in CROSS_PAIRS
     }
-    for rec in records:
-        labels = rec.buckets
+    for rec, labels in zip(records, buckets):
         for axis in AXES:
             cell = axis_counts[axis].setdefault(getattr(labels, axis), {})
             cell[rec.verdict] = cell.get(rec.verdict, 0) + 1

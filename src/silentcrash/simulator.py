@@ -46,7 +46,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -555,7 +555,7 @@ def simulate(
 
 # One frame of trace_to_jsonl, keys sorted as json.dumps(..., sort_keys=True)
 # writes them. Each segment fills in the fields; a column spelled per frame,
-# and t, stay "%s".
+# and t, stay "%s", the slots at which the template is split.
 _ROW = (
     '{{"closing_speed": {closing_speed}, "ev": {{"half_length": {ev_hl}, "half_width": {ev_hw}, '
     '"x": {ev_x}, "y": {ev_y}, "yaw": {ev_yaw}}}, "gt_overlap": {gt_overlap}, '
@@ -575,7 +575,8 @@ def trace_to_jsonl(trace: Trace) -> str:
     spelled once per segment from its phase. Any other column whose values in
     a segment share one float64 bit pattern (so 0.0 and -0.0 differ, and NaN
     runs match) is spelled once into the template too. Only the columns that
-    vary in a segment, and t, are spelled per frame.
+    vary in a segment, and t, are spelled per frame; they are interleaved
+    with the template's constant pieces into one list, joined once.
     """
     # the per-frame columns, in row order
     columns = {
@@ -592,8 +593,9 @@ def trace_to_jsonl(trace: Trace) -> str:
     halves = (*trace.ev_half, *trace.npc_half)
     fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
     fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
-    times = _json_times(trace.times)
-    lines = []
+    # every phase ends at the horizon frame or before it
+    times = _frame_times(trace.dt, trace.phases[-1].last + 1)
+    parts = []
     for start, stop, phase in _segments(trace):
         fields, per_frame = dict(fixed), []
         for (name, (column, spell)), vary in zip(columns.items(), changes[start : stop - 1].any(axis=0).tolist()):
@@ -604,8 +606,19 @@ def trace_to_jsonl(trace: Trace) -> str:
                 fields[name] = spell(column[start : start + 1])[0]
         fields["ev_yaw"] = json.dumps(float(phase.ev_yaw))
         fields["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
-        lines += map(_ROW.format(**fields).__mod__, zip(*per_frame, times[start:stop]))
-    return "".join(lines)
+        per_frame.append(times[start:stop])
+        # head, then per frame each column's string and the piece after it; a
+        # row's last piece and the next row's head are one piece between rows
+        head, *tails = _ROW.format(**fields).split("%s")
+        k, n = len(per_frame), stop - start
+        segment = [tails[-1] + head] * (2 * k * n + 1)
+        segment[0], segment[-1] = head, tails[-1]
+        for j, strings in enumerate(per_frame):
+            segment[2 * j + 1 :: 2 * k] = strings
+        for j, tail in enumerate(tails[:-1]):
+            segment[2 * j + 2 :: 2 * k] = [tail] * n
+        parts += segment
+    return "".join(parts)
 
 
 def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:
@@ -636,6 +649,17 @@ def _json_times(times: np.ndarray) -> list[str]:
     for i in np.flatnonzero(unsure).tolist():
         values[i] = round(float(times[i]), 9)
     return list(map(float.__repr__, values))
+
+
+@lru_cache(maxsize=4)
+def _frame_times(dt: float, count: int) -> tuple[str, ...]:
+    """_json_times of frames 0..count-1 at dt.
+
+    np.arange(n) * dt is elementwise, so a trace's times, np.arange(length) *
+    dt, are a prefix of these with the same bits, and one tuple per (dt,
+    horizon frame count) serves every trace.
+    """
+    return tuple(_json_times(np.arange(count) * dt))
 
 
 def _json_floats(column: np.ndarray) -> list[str]:

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
-from silentcrash import cli
+from silentcrash import cli, report
 from silentcrash.cli import main
+from silentcrash.config import parse_config
 from silentcrash.fuzzer import AngleMode, run_campaign
+from silentcrash.report import bucket
 
 # sha256 of (records.jsonl, manifest.json) for each shipped config; these
 # bytes change only with a deliberate, documented change of the campaign
@@ -108,6 +110,14 @@ class TestRun:
         lines = (out_dir / "records.jsonl").read_text().splitlines()
         assert len(lines) == 50
         assert "FLB:" in capsys.readouterr().out
+
+    def test_each_record_is_bucketed_once_for_the_log_and_the_report(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(report, "bucket", lambda params: calls.append(params) or bucket(params))
+        code, out_dir = run_mini(tmp_path)
+        assert code == 0 and len(calls) == 50
+        records = [json.loads(line) for line in (out_dir / "records.jsonl").read_text().splitlines()]
+        assert [r["buckets"] for r in records] == [vars(bucket(p)) for p in calls]
 
     def test_outputs_include_manifest_and_report(self, tmp_path):
         _, out_dir = run_mini(tmp_path)
@@ -293,6 +303,42 @@ def test_reference_replay_traces_are_pinned(reference_run, tmp_path, capsys, ord
 def test_reference_ordinal_outside_log_names_the_range(reference_run, capsys, ordinal):
     assert main(["replay", "--log", str(reference_run / "records.jsonl"), "--ordinal", str(ordinal)]) == 2
     assert capsys.readouterr().err == f"error: ordinal {ordinal} outside log (0..5229)\n"
+
+
+@pytest.fixture(scope="module")
+def tunneling_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tunneling")
+    assert main(["run", "--config", str(CONFIG_DIR / "tunneling.json"), "--out", str(out)]) == 0
+    return out
+
+
+def test_replays_of_two_campaigns_in_turn_each_use_their_own_manifest(reference_run, tunneling_run, tmp_path, capsys):
+    # the parsed manifest config is kept per process, keyed by the manifest's
+    # bytes: replays that alternate between two campaigns must each use their own
+    logs = {run: [json.loads(line) for line in (run / "records.jsonl").read_text().splitlines()]
+            for run in (reference_run, tunneling_run)}
+    ics = [r["ordinal"] for r in logs[tunneling_run] if r["verdict"] == "IC"]
+    tunneling_ordinals = [ics[0], ics[len(ics) // 2], ics[-1], 13, 1298]
+    out = tmp_path / "trace.jsonl"
+
+    def replay(run, ordinal, *extra):
+        argv = ["replay", "--log", str(run / "records.jsonl"), "--ordinal", str(ordinal), "--out", str(out)]
+        code = main([*argv, *extra])
+        return code, capsys.readouterr().out
+
+    reference_defect = ["--sample-period", "5", "--min-penetration", "0.05", "--min-impact-speed", "0.5"]
+    differs = 0
+    for ordinal, other in zip(sorted(REFERENCE_TRACE_DIGESTS), tunneling_ordinals):
+        code, printed = replay(reference_run, ordinal)
+        assert code == 0 and f"verdict={logs[reference_run][ordinal]['verdict']} " in printed
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_TRACE_DIGESTS[ordinal]
+        code, printed = replay(tunneling_run, other)
+        assert code == 0 and f"verdict={logs[tunneling_run][other]['verdict']} " in printed
+        # the same record judged by the reference campaign's detector
+        _, judged = replay(tunneling_run, other, *reference_defect)
+        differs += judged.split()[2] != printed.split()[2]
+    # so a replay given the other campaign's config would have failed
+    assert differs > 0
 
 
 def test_records_merged_onto_one_line_do_not_replay_under_another_ordinal(reference_run, tmp_path, capsys):
@@ -481,6 +527,41 @@ class TestReplay:
         (campaign / "manifest.json").write_text("[]\n")
         assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", "0"]) == 2
         assert_one_error_line(capsys, "manifest.json", "not a JSON object")
+
+    def test_a_manifest_rewritten_in_place_is_read_anew(self, campaign, capsys, monkeypatch):
+        records = [json.loads(line) for line in (campaign / "records.jsonl").read_text().splitlines()]
+        detected = next(r for r in records if r["verdict"] == "DC" and r["first_contact_time"] > 0.0)
+        manifest_path = campaign / "manifest.json"
+        original = manifest_path.read_bytes()
+        manifest = json.loads(original)
+        parses = []
+        monkeypatch.setattr(cli, "parse_config", lambda data: parses.append(data) or parse_config(data))
+        cli._manifest_config.cache_clear()
+        argv = ["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", str(detected["ordinal"])]
+
+        def replay(raw):
+            manifest_path.write_bytes(raw)
+            return main(argv)
+
+        assert replay(original) == 0 and replay(original) == 0
+        assert capsys.readouterr().out.count("verdict=DC ") == 2
+        assert len(parses) == 1  # the second replay reused the first one's config
+        blind = dict(manifest, config=dict(manifest["config"], defect={"sample_period": 100000}))
+        rejected = dict(manifest, config=dict(manifest["config"], budget=-1))
+        for raw, code, message in [
+            (json.dumps(blind).encode(), 3, "replay verdict IC != logged DC"),
+            (original[:-5], 2, "manifest.json line"),
+            (json.dumps(rejected).encode(), 1, "manifest config invalid: budget"),
+            (b"[]", 2, "not a JSON object"),
+        ]:
+            assert replay(original) == 0
+            assert "verdict=DC " in capsys.readouterr().out
+            assert replay(raw) == code
+            assert_one_error_line(capsys, message)
+            assert replay(raw) == code  # an error is not kept: the same bytes fail again
+            assert_one_error_line(capsys, message)
+        assert replay(original) == 0
+        assert "verdict=DC " in capsys.readouterr().out
 
     def test_log_that_is_a_directory_is_io_error(self, campaign, capsys):
         assert main(["replay", "--log", str(campaign), "--ordinal", "0"]) == 2

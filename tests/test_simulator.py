@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -18,10 +19,11 @@ from silentcrash.simulator import (
     _face_normals,
     _min_overlap,
     _Phase,
+    _segments,
     simulate,
     trace_to_jsonl,
 )
-from sim_oracle import center_distance, ev_box, npc_box
+from sim_oracle import center_distance, ev_box, npc_box, trace_to_jsonl_per_frame
 from test_oracle import _scaled
 
 
@@ -144,6 +146,71 @@ def test_trace_jsonl_export_shape():
     assert not first["gt_overlap"]
     last = json.loads(lines[trace.first_contact])
     assert last["gt_overlap"]
+
+
+def _random_traces(kind, seed, count, cfg=SimConfig()):
+    spec, _ = make_seed(kind)
+    rng = np.random.default_rng([seed, list(ScenarioKind).index(kind)])
+    for _ in range(count):
+        d, v_hat, a = rng.uniform(2.0, 7.0), rng.uniform(0.5, 50.0), rng.uniform(-1.0, 1.0)
+        yield simulate(spec, ControlParameters.from_angle(float(d), float(v_hat), float(a)), cfg)
+
+
+def _at_rest(npc_x: float, frames: int) -> Trace:
+    """Both boxes standing still for `frames` frames, NPC center at (npc_x, 0); in contact from frame 0 if they overlap."""
+    half = (2.0, 1.0)
+    axes, radii = _face_normals(0.0, half, 0.0, half)
+    phase = _Phase(0, frames - 1, 0.01, (npc_x, 0.0), (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0), 0.0, axes, radii)
+    contact = 0 if npc_x < 4.0 else None
+    return Trace(contact, None, half, half, frames, 0.01, 0.0, (phase,), cruise=None)
+
+
+def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
+    # first contact one frame after the trigger: the switched phase's first
+    # segment holds one frame, every column spelled once into its template
+    found = []
+    for kind in ScenarioKind:
+        for trace in _random_traces(kind, 23, 400):
+            if trace.trigger_frame is not None and trace.first_contact == trace.trigger_frame + 1:
+                found.append(trace)
+    assert found
+    for trace in found:
+        assert (trace.trigger_frame, trace.trigger_frame + 1) in [(a, b) for a, b, _ in _segments(trace)]
+        assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+
+
+def test_trace_jsonl_of_a_trigger_at_frame_0():
+    spec, _ = make_seed(ScenarioKind.FLB)
+    for x in (5.0, 6.0):
+        trace = simulate(apply_overrides(spec, {"npc": {"x": x}}), ControlParameters.from_angle(7.0, 20.0, 0.3))
+        assert trace.trigger_frame == 0 and len(trace.phases) == 1
+        assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+
+
+@pytest.mark.parametrize("npc_x", [3.0, 10.0], ids=["overlapping", "apart"])
+def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
+    trace = _at_rest(npc_x, 50)
+    assert len(list(_segments(trace))) == 1
+    text = trace_to_jsonl(trace)
+    assert text == trace_to_jsonl_per_frame(trace)
+    assert len(set(line.split('"t": ')[0] for line in text.splitlines())) == 1
+
+
+@pytest.mark.parametrize("cut", [1, 2, 250, 1499, 1500])
+def test_trace_jsonl_cut_at_any_frame_matches_the_per_frame_encoder(cut):
+    # a first contact moved to an arbitrary frame only moves a segment cut
+    trace = next(t for t in _random_traces(ScenarioKind.FLB, 5, 50) if t.first_contact is None)
+    assert trace_to_jsonl(dataclasses.replace(trace, first_contact=cut)) == trace_to_jsonl_per_frame(trace)
+
+
+def test_trace_jsonl_times_follow_each_dt_in_turn():
+    # the frame-time strings are kept per (dt, horizon frame count): each dt
+    # replayed after another still spells its own times
+    cfgs = [SimConfig(), SimConfig(dt=0.02), SimConfig(dt=1 / 3, horizon=20.0), SimConfig(horizon=7.5)]
+    for _ in range(2):
+        for i, cfg in enumerate(cfgs):
+            for trace in _random_traces(ScenarioKind.LC, 7 + i, 3, cfg):
+                assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
 
 
 @settings(max_examples=300, deadline=None)
