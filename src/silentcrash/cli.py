@@ -19,6 +19,7 @@ import enum
 import functools
 import itertools
 import json
+import math
 import os
 import struct
 import sys
@@ -37,6 +38,7 @@ from .fuzzer import (
     step_size_sweep,
 )
 from .oracle import ScenarioType, check_ic, recall_sweep
+from .scenario import ScenarioKind
 from .simulator import simulate, trace_to_jsonl
 
 
@@ -64,22 +66,57 @@ def _index_path(log: Path) -> Path:
     return log.with_name(log.name + ".idx")
 
 
+# A log line as json.dumps(..., sort_keys=True) spells a record, with a %s
+# slot for each value in key order. "category" sorts right after "buckets",
+# so the buckets slot takes one fragment that holds both.
+_LINE_KEYS = ("angle", "buckets", "clock_seconds", "d", "first_contact_time", "kind", "ordinal")
+_LINE_KEYS += ("sim_seconds", "theta_lat", "theta_long", "v_hat", "verdict")
+_LINE = json.dumps(dict.fromkeys(_LINE_KEYS, "\0"), sort_keys=True)
+_LINE = _LINE.replace('"buckets": "\\u0000"', "%s").replace('"\\u0000"', "%s") + "\n"
+_KIND_JSON = {kind: json.dumps(kind.value) for kind in ScenarioKind}
+_VERDICT_JSON = {verdict: json.dumps(verdict.value) for verdict in ScenarioType}
+
+
+def _labels_fragment(labels, category) -> str:
+    """The "buckets" and "category" fields of a log line."""
+    spelled = (json.dumps(vars(labels), sort_keys=True), json.dumps(vars(category), sort_keys=True))
+    return '"buckets": %s, "category": %s' % spelled
+
+
+def _json_number(value) -> str:
+    """A numeric field of a log line as json.dumps spells it."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)  # float.__repr__ or int.__repr__
+    return "null" if value is None else json.dumps(value)  # NaN, Infinity, true, subclasses
+
+
 def _write_records(records, path: Path, buckets=None) -> None:
-    """Write the log, then its index; a write that stops in between leaves no index.
+    """Write the log line by line, then its index; a write that stops in between leaves no index.
 
     `buckets` are the records' report buckets, in order, when the caller
-    derived them already.
+    derived them already. Each line fills _LINE, so its bytes are those of
+    json.dumps(..., sort_keys=True) of the record. The labels fragment is
+    spelled once per distinct (buckets, category) pair.
     """
     index = _index_path(path)
     index.unlink(missing_ok=True)
     offsets = [0]
+    fragments = {}
     with path.open("w") as fh:
         for rec, labels in zip(records, buckets or itertools.repeat(None)):
-            line = json.dumps(rec.to_json_dict(labels), sort_keys=True)
+            p = rec.params
+            a = p.a  # an atan2 on each read
+            pair = (labels or report_mod.bucket(p), report_mod.categorize(p, a))
+            fragment = fragments.get(pair) or fragments.setdefault(pair, _labels_fragment(*pair))
+            numbers = (a, rec.clock_seconds, p.d, rec.first_contact_time, rec.ordinal)
+            numbers += (rec.sim_seconds, p.theta_lat, p.theta_long, p.v_hat)
+            angle, clock, d, t, ordinal, sim, lat, lon, v = map(_json_number, numbers)
+            kind, verdict = _KIND_JSON[rec.kind], _VERDICT_JSON[rec.verdict]
+            line = _LINE % (angle, fragment, clock, d, t, kind, ordinal, sim, lat, lon, v, verdict)
             fh.write(line)
-            fh.write("\n")
             # ensure_ascii: one character per byte
-            offsets.append(offsets[-1] + len(line) + 1)
+            offsets.append(offsets[-1] + len(line))
     index.write_bytes(_INDEX_MAGIC + struct.pack(f"<{len(offsets) + 2}Q", offsets[-1], len(offsets) - 1, *offsets))
 
 

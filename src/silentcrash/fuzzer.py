@@ -177,24 +177,6 @@ class OutcomeRecord:
         """The IC category of the parameters, derived on each access."""
         return report_mod.categorize(self.params)
 
-    def to_json_dict(self, buckets: report_mod.BucketLabels | None = None) -> dict:
-        """The record's log line as a dict; `buckets` are its buckets when the caller derived them already."""
-        return {
-            "ordinal": self.ordinal,
-            "kind": self.kind.value,
-            "d": self.params.d,
-            "v_hat": self.params.v_hat,
-            "theta_long": self.params.theta_long,
-            "theta_lat": self.params.theta_lat,
-            "angle": self.params.a,
-            "verdict": self.verdict.value,
-            "first_contact_time": self.first_contact_time,
-            "sim_seconds": self.sim_seconds,
-            "clock_seconds": self.clock_seconds,
-            "buckets": vars(buckets or self.buckets),
-            "category": vars(self.category),
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeRecord":
         params = ControlParameters(

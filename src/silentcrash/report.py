@@ -9,9 +9,12 @@ record list, and exports are byte-deterministic.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import csv
 import functools
 import io
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -61,9 +64,9 @@ class CategoryLabel:
 def bucket(params: ControlParameters) -> BucketLabels:
     """Bucket labels for one parameter triple; equal labels are one shared instance."""
     return _shared_labels(
-        _edge_bucket(params.d, DISTANCE_EDGES, LABELS["distance"]),
-        _edge_bucket(params.v_hat, SPEED_EDGES, LABELS["speed"]),
-        _nearest_center(params.a, ANGLE_CENTERS),
+        _edge_bucket(params.d, _DISTANCE_HIGHS, LABELS["distance"]),
+        _edge_bucket(params.v_hat, _SPEED_HIGHS, LABELS["speed"]),
+        _nearest_center(params.a, ANGLE_CENTERS, LABELS["angle"]),
     )
 
 
@@ -71,28 +74,49 @@ def bucket(params: ControlParameters) -> BucketLabels:
 # buckets costs a pointer per record
 _shared_labels = functools.cache(BucketLabels)
 
-
-def _edge_bucket(value: float, edges: tuple[tuple[float, float], ...], labels: tuple[str, ...]) -> str:
-    # boundary goes to the lower bucket: value <= hi selects the bucket
-    for (_, hi), label in zip(edges[:-1], labels):
-        if value <= hi:
-            return label
-    return labels[-1]
+# the upper edges that select a bucket, all but the last bucket's
+_DISTANCE_HIGHS = tuple(hi for _, hi in DISTANCE_EDGES[:-1])
+_SPEED_HIGHS = tuple(hi for _, hi in SPEED_EDGES[:-1])
 
 
-def _nearest_center(value: float, centers: tuple[float, ...]) -> str:
-    # centers ascend and min keeps the first of equal distances: a tie goes to the lower center
-    best = min(centers, key=lambda c: abs(value - c))
-    return f"{best:g}"
+def _edge_bucket(value: float, highs: tuple[float, ...], labels: tuple[str, ...]) -> str:
+    # boundary goes to the lower bucket: the first bucket whose upper edge is >= value
+    return labels[bisect.bisect_left(highs, value)]
 
 
-def categorize(params: ControlParameters) -> CategoryLabel:
-    d, v, a = params.d, params.v_hat, params.a
-    return CategoryLabel(
-        distance="L" if d <= 3.0 else ("M" if d <= 5.0 else "F"),
-        speed="L" if v <= 20.0 else ("M" if v <= 40.0 else "H"),
-        angle="N" if a < -ANGLE_CLASS_EPSILON else ("P" if a > ANGLE_CLASS_EPSILON else "0"),
+def _nearest_center(value: float, centers: tuple[float, ...], labels: tuple[str, ...]) -> str:
+    """The label of the center nearest to value; a tie goes to the lower center.
+
+    Centers ascend, so the nearest one brackets value, and it is chosen by
+    the same rounded distances as the first minimum over all centers. That
+    holds while no two of those distances round equal, as for every
+    normalized angle (|value| <= 1 + 1e-9).
+    """
+    i = bisect.bisect_right(centers, value)  # centers[:i] <= value < centers[i:]
+    if i == 0:
+        return labels[0]
+    if i == len(centers) or value - centers[i - 1] <= centers[i] - value:
+        return labels[i - 1]
+    return labels[i]
+
+
+def categorize(params: ControlParameters, a: float | None = None) -> CategoryLabel:
+    """The IC category of the parameters; equal categories are one shared instance.
+
+    `a` is params.a when the caller has read it already (each read is an atan2).
+    """
+    d, v = params.d, params.v_hat
+    if a is None:
+        a = params.a
+    return _shared_category(
+        "L" if d <= 3.0 else ("M" if d <= 5.0 else "F"),
+        "L" if v <= 20.0 else ("M" if v <= 40.0 else "H"),
+        "N" if a < -ANGLE_CLASS_EPSILON else ("P" if a > ANGLE_CLASS_EPSILON else "0"),
     )
+
+
+# at most 3 * 3 * 3 categories
+_shared_category = functools.cache(CategoryLabel)
 
 
 @dataclass(frozen=True)
@@ -136,18 +160,20 @@ def success_rates(records: Sequence["OutcomeRecord"], buckets: Iterable[BucketLa
     if buckets is None:
         buckets = (rec.buckets for rec in records)
 
+    # each distinct (buckets, verdict) pair is counted once, then spread into its cells
+    pairs = collections.Counter(zip(buckets, map(operator.attrgetter("verdict"), records)))
     axis_counts: dict[str, dict[str, dict[ScenarioType, int]]] = {axis: {} for axis in AXES}
     cross_counts: dict[tuple[str, str], dict[tuple[str, str], dict[ScenarioType, int]]] = {
         pair: {} for pair in CROSS_PAIRS
     }
-    for rec, labels in zip(records, buckets):
+    for (labels, verdict), n in pairs.items():
         for axis in AXES:
             cell = axis_counts[axis].setdefault(getattr(labels, axis), {})
-            cell[rec.verdict] = cell.get(rec.verdict, 0) + 1
+            cell[verdict] = cell.get(verdict, 0) + n
         for pair in CROSS_PAIRS:
             key = (getattr(labels, pair[0]), getattr(labels, pair[1]))
             cell = cross_counts[pair].setdefault(key, {})
-            cell[rec.verdict] = cell.get(rec.verdict, 0) + 1
+            cell[verdict] = cell.get(verdict, 0) + n
 
     axes = {}
     for axis in AXES:

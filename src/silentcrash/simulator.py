@@ -60,6 +60,12 @@ from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 _SLACK = 1e-9
 
 
+# The most steps a horizon may span (the shipped configs take 1500). A
+# config that asks for more is rejected before anything is simulated, so
+# every accepted config simulates in bounded memory.
+MAX_STEPS = 100_000
+
+
 class SimulationError(ValueError):
     """Non-finite state or malformed configuration."""
 
@@ -77,6 +83,10 @@ class SimConfig:
             raise SimulationError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < 10.0 * self.dt:
             raise SimulationError("horizon must cover at least 10 steps")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise SimulationError(
+                f"sim.horizon / sim.dt: {self.horizon:g} s in steps of {self.dt:g} s is more than {MAX_STEPS} steps"
+            )
         if self.settle_frames < 0:
             raise SimulationError("settle_frames must be non-negative")
 

@@ -10,17 +10,21 @@ import shutil
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
+from record_oracle import record_line
 from silentcrash import cli, report
 from silentcrash.cli import main
 from silentcrash.config import parse_config
-from silentcrash.fuzzer import AngleMode, run_campaign
+from silentcrash.fuzzer import AngleMode, OutcomeRecord, run_campaign
+from silentcrash.oracle import ScenarioType
 from silentcrash.report import bucket
+from silentcrash.scenario import ControlParameters, ScenarioKind
 
 # sha256 of (records.jsonl, manifest.json) for each shipped config; these
 # bytes change only with a deliberate, documented change of the campaign
@@ -36,6 +40,26 @@ SHIPPED_DIGESTS = {
     "graze": (
         "c12241bc6e60654f09ef9efdeba5aac513518fbe8dd796deb266f69ecb794114",
         "97821175ef688cf79ae6426a710725e3b9021dcc423bce3ba62f2b79d3e67d4f",
+    ),
+}
+
+# sha256 of (records.jsonl.idx, report.csv, report_cross.csv) for each
+# shipped config, taken beside SHIPPED_DIGESTS: the other files `run` writes
+SHIPPED_RUN_DIGESTS = {
+    "reference": (
+        "19619807f8bf9ab25690548f0d5ee6ab54c44b611176990d0bdea922df920586",
+        "8ce570cc44c96e8bf0670c487701de512d531d4f9ab619b1c6604e7e0ff475a4",
+        "faf5e114b69e5ec3e538f1c55eba940ef0298977e9daab114cb92a6b4af19a2b",
+    ),
+    "tunneling": (
+        "f229da71bf1a7e28cd4a9738cb1093d6a9259443a6a78e7250ef23e021de364c",
+        "a6b27c594b86e7ed8b45e7cf094e5054b0b4c8b42ed09bb41c856fdd76763bf3",
+        "14a4af9345c3e44348808e6aa57ec06d3b1bf6fea7bc0088a937c170ed579c15",
+    ),
+    "graze": (
+        "19619807f8bf9ab25690548f0d5ee6ab54c44b611176990d0bdea922df920586",
+        "11d98fa4d0f0568fd8cb14731d8c5440fb1b9e91c78a9031ea699cc37a3fe63f",
+        "a389157eafe8000fc08bda26725259eff96a38e917bc51431600fbaf2278efcf",
     ),
 }
 
@@ -220,6 +244,16 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert_one_error_line(capsys, fragment)
 
+    @pytest.mark.parametrize("command", ["run", "sweep-threshold"])
+    @pytest.mark.parametrize("sim", [{"horizon": 1e12}, {"dt": 1e-300}], ids=["huge-horizon", "tiny-dt"])
+    def test_a_frame_count_above_the_cap_is_a_config_error(self, tmp_path, capsys, command, sim):
+        config = dict(json.loads((CONFIG_DIR / "reference.json").read_text()), budget=60, sim=sim)
+        path = write_config(tmp_path, config)
+        out = ["--out", str(tmp_path / "o")] if command == "run" else ["--thresholds", "0.1", "--out", str(tmp_path / "o.csv")]
+        assert main([command, "--config", str(path), *out]) == 1
+        assert_one_error_line(capsys, "sim.horizon / sim.dt", "more than 100000 steps")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "o.csv").exists()
+
     def test_failed_campaign_removes_only_the_out_directory_it_created(self, tmp_path, capsys):
         config = {"kinds": ["FLB"], "budget": 10, "scenario_overrides": {"FLB": {"npc": {"y": 30.0}}}}
         path = write_config(tmp_path, config)
@@ -259,7 +293,8 @@ class TestRun:
 @pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
 def test_shipped_config_outputs_are_pinned(name, tmp_path):
     assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
-    for file, digest in zip(("records.jsonl", "manifest.json"), SHIPPED_DIGESTS[name]):
+    files = ("records.jsonl", "manifest.json", "records.jsonl.idx", "report.csv", "report_cross.csv")
+    for file, digest in zip(files, SHIPPED_DIGESTS[name] + SHIPPED_RUN_DIGESTS[name], strict=True):
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
 
 
@@ -702,6 +737,69 @@ def blank_a_record_in_place(log, index):
     lines[5] = b" " * (len(lines[5]) - 1) + b"\n"
     log.write_bytes(b"".join(lines))
     return 6
+
+
+# every numeric field of a record: an int (a bool too) or a float, with -0.0,
+# subnormals, the largest floats and the non-finite ones drawn often
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+LABEL_NUMBERS = st.one_of(
+    st.sampled_from(EXTREME_FLOATS + [math.nan, math.inf, -math.inf]), st.floats(), st.integers(-(2**64), 2**64)
+)
+NUMBERS = st.one_of(LABEL_NUMBERS, st.integers(-(10**400), 10**400), st.booleans())
+
+
+@st.composite
+def log_records(draw):
+    """A record with any number, or none, in each numeric field, and buckets equal to shared ones, or none."""
+    optional = st.one_of(st.none(), NUMBERS)
+    # the labels compare d, v_hat and a with floats and subtract from a, so those hold a float or an int in float range
+    params = SimpleNamespace(
+        d=draw(LABEL_NUMBERS),
+        v_hat=draw(LABEL_NUMBERS),
+        theta_long=draw(optional),
+        theta_lat=draw(optional),
+        a=draw(LABEL_NUMBERS),
+    )
+    rec = OutcomeRecord(
+        kind=draw(st.sampled_from(ScenarioKind)),
+        params=params,
+        verdict=draw(st.sampled_from(ScenarioType)),
+        first_contact_time=draw(optional),
+        ordinal=draw(optional),
+        sim_seconds=draw(optional),
+        clock_seconds=draw(optional),
+    )
+    labels = [st.sampled_from(report.LABELS[axis]) for axis in ("distance", "speed", "angle")]
+    return rec, draw(st.one_of(st.none(), st.builds(report.BucketLabels, *labels)))
+
+
+def assert_log_matches_reference(path, records, buckets):
+    cli._write_records(records, path, buckets)
+    lines = [record_line(rec, labels) for rec, labels in zip(records, buckets or itertools.repeat(None))]
+    assert path.read_text() == "".join(lines)
+    raw = cli._index_path(path).read_bytes()
+    size, count, *offsets = struct.unpack(f"<{(len(raw) - len(cli._INDEX_MAGIC)) // 8}Q", raw[len(cli._INDEX_MAGIC) :])
+    assert (size, count) == (path.stat().st_size, len(records))
+    assert offsets == [0, *itertools.accumulate(map(len, lines))]
+
+
+class TestLogWriter:
+    """`_write_records` spells each line from a template, with the bytes of json.dumps(..., sort_keys=True)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.lists(log_records(), min_size=1, max_size=6), with_buckets=st.booleans())
+    def test_lines_are_those_of_json_dumps(self, tmp_path_factory, drawn, with_buckets):
+        records = [rec for rec, _ in drawn]
+        buckets = [labels or report.bucket(rec.params) for rec, labels in drawn] if with_buckets else None
+        assert_log_matches_reference(tmp_path_factory.getbasetemp() / "records.jsonl", records, buckets)
+
+    def test_every_kind_and_verdict(self, tmp_path):
+        params = ControlParameters.from_angle(4.0, 20.0, 0.3)
+        records = [
+            OutcomeRecord(kind, params, verdict, t, i, 1.25, 2.5)
+            for i, (kind, verdict, t) in enumerate(itertools.product(ScenarioKind, ScenarioType, (None, 0.5)))
+        ]
+        assert_log_matches_reference(tmp_path / "records.jsonl", records, None)
 
 
 class TestRecordIndex:

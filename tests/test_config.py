@@ -95,6 +95,10 @@ def test_explicit_schedules_are_validated():
         ({"scenario_overrides": {"FLV": {"npc": {"yaw": 1e300}}}}, r"overrides.FLV: npc override 'yaw' .*\[-pi, pi\]"),
         ({"scenario_overrides": {"PSF": {"ev": {"yaw": -3.1416}}}}, r"scenario_overrides.PSF: ev override 'yaw'"),
         ({"scenario_overrides": {"FLV": {"npc": {"yaw": 7}}}}, r"scenario_overrides.FLV: npc override 'yaw'"),
+        ({"sim": {"horizon": 1e12}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
+        ({"sim": {"dt": 1e-300}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
+        ({"sim": {"dt": 5e-324, "horizon": 1e308}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
+        ({"sim": {"dt": 0.001, "horizon": 100.0001}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from record_oracle import record_line
 from silentcrash.detector import PERFECT_DETECTOR
 from silentcrash.fuzzer import (
     AngleMode,
@@ -258,9 +259,7 @@ class TestCampaign:
         config = small_config(budget=500)
         a = run_campaign(config)
         b = run_campaign(config)
-        assert [json.dumps(r.to_json_dict(), sort_keys=True) for r in a.records] == [
-            json.dumps(r.to_json_dict(), sort_keys=True) for r in b.records
-        ]
+        assert [record_line(r) for r in a.records] == [record_line(r) for r in b.records]
 
     def test_random_campaign_is_deterministic_and_in_range(self):
         config = small_config(budget=300, mutator=MutatorKind.RANDOM, rng_seed=99)
@@ -338,7 +337,7 @@ class TestCampaign:
 
         result = run_campaign(small_config(budget=80))
         for rec in result.records:
-            back = OutcomeRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
+            back = OutcomeRecord.from_json_dict(json.loads(record_line(rec)))
             assert back == rec
 
     def test_per_axis_round_keeps_longitudinal_component(self):

@@ -1,12 +1,21 @@
+import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from record_oracle import bucket_reference, categorize_reference
 from silentcrash.fuzzer import CampaignConfig, OutcomeRecord, SearchPlan, run_campaign
 from silentcrash.oracle import ScenarioType
 from silentcrash.report import (
+    ANGLE_CENTERS,
+    ANGLE_CLASS_EPSILON,
     AXES,
     CROSS_PAIRS,
+    DISTANCE_EDGES,
+    SPEED_EDGES,
     bucket,
     categorize,
     cross_csv,
@@ -65,6 +74,54 @@ class TestCategories:
         assert categorize(params(a=0.04)).angle == "0"
         assert categorize(params(a=-0.06)).angle == "N"
         assert categorize(params(a=0.06)).angle == "P"
+
+
+def _with_neighbours(values):
+    return sorted({w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
+
+
+# every edge and center, the angle midpoints (where a tie goes to the lower
+# center) and the category thresholds, each with its float neighbours
+EDGE_VALUES = _with_neighbours(
+    [x for edges in (DISTANCE_EDGES, SPEED_EDGES) for edge in edges for x in edge]
+    + [20.0, 40.0]
+    + list(ANGLE_CENTERS)
+    + [(lo + hi) / 2 for lo, hi in zip(ANGLE_CENTERS, ANGLE_CENTERS[1:])]
+    + [-ANGLE_CLASS_EPSILON, ANGLE_CLASS_EPSILON, 0.0, -1.0 - 1e-9, 1.0 + 1e-9]
+)
+LABEL_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-60.0, 60.0), st.floats(allow_nan=False))
+# normalized angles lie within 1e-9 of [-1, 1]; a wider span checks the bracketing
+ANGLES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1.0 - 1e-9, 1.0 + 1e-9), st.floats(-4.0, 4.0))
+
+
+def assert_labels_match_reference(p):
+    assert bucket(p) == bucket_reference(p)
+    assert categorize(p) == categorize_reference(p)
+    assert categorize(p, p.a) == categorize_reference(p)
+
+
+class TestLabelsAgainstReference:
+    def test_every_edge_and_midpoint_with_its_neighbours(self):
+        # each label depends on one field only, so one value can stand in all three
+        for x in EDGE_VALUES:
+            assert_labels_match_reference(SimpleNamespace(d=x, v_hat=x, a=x))
+
+    @settings(max_examples=500, deadline=None)
+    @given(d=LABEL_VALUES, v=LABEL_VALUES, a=ANGLES)
+    def test_random_values(self, d, v, a):
+        assert_labels_match_reference(SimpleNamespace(d=d, v_hat=v, a=a))
+
+    def test_an_angle_midpoint_goes_to_the_lower_center(self):
+        for lo, hi in zip(ANGLE_CENTERS, ANGLE_CENTERS[1:]):
+            mid = (lo + hi) / 2
+            assert bucket(SimpleNamespace(d=3.0, v_hat=10.0, a=mid)).angle == f"{lo:g}"
+            assert bucket(SimpleNamespace(d=3.0, v_hat=10.0, a=math.nextafter(mid, 2.0))).angle == f"{hi:g}"
+
+    def test_equal_labels_are_one_instance(self):
+        first, second = params(d=2.5, v=15.0, a=0.3), params(d=2.9, v=12.0, a=0.2)
+        assert bucket(first) is bucket(second)
+        assert categorize(first) is categorize(second)
+        assert categorize(first) is not categorize(params(d=6.0, v=15.0, a=0.3))
 
 
 class TestSuccessRates:
