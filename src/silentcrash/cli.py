@@ -21,9 +21,11 @@ import itertools
 import json
 import math
 import os
+import stat
 import struct
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 # .detector, and numpy with it, is imported before .report on purpose: the
 # other order measured about 20 ms (15 %) slower to import this module
@@ -39,7 +41,7 @@ from .fuzzer import (
 )
 from .oracle import ScenarioType, check_ic, recall_sweep
 from .scenario import ScenarioKind
-from .simulator import simulate, trace_to_jsonl
+from .simulator import TextBudget, simulate, trace_to_jsonl
 
 
 class ExitStatus(enum.IntEnum):
@@ -295,17 +297,55 @@ class _NotAnObject(Exception):
     """A manifest whose JSON is not an object."""
 
 
+# The most cruise stages kept per manifest: a config may hold 6 kinds x 10000
+# distances, and a stage takes about 2 KB without its text.
+_STAGES_KEPT = 1024
+
+
+class _Replays(NamedTuple):
+    """What the replays of one manifest share: its config, and a cruise stage per (kind, d) with their text."""
+
+    config: CampaignConfig
+    stages: dict
+    text: TextBudget
+
+
 @functools.lru_cache(maxsize=1)
-def _manifest_config(raw: bytes) -> CampaignConfig:
+def _manifest_config(raw: bytes) -> _Replays:
     """The config held by a manifest's bytes, parsed once while the same bytes come back.
 
-    lru_cache keeps only a config that parsed, so bytes that fail raise their
-    error again on every call.
+    The replays' cruise stages and the budget of their text are kept with
+    it, so bytes that change drop them too. lru_cache keeps only a config
+    that parsed, so bytes that fail raise their error again on every call.
     """
     manifest = json.loads(raw)
     if not isinstance(manifest, dict):
         raise _NotAnObject
-    return parse_config(manifest["config"])
+    return _Replays(parse_config(manifest["config"]), {}, TextBudget())
+
+
+def _write_in_place(path: Path, text: str) -> None:
+    """Write text over path from its first byte, then cut a regular file to the bytes written.
+
+    Unlike opening with truncation, this lets the file system keep the blocks
+    of an older trace at the same path (ext4 flushes a file truncated to zero
+    when it is closed). Bytes past what was written are cut even when the
+    write fails, so no tail of an older trace survives. Symlinks are
+    followed; a device or FIFO is written but not truncated.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        try:
+            with memoryview(data) as view:
+                while written < len(data):
+                    written += os.write(fd, view[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def cmd_replay(args) -> int:
@@ -322,7 +362,7 @@ def cmd_replay(args) -> int:
         return _fail(ExitStatus.IO_ERROR, str(exc))
 
     try:
-        config = _manifest_config(raw)
+        replays = _manifest_config(raw)
     except json.JSONDecodeError as exc:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
     except UnicodeDecodeError as exc:
@@ -331,18 +371,25 @@ def cmd_replay(args) -> int:
         return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not a JSON object")
     except (KeyError, ConfigError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
+    config = replays.config
 
     try:
         defect, overridden = _defect_override(args, config.defect)
     except ValueError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
-    spec, _ = config.seed_for(record.kind)
-    trace = simulate(spec, record.params, config.sim)
+    stages, key = replays.stages, (record.kind, record.params.d)
+    stage = stages.get(key)
+    spec = config.seed_for(record.kind)[0] if stage is None else stage.spec
+    trace = simulate(spec, record.params, config.sim, stage)
+    if stage is None:
+        if len(stages) >= _STAGES_KEPT:
+            del stages[next(iter(stages))]  # the stage kept longest
+        stages[key] = trace.cruise
     verdict = check_ic(trace, defect, config.oracle)
 
     out = Path(args.out) if args.out else log_path.parent / f"trace_{args.ordinal}.jsonl"
     try:
-        out.write_text(trace_to_jsonl(trace))
+        _write_in_place(out, trace_to_jsonl(trace, replays.text))
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")

@@ -27,7 +27,8 @@ from the trigger frame on for one (v_hat, a) and looks for contact there
 when there was none before. simulate composes the two and takes a cruise
 stage from an earlier trace, which it uses when it was built for the same
 spec and sim config objects and an equal d; a campaign that sweeps v_hat and
-a at a fixed d locates its trigger once.
+a at a fixed d locates its trigger once, and replays of one manifest share
+each stage and the text of its frames.
 
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
@@ -472,6 +473,8 @@ class CruiseStage:
     trigger: int | None  # first frame of path within d
     phases: tuple[_Phase, ...]  # path before the trigger frame; () when the trigger is frame 0
     first_contact: int | None  # first contact in phases
+    # trace_to_jsonl's text of the segments of phases, keyed by (start, stop), under a TextBudget
+    text: dict = field(default_factory=dict, repr=False)
 
     def fits(self, spec: ScenarioSpec, d: float, cfg: SimConfig) -> bool:
         """Whether this stage was built for this spec and cfg (the same objects) and an equal d."""
@@ -563,6 +566,36 @@ def simulate(
     )
 
 
+# The most bytes of segment text (ASCII, so one byte per character) that the
+# cruise stages under one TextBudget keep. The 22 stages of the reference log
+# take 1.12 MB; one cruise of MAX_STEPS frames alone would take about 28 MB.
+CRUISE_TEXT_BUDGET = 8 << 20
+
+
+class TextBudget:
+    """The cruise stages that keep segment text for trace_to_jsonl, and the bytes each keeps.
+
+    When new text would take the total above CRUISE_TEXT_BUDGET, the stages
+    that were given text longest ago give up theirs until it fits; text
+    longer than the budget is not kept.
+    """
+
+    def __init__(self) -> None:
+        self.stages: dict[CruiseStage, int] = {}  # least recently given text first
+        self.bytes = 0
+
+    def keep(self, stage: CruiseStage, key: tuple[int, int], text: str) -> None:
+        if len(text) > CRUISE_TEXT_BUDGET:
+            return
+        stage.text[key] = text
+        self.stages[stage] = self.stages.pop(stage, 0) + len(text)
+        self.bytes += len(text)
+        while self.bytes > CRUISE_TEXT_BUDGET:
+            oldest = next(iter(self.stages))
+            self.bytes -= self.stages.pop(oldest)
+            oldest.text.clear()
+
+
 # One frame of trace_to_jsonl, keys sorted as json.dumps(..., sort_keys=True)
 # writes them. Each segment fills in the fields; a column spelled per frame,
 # and t, stay "%s", the slots at which the template is split.
@@ -574,19 +607,18 @@ _ROW = (
 )
 
 
-def trace_to_jsonl(trace: Trace) -> str:
+def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     """Serialize a trace as JSONL, one frame per line.
 
     Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
     gt_overlap, penetration, closing_speed and triggered. The frames are cut
     into segments at each phase start and at first contact, and each segment
-    is written through its own row template. The yaws and `triggered` are
-    spelled once per segment from its phase. Any other column whose values in
-    a segment share one float64 bit pattern (so 0.0 and -0.0 differ, and NaN
-    runs match) is spelled once into the template too. Only the columns that
-    vary in a segment, and t, are spelled per frame; they are interleaved
-    with the template's constant pieces into one list, joined once.
+    is written by _segment_text. A segment of the cruise stage's own phases
+    has the same text in every trace that shares the stage and the segment's
+    (start, stop). Given a budget, that text is read from the stage's `text`
+    memo under that key, or written and kept there within the budget, so
+    only the other segments are spelled.
     """
     # the per-frame columns, in row order
     columns = {
@@ -598,37 +630,57 @@ def trace_to_jsonl(trace: Trace) -> str:
         "npc_y": (trace.npc_centers[:, 1], _json_floats),
         "penetration": (trace.penetration, _json_floats),
     }
-    bits = np.column_stack([column for column, _ in columns.values()]).view(np.int64)
-    changes = bits[1:] != bits[:-1]
     halves = (*trace.ev_half, *trace.npc_half)
     fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
     fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
+    stage = trace.cruise
     parts = []
     for start, stop, phase in _segments(trace):
-        fields, per_frame = dict(fixed), []
-        for (name, (column, spell)), vary in zip(columns.items(), changes[start : stop - 1].any(axis=0).tolist()):
-            if vary:
-                fields[name] = "%s"
-                per_frame.append(spell(column[start:stop]))
-            else:
-                fields[name] = spell(column[start : start + 1])[0]
-        fields["ev_yaw"] = json.dumps(float(phase.ev_yaw))
-        fields["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
-        per_frame.append(times[start:stop])
-        # head, then per frame each column's string and the piece after it; a
-        # row's last piece and the next row's head are one piece between rows
-        head, *tails = _ROW.format(**fields).split("%s")
-        k, n = len(per_frame), stop - start
-        segment = [tails[-1] + head] * (2 * k * n + 1)
-        segment[0], segment[-1] = head, tails[-1]
-        for j, strings in enumerate(per_frame):
-            segment[2 * j + 1 :: 2 * k] = strings
-        for j, tail in enumerate(tails[:-1]):
-            segment[2 * j + 2 :: 2 * k] = [tail] * n
-        parts += segment
+        fixed["ev_yaw"] = json.dumps(float(phase.ev_yaw))
+        fixed["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
+        if budget is None or not any(phase is own for own in stage.phases):
+            parts += _segment_text(columns, start, stop, fixed, times)
+            continue
+        text = stage.text.get((start, stop))
+        if text is None:
+            text = "".join(_segment_text(columns, start, stop, fixed, times))
+            budget.keep(stage, (start, stop), text)
+        parts.append(text)
     return "".join(parts)
+
+
+def _segment_text(columns: dict, start: int, stop: int, fixed: dict, times) -> list[str]:
+    """The lines of frames start..stop-1, as pieces to join.
+
+    The segment is written through its own row template, with the fields of
+    `fixed` (the yaws and `triggered`, spelled once per segment). Any column
+    whose values in the segment share one float64 bit pattern (so 0.0 and
+    -0.0 differ, and NaN runs match) is spelled once into the template too.
+    Only the columns that vary in the segment, and t, are spelled per frame;
+    they are interleaved with the template's constant pieces into one list.
+    """
+    bits = np.column_stack([column[start:stop] for column, _ in columns.values()]).view(np.int64)
+    fields, per_frame = dict(fixed), []
+    for (name, (column, spell)), vary in zip(columns.items(), (bits[1:] != bits[:-1]).any(axis=0).tolist()):
+        if vary:
+            fields[name] = "%s"
+            per_frame.append(spell(column[start:stop]))
+        else:
+            fields[name] = spell(column[start : start + 1])[0]
+    per_frame.append(times[start:stop])
+    # head, then per frame each column's string and the piece after it; a
+    # row's last piece and the next row's head are one piece between rows
+    head, *tails = _ROW.format(**fields).split("%s")
+    k, n = len(per_frame), stop - start
+    segment = [tails[-1] + head] * (2 * k * n + 1)
+    segment[0], segment[-1] = head, tails[-1]
+    for j, strings in enumerate(per_frame):
+        segment[2 * j + 1 :: 2 * k] = strings
+    for j, tail in enumerate(tails[:-1]):
+        segment[2 * j + 2 :: 2 * k] = [tail] * n
+    return segment
 
 
 def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:

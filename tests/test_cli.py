@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import struct
 import tempfile
 from pathlib import Path
@@ -969,6 +970,106 @@ def test_damaged_log_or_index_ends_in_an_exit_code_not_a_traceback(small_run, da
         for code, err in ((seen[0], seen[2]), (code, stderr.getvalue())):
             assert code in (0, 2, 3)
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+# a small config whose every field the fuzz below may replace
+FUZZ_BASE = {
+    "kinds": ["FLB", "LC"],
+    "mutator": "guided",
+    "budget": 4,
+    "rng_seed": 1,
+    "defect": {"sample_period": 5, "min_penetration": 0.05, "min_impact_speed": 0.5},
+    "oracle": {"t_bbox": 0.0},
+    "sim": {"dt": 0.01, "horizon": 15.0, "settle_frames": 20},
+    "plans": {"default": {"speed_start": 10.0, "speed_step": 10.0}, "FLB": {"distance_schedule": [4, 6], "k_nc": 2}},
+    "scenario_overrides": {"LC": {"npc": {"speed": 3.0}}},
+}
+PLAN_KEYS = ("distance_step", "distance_start", "speed_step", "speed_start", "distance_schedule", "speed_schedule")
+PLAN_KEYS += ("angle_step_long", "angle_step_lat", "angle_mode", "k_nc")
+ACTOR_KEYS = ("speed", "half_length", "half_width", "x", "y", "yaw")
+FUZZ_PATHS = [
+    ("budget",), ("kinds",), ("mutator",), ("rng_seed",), ("defect",), ("sim",), ("oracle",), ("plans",), ("scenario_overrides",),
+    *(("defect", key) for key in ("sample_period", "min_penetration", "min_impact_speed")),
+    *(("sim", key) for key in ("dt", "horizon", "settle_frames")),
+    ("oracle", "t_bbox"),
+    *(("plans", plan, key) for plan in ("default", "FLB", "LC") for key in PLAN_KEYS),
+    *(("scenario_overrides", kind, actor, key) for kind in ("FLB", "LC") for actor in ("ev", "npc") for key in ACTOR_KEYS),
+]
+EXTREME_NUMBERS = [0, -1, -0.0, 0.5, 5e-324, 1e-300, -1e-300, 1e308, -1e308, 1.7976931348623157e308, 2**63, 10**400, -(10**400)]
+# numbers a field may well accept, and anything else
+FUZZ_VALUES = st.one_of(
+    st.floats(0.01, 40.0) | st.integers(1, 40),
+    st.one_of(
+        st.floats(),  # NaN and infinities included
+        st.integers(-(10**6), 10**6),
+        st.sampled_from(EXTREME_NUMBERS),
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(st.integers(-2, 8) | st.floats(), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=1),
+    ),
+)
+# a budget stays small, whatever its type
+FUZZ_BUDGETS = st.integers(-3, 6) | st.floats(max_value=6.0) | st.none() | st.booleans() | st.text(max_size=2)
+FUZZ_KINDS = st.lists(st.sampled_from(["FLB", "LC", "PSF", "InC", "flb"]), max_size=3)
+CALL_SECONDS = 30
+
+
+class CallTookTooLong(BaseException):
+    """Raised into a fuzzed call that outlives CALL_SECONDS; no handler of the program catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise CallTookTooLong(f"call took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """FUZZ_BASE with some fields replaced, or new keys added, at any depth."""
+    config = json.loads(json.dumps(FUZZ_BASE))
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=3)):
+        values = {("budget",): FUZZ_BUDGETS, ("kinds",): FUZZ_KINDS | FUZZ_VALUES}.get(path, FUZZ_VALUES)
+        if draw(st.sampled_from([False, False, False, True])):
+            path = (*path[:-1], draw(st.text(min_size=1, max_size=5)))  # a key the block does not have
+        block = config
+        for key in path[:-1]:
+            if not isinstance(block.get(key), dict):
+                block[key] = {}
+            block = block[key]
+        block[path[-1]] = draw(values)
+    return config
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=fuzzed_configs())
+def test_fuzzed_configs_end_in_an_exit_code_not_a_traceback(config):
+    commands = {
+        "run": ["run"],
+        "sweep-threshold": ["sweep-threshold", "--thresholds", "0,0.1"],
+        "sweep-step": ["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", "0.5", "--trials", "1"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        for name, command in commands.items():
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with time_limit(CALL_SECONDS):
+                    code = main([*command, "--config", str(path), "--out", str(Path(tmp) / name)])
+            err = stderr.getvalue()
+            assert code in (0, 1, 2), (name, code, err)
+            assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1, (name, err)
 
 
 class TestReportCommand:

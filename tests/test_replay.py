@@ -1,0 +1,277 @@
+"""`silentcrash replay`: the cruise stages and their text kept across replays, and how --out is written.
+
+A replay keeps the seed specs and cruise stages of its manifest, and each
+stage keeps the text of its own trace segments. These tests hold every
+replayed trace to the bytes of the same replay with nothing kept, and to the
+per-frame encoder of tests/sim_oracle.py.
+"""
+
+import contextlib
+import dataclasses
+import errno
+import gc
+import io
+import json
+import os
+import random
+import threading
+import weakref
+from pathlib import Path
+
+import pytest
+
+from conftest import CONFIG_DIR
+from silentcrash import cli, simulator
+from silentcrash.cli import main
+from silentcrash.fuzzer import OutcomeRecord
+from silentcrash.scenario import ScenarioKind
+from silentcrash.simulator import simulate, trace_to_jsonl
+from sim_oracle import trace_to_jsonl_per_frame
+
+# the reference config with another frame period and a settle time short
+# enough that InC at d=2, whose contact comes before its trigger, ends
+# inside its cruise stage
+OTHER_SIM = {"dt": 0.02, "horizon": 15.0, "settle_frames": 2}
+
+
+def run(config: Path, out: Path) -> Path:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    return out / "records.jsonl"
+
+
+@pytest.fixture(scope="module")
+def logs(tmp_path_factory):
+    """The logs of the three shipped configs and of the reference config at OTHER_SIM."""
+    root = tmp_path_factory.mktemp("replay")
+    found = {name: run(CONFIG_DIR / f"{name}.json", root / name) for name in ("reference", "tunneling", "graze")}
+    other = json.loads((CONFIG_DIR / "reference.json").read_text())
+    other["sim"] = OTHER_SIM
+    (root / "other.json").write_text(json.dumps(other))
+    found["other"] = run(root / "other.json", root / "other")
+    return found
+
+
+def records(log: Path) -> list[OutcomeRecord]:
+    return cli._read_records(log)
+
+
+def forget() -> None:
+    """Drop the kept manifest config, with its cruise stages and their text."""
+    cli._manifest_config.cache_clear()
+
+
+def kept(log: Path) -> cli._Replays:
+    """What replays of the log's manifest keep (what replays of another manifest kept is dropped)."""
+    return cli._manifest_config((log.parent / "manifest.json").read_bytes())
+
+
+def replay(log: Path, ordinal: int, out: Path, *extra: str) -> tuple[int, str, bytes | None]:
+    """(exit code, stdout and stderr, bytes of out) of one replay into out."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(["replay", "--log", str(log), "--ordinal", str(ordinal), "--out", str(out), *extra])
+    return code, printed.getvalue(), out.read_bytes() if out.is_file() else None
+
+
+def cold(log: Path, ordinal: int, out: Path) -> tuple[int, str, bytes | None]:
+    """The replay with nothing kept from earlier replays."""
+    forget()
+    return replay(log, ordinal, out)
+
+
+def contact_in_cruise(log: Path) -> list[int]:
+    """Ordinals of the records of InC at d=2, which meet before their trigger."""
+    return [rec.ordinal for rec in records(log) if rec.kind is ScenarioKind.InC and rec.params.d == 2.0]
+
+
+def kept_text(log: Path) -> list[str]:
+    return [text for stage in kept(log).text.stages for text in stage.text.values()]
+
+
+def test_replays_of_four_logs_in_turn_give_the_bytes_of_replays_with_nothing_kept(logs, tmp_path):
+    rng = random.Random(17)
+    samples = {}
+    for name, log in logs.items():
+        every = records(log)
+        samples[name] = rng.sample(range(len(every)), 30) + rng.sample(contact_in_cruise(log), 3)
+        rng.shuffle(samples[name])
+    out = tmp_path / "trace.jsonl"
+    forget()
+    seen = {}
+    for turn in zip(*samples.values()):
+        for name, ordinal in zip(samples, turn):
+            seen[name, ordinal] = replay(logs[name], ordinal, out)
+            assert seen[name, ordinal][0] == 0
+    assert kept_text(logs[name])
+    for (name, ordinal), result in seen.items():
+        assert cold(logs[name], ordinal, out) == result, (name, ordinal)
+
+
+def test_a_trace_that_ends_inside_its_cruise_stage_keeps_its_bytes(logs, tmp_path):
+    log = logs["other"]
+    config = kept(log).config
+    spec = config.seed_for(ScenarioKind.InC)[0]
+    out = tmp_path / "trace.jsonl"
+    forget()
+    ordinals = contact_in_cruise(log)
+    for ordinal in ordinals[:3] + ordinals[-2:]:
+        code, _, text = replay(log, ordinal, out)
+        assert code == 0
+        trace = simulate(spec, records(log)[ordinal].params, config.sim)
+        stage = trace.cruise
+        assert stage.first_contact is not None and trace.length <= stage.trigger
+        assert text.decode() == trace_to_jsonl_per_frame(trace)
+
+
+def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
+    out = tmp_path / "trace.jsonl"
+    forget()
+    for name, log in logs.items():
+        config = kept(log).config
+        every = records(log)
+        for ordinal in (0, contact_in_cruise(log)[0], len(every) // 2, len(every) - 1, 0):
+            rec = every[ordinal]
+            assert replay(log, ordinal, out)[0] == 0
+            trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
+            assert out.read_text() == trace_to_jsonl_per_frame(trace), (name, ordinal)
+
+
+def test_stage_text_is_kept_per_segment_start_and_stop(logs):
+    """Traces of one cruise stage cut at several lengths: each segment's text is its own (start, stop)'s."""
+    log = logs["reference"]
+    config = kept(log).config
+    rec = records(log)[contact_in_cruise(log)[0]]
+    trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
+    stage = trace.cruise
+    contact, trigger = stage.first_contact, stage.trigger
+    assert contact is not None and contact < trigger < trace.length
+    lengths = [1, 7, contact, contact + 1, contact + 3, trigger, trace.length, contact + 2]
+    random.Random(3).shuffle(lengths)
+    budget = simulator.TextBudget()
+    for length in lengths:
+        short = dataclasses.replace(trace, length=length, trigger_frame=trigger if trigger < length else None, memo={})
+        assert trace_to_jsonl(short, budget) == trace_to_jsonl(short) == trace_to_jsonl_per_frame(short), length
+    assert len(stage.text) > 2 and budget.bytes == sum(map(len, stage.text.values()))
+
+
+def test_a_rewritten_manifest_drops_the_stages_of_the_old_one(logs, tmp_path, monkeypatch):
+    source = logs["reference"].parent
+    campaign = tmp_path / "campaign"
+    campaign.mkdir()
+    for name in ("records.jsonl", "records.jsonl.idx", "manifest.json"):
+        (campaign / name).write_bytes((source / name).read_bytes())
+    log, manifest = campaign / "records.jsonl", campaign / "manifest.json"
+    original = manifest.read_bytes()
+    rewritten = json.loads(original)
+    rewritten["config"]["sim"] = {"settle_frames": 2}
+    given, built = [], []
+
+    def recording(spec, params, cfg, cruise=None):
+        given.append(cruise and weakref.ref(cruise))
+        trace = simulate(spec, params, cfg, cruise)
+        built.append(weakref.ref(trace.cruise))
+        return trace
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    ordinal = contact_in_cruise(log)[0]
+    out = tmp_path / "trace.jsonl"
+    forget()
+    first = replay(log, ordinal, out)
+    assert replay(log, ordinal, out) == first
+    assert given[0] is None and given[1]() is built[0]()  # the second replay reused the stage
+    manifest.write_bytes(json.dumps(rewritten).encode())
+    shorter = replay(log, ordinal, out)
+    assert given[2] is None  # the rewritten manifest's replay built its own stage
+    gc.collect()
+    assert built[0]() is None  # and nothing holds the old one
+    assert len(shorter[2]) < len(first[2])
+    assert shorter == cold(log, ordinal, out)
+    manifest.write_bytes(original)
+    assert replay(log, ordinal, out) == first
+
+
+def test_kept_text_stays_within_its_budget_and_replays_past_it_keep_their_bytes(logs, tmp_path, monkeypatch):
+    budget = 150_000
+    monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", budget)
+    log = logs["reference"]
+    ordinals = list(range(0, len(records(log)), 23))
+    random.Random(5).shuffle(ordinals)
+    out = tmp_path / "trace.jsonl"
+    forget()
+    seen = {}
+    stages = set()
+    for ordinal in ordinals:
+        seen[ordinal] = replay(log, ordinal, out)
+        assert seen[ordinal][0] == 0
+        texts, replays = kept_text(log), kept(log)
+        assert sum(map(len, texts)) == replays.text.bytes <= budget
+        assert all(len(text) <= budget for text in texts)
+        stages.update(replays.stages.values())
+    # more text than fits: some stages gave theirs up
+    assert len(stages) > 10 and any(not stage.text for stage in stages) and texts
+    for ordinal, result in seen.items():
+        assert cold(log, ordinal, out) == result, ordinal
+
+
+class TestOut:
+    """How replay writes --out: over the old bytes, then cut to the new length."""
+
+    @pytest.fixture()
+    def log(self, logs):
+        forget()
+        return logs["reference"]
+
+    def test_a_longer_old_trace_is_cut_to_the_new_length(self, log, tmp_path):
+        fresh = replay(log, 13, tmp_path / "fresh.jsonl")
+        out = tmp_path / "trace.jsonl"
+        out.write_bytes(b"x" * (3 * len(fresh[2])))
+        assert replay(log, 13, out)[2] == fresh[2]
+        out.write_bytes(b"y" * 10)
+        assert replay(log, 13, out)[2] == fresh[2]
+
+    def test_dev_null_is_written_and_not_cut(self, log):
+        code, printed, _ = replay(log, 13, Path(os.devnull))
+        assert code == 0 and printed.startswith("ordinal=13 ")
+
+    def test_a_fifo_is_written_and_not_cut(self, log, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, printed, _ = replay(log, 13, fifo)
+        reader.join(timeout=60)
+        assert code == 0 and printed.startswith("ordinal=13 ")
+        assert got == [replay(log, 13, tmp_path / "fresh.jsonl")[2]]
+
+    def test_a_symlink_updates_its_target(self, log, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_bytes(b"z" * 10**6)
+        link.symlink_to(target)
+        assert replay(log, 13, link)[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == replay(log, 13, tmp_path / "fresh.jsonl")[2]
+
+    def test_a_directory_is_an_io_error(self, log, tmp_path):
+        code, printed, _ = replay(log, 13, tmp_path)
+        assert code == 2 and printed == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_a_write_that_fails_midway_leaves_no_old_bytes_past_the_new_ones(self, log, tmp_path, monkeypatch):
+        fresh = replay(log, 5229, tmp_path / "fresh.jsonl")[2]
+        out = tmp_path / "trace.jsonl"
+        out.write_bytes(b"o" * (2 * len(fresh)))
+        inode, write, calls = out.stat().st_ino, os.write, []
+
+        def failing(fd, data):
+            if os.fstat(fd).st_ino != inode:
+                return write(fd, data)
+            calls.append(len(data))
+            if len(calls) == 1:
+                return write(fd, bytes(data[: len(data) // 3]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", failing)
+        code, printed, left = replay(log, 5229, out)
+        assert code == 2 and printed == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(calls) == 2 and left == fresh[: len(fresh) // 3]
