@@ -21,9 +21,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import struct
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,6 +239,38 @@ def _kind_summary_line(kind, records) -> str:
     )
 
 
+# What `run` writes, in the order the files take their names: a log before
+# its index, so that an index in place is never older than the log
+_RUN_OUTPUTS = ("records.jsonl", "records.jsonl.idx", "manifest.json", "report.csv", "report_cross.csv")
+
+
+def _write_run_outputs(out: Path, records, buckets, manifest: dict, report) -> None:
+    """Write every output of a run into a temporary directory in out, then move each over its name.
+
+    Nothing is moved until every file is written, so a write that fails
+    leaves the outputs of an earlier run as they were; the temporary
+    directory goes in any case. An error names the output (or out), not
+    the temporary path that stood in for it.
+    """
+    try:
+        tmp = Path(tempfile.mkdtemp(prefix=".run-", dir=out))
+    except OSError as exc:
+        exc.filename = str(out)
+        raise
+    try:
+        _write_records(records, tmp / "records.jsonl", buckets)
+        (tmp / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        report_mod.export(report, "csv", tmp)
+        for name in _RUN_OUTPUTS:
+            os.replace(tmp / name, out / name)
+    except OSError as exc:
+        if exc.filename is not None and Path(exc.filename).parent == tmp:
+            exc.filename = str(out / Path(exc.filename).name)
+        raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def cmd_run(args) -> int:
     try:
         config, data, digest = load_config_file(args.config)
@@ -268,9 +302,7 @@ def cmd_run(args) -> int:
     manifest["config"] = data
     manifest["config_digest"] = digest
     try:
-        _write_records(result.records, out / "records.jsonl", buckets)
-        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        report_mod.export(report, "csv", out)
+        _write_run_outputs(out, result.records, buckets, manifest, report)
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot write {exc.filename or out}: {exc.strerror}")
 

@@ -618,41 +618,60 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     has the same text in every trace that shares the stage and the segment's
     (start, stop). Given a budget, that text is read from the stage's `text`
     memo under that key, or written and kept there within the budget, so
-    only the other segments are spelled.
+    only the other segments are spelled, and the per-frame values are
+    evaluated only from the first segment that is spelled on (each is an
+    elementwise expression of its frame, so the bits are those of the whole
+    trace's arrays). Without a budget every segment is spelled from the
+    trace's own arrays.
     """
-    # the per-frame columns, in row order
-    columns = {
-        "closing_speed": (trace.closing_speed, _json_floats),
-        "ev_x": (trace.ev_centers[:, 0], _json_floats),
-        "ev_y": (trace.ev_centers[:, 1], _json_floats),
-        "gt_overlap": (trace.gt_overlap, _json_bools),
-        "npc_x": (trace.npc_centers[:, 0], _json_floats),
-        "npc_y": (trace.npc_centers[:, 1], _json_floats),
-        "penetration": (trace.penetration, _json_floats),
-    }
     halves = (*trace.ev_half, *trace.npc_half)
     fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
     fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
     stage = trace.cruise
+    # the per-frame columns, whose first row is frame `first`
+    first, columns = 0, None
+    if budget is None:
+        columns = _columns(trace.ev_centers, trace.npc_centers, trace.gt_overlap, trace.penetration, trace.closing_speed)
     parts = []
     for start, stop, phase in _segments(trace):
         fixed["ev_yaw"] = json.dumps(float(phase.ev_yaw))
         fixed["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
-        if budget is None or not any(phase is own for own in stage.phases):
-            parts += _segment_text(columns, start, stop, fixed, times)
+        shared = budget is not None and any(phase is own for own in stage.phases)
+        text = stage.text.get((start, stop)) if shared else None
+        if text is not None:
+            parts.append(text)
             continue
-        text = stage.text.get((start, stop))
-        if text is None:
-            text = "".join(_segment_text(columns, start, stop, fixed, times))
+        if columns is None:
+            first = start
+            ev, npc, overlap, closing = trace._frame_values(range(first, trace.length))
+            columns = _columns(ev, npc, overlap >= 0.0, np.maximum(overlap, 0.0), closing)
+        segment = _segment_text(columns, start - first, stop - first, fixed, times[start:stop])
+        if shared:
+            text = "".join(segment)
             budget.keep(stage, (start, stop), text)
-        parts.append(text)
+            parts.append(text)
+        else:
+            parts += segment
     return "".join(parts)
 
 
-def _segment_text(columns: dict, start: int, stop: int, fixed: dict, times) -> list[str]:
-    """The lines of frames start..stop-1, as pieces to join.
+def _columns(ev_centers, npc_centers, gt_overlap, penetration, closing_speed) -> dict:
+    """The per-frame columns of trace_to_jsonl and how each is spelled, in row order."""
+    return {
+        "closing_speed": (closing_speed, _json_floats),
+        "ev_x": (ev_centers[:, 0], _json_floats),
+        "ev_y": (ev_centers[:, 1], _json_floats),
+        "gt_overlap": (gt_overlap, _json_bools),
+        "npc_x": (npc_centers[:, 0], _json_floats),
+        "npc_y": (npc_centers[:, 1], _json_floats),
+        "penetration": (penetration, _json_floats),
+    }
+
+
+def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, times) -> list[str]:
+    """The lines of the columns' rows lo..hi-1, whose time strings are `times`, as pieces to join.
 
     The segment is written through its own row template, with the fields of
     `fixed` (the yaws and `triggered`, spelled once per segment). Any column
@@ -661,19 +680,19 @@ def _segment_text(columns: dict, start: int, stop: int, fixed: dict, times) -> l
     Only the columns that vary in the segment, and t, are spelled per frame;
     they are interleaved with the template's constant pieces into one list.
     """
-    bits = np.column_stack([column[start:stop] for column, _ in columns.values()]).view(np.int64)
+    bits = np.column_stack([column[lo:hi] for column, _ in columns.values()]).view(np.int64)
     fields, per_frame = dict(fixed), []
     for (name, (column, spell)), vary in zip(columns.items(), (bits[1:] != bits[:-1]).any(axis=0).tolist()):
         if vary:
             fields[name] = "%s"
-            per_frame.append(spell(column[start:stop]))
+            per_frame.append(spell(column[lo:hi]))
         else:
-            fields[name] = spell(column[start : start + 1])[0]
-    per_frame.append(times[start:stop])
+            fields[name] = spell(column[lo : lo + 1])[0]
+    per_frame.append(times)
     # head, then per frame each column's string and the piece after it; a
     # row's last piece and the next row's head are one piece between rows
     head, *tails = _ROW.format(**fields).split("%s")
-    k, n = len(per_frame), stop - start
+    k, n = len(per_frame), hi - lo
     segment = [tails[-1] + head] * (2 * k * n + 1)
     segment[0], segment[-1] = head, tails[-1]
     for j, strings in enumerate(per_frame):
@@ -725,7 +744,20 @@ def _frame_times(dt: float, count: int) -> tuple[str, ...]:
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
-    """json.dumps's spelling of each float: its repr, or NaN/Infinity/-Infinity."""
+    """json.dumps's spelling of each float: its repr, or NaN/Infinity/-Infinity.
+
+    orjson spells a float by Ryu's shortest round-trip digits (Adams, PLDI
+    2018), the digits repr picks, but in other notation outside
+    1e-4 <= |v| < 1e16 (1e16 for 1e+16, 0.00001 for 1e-05) and as null for
+    NaN and infinities. So a column whose every value is a zero or in that
+    range is spelled by orjson, on a C-contiguous copy (it refuses strided
+    views), and any other column value by value.
+    """
+    magnitude = np.abs(column)
+    if column.size and (((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)).all():
+        import orjson  # here, not at the top: run and the sweeps never encode a trace
+
+        return orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     values = column.tolist()
     return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, values))
 

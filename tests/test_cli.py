@@ -271,6 +271,35 @@ class TestRun:
         code, _ = run_mini(tmp_path, budget=3)
         assert code == 2
         assert_one_error_line(capsys, "cannot write", "records.jsonl")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records.jsonl"]
+
+    @pytest.mark.parametrize("failing", ["records.jsonl.idx", "manifest.json", "report.csv", "report_cross.csv"])
+    def test_a_write_that_fails_leaves_the_earlier_outputs_and_no_temporary_file(self, tmp_path, capsys, monkeypatch, failing):
+        _, out = run_mini(tmp_path, budget=40)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(cli._RUN_OUTPUTS)
+        for method in ("write_text", "write_bytes"):
+            write = getattr(Path, method)
+
+            def failing_write(path, data, *args, write=write, **kwargs):
+                if path.name == failing:
+                    raise OSError(28, os.strerror(28), str(path))
+                return write(path, data, *args, **kwargs)
+
+            monkeypatch.setattr(Path, method, failing_write)
+        capsys.readouterr()
+        assert run_mini(tmp_path, budget=60)[0] == 2
+        assert_one_error_line(capsys, f"cannot write {out / failing}: {os.strerror(28)}")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the index still vouches for the log it sits beside
+        assert cli._indexed_record(out / "records.jsonl", 39).ordinal == 39
+
+    def test_a_rerun_replaces_every_output_and_leaves_no_temporary_file(self, tmp_path):
+        _, out = run_mini(tmp_path, budget=40)
+        run_mini(tmp_path, budget=60)
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli._RUN_OUTPUTS)
+        assert len(cli._read_records(out / "records.jsonl")) == 60
+        assert cli._indexed_record(out / "records.jsonl", 59).ordinal == 59
 
     def test_rerun_is_byte_identical(self, tmp_path):
         _, first = run_mini(tmp_path, out="a")

@@ -16,18 +16,21 @@ simulated from scratch.
 
 import copy
 import dataclasses
+import json
 import math
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, silenced_by
 from silentcrash.geometry import Point2, corners
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, _json_times, cruise_stage, simulate, trace_to_jsonl
+from silentcrash.simulator import SimConfig, _json_floats, _json_times, cruise_stage, simulate, trace_to_jsonl
 from sim_oracle import (
     builtin_cd_full,
     ev_box,
@@ -414,3 +417,33 @@ _NEAR_HALF = st.integers(0, 10**13).map(lambda k: (k + 0.5) / 1e9).flatmap(
 def test_frame_times_are_spelled_like_round_to_9_digits(times, dt):
     for column in (np.array(times, dtype=float), np.arange(len(times) * 50) * dt):
         assert _json_times(column) == [repr(round(t, 9)) for t in column.tolist()]
+
+
+# orjson spells a float as repr does only for zeros and 1e-4 <= |v| < 1e16;
+# these lie on and just outside that range's edges, or are not finite
+_FLOAT_EDGES = (0.0, 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16, 5e-324, 1e300, math.inf)
+_IN_ORJSON_RANGE = st.floats(1e-4, math.nextafter(1e16, 0.0)) | st.floats(1e-4, 1e3) | st.just(0.0)
+_EDGE = st.sampled_from(_FLOAT_EDGES)
+
+
+def _orjson_spells(value: float) -> bool:
+    return value == 0.0 or 1e-4 <= abs(value) < 1e16
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(_IN_ORJSON_RANGE | _EDGE | st.just(math.nan) | st.floats(), st.booleans()), min_size=1, max_size=40),
+    st.integers(1, 3),
+)
+@example([(v, False) for v in (0.0, 1e-4, math.nextafter(1e16, 0.0), 123.456)], 1)
+@example([(v, True) for v in (0.0, 1e-4, math.nextafter(1e16, 0.0), 123.456)], 2)
+@example([(1.5, False)] + [(v, sign) for v in _FLOAT_EDGES for sign in (False, True)] + [(math.nan, False)], 1)
+def test_json_floats_spell_like_json_dumps(signed, step):
+    """Contiguous and strided columns, in range or mixed: orjson spells a column iff every value is in range."""
+    values = [-v if negate else v for v, negate in signed]
+    rows = np.array([values, values[::-1]]).T  # rows[:, 0] is a strided view
+    for column in (rows[:, 0], rows[::step, 0], np.array(values), np.array(values)[::-step]):
+        with mock.patch("orjson.dumps", wraps=orjson.dumps) as spy:
+            got = _json_floats(column)
+        assert got == [json.dumps(v) for v in column.tolist()]
+        assert spy.called == all(map(_orjson_spells, column.tolist())), column
