@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import errno
 import functools
 import itertools
 import json
@@ -43,7 +44,7 @@ from .fuzzer import (
 )
 from .oracle import ScenarioType, check_ic, recall_sweep
 from .scenario import ScenarioKind
-from .simulator import TextBudget, simulate, trace_to_jsonl
+from .simulator import SimulationError, TextBudget, simulate, trace_to_jsonl
 
 
 class ExitStatus(enum.IntEnum):
@@ -247,7 +248,8 @@ _RUN_OUTPUTS = ("records.jsonl", "records.jsonl.idx", "manifest.json", "report.c
 def _write_run_outputs(out: Path, records, buckets, manifest: dict, report) -> None:
     """Write every output of a run into a temporary directory in out, then move each over its name.
 
-    Nothing is moved until every file is written, so a write that fails
+    Nothing is moved until every file is written and no output's name is
+    taken by a directory, so a write that fails, or a directory in the way,
     leaves the outputs of an earlier run as they were; the temporary
     directory goes in any case. An error names the output (or out), not
     the temporary path that stood in for it.
@@ -261,6 +263,10 @@ def _write_run_outputs(out: Path, records, buckets, manifest: dict, report) -> N
         _write_records(records, tmp / "records.jsonl", buckets)
         (tmp / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         report_mod.export(report, "csv", tmp)
+        for name in _RUN_OUTPUTS:
+            target = out / name
+            if target.is_dir() and not target.is_symlink():  # os.replace replaces a symlink itself
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for name in _RUN_OUTPUTS:
             os.replace(tmp / name, out / name)
     except OSError as exc:
@@ -412,7 +418,10 @@ def cmd_replay(args) -> int:
     stages, key = replays.stages, (record.kind, record.params.d)
     stage = stages.get(key)
     spec = config.seed_for(record.kind)[0] if stage is None else stage.spec
-    trace = simulate(spec, record.params, config.sim, stage)
+    try:
+        trace = simulate(spec, record.params, config.sim, stage)
+    except SimulationError as exc:
+        return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
     if stage is None:
         if len(stages) >= _STAGES_KEPT:
             del stages[next(iter(stages))]  # the stage kept longest

@@ -11,32 +11,21 @@ frame only qualifies if the boxes actually overlap there, so with
 A contact trace has only a few inspected frames, so they are evaluated one
 at a time in Python floats by the simulator's scalar frame evaluator
 (_Phase.frames and _Phase.closing_speed) rather than as arrays. Its overlaps
-are the array kernel's bit for bit, so the overlap and penetration gates
-give the kernel's answer. Its closing speed can differ from the kernel's in
-the last bit; a frame whose closing speed lies within a relative 1e-9 of the
-threshold, or is not finite, is decided by the kernel itself
-(_Phase.frame_values). So is a frame with a non-finite center offset: it
-leaves an overlap NaN or infinite, and some overlap below zero or NaN.
+and closing speeds are the array kernel's bit for bit, so every gate gives
+the kernel's answer.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .simulator import Trace, _Phase
+from .simulator import Trace
 
 # The gates, in the order an inspected frame must pass them. silenced_by names
 # the furthest gate no inspected frame passed.
 _GATES = ("sampling", "penetration", "closing_speed")
 _FIRED = len(_GATES)
-
-# Relative band around min_impact_speed within which a closing speed is
-# recomputed by the kernel; far above the one-ulp hypot difference.
-_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,36 +91,17 @@ def _inspect(trace: Trace, defect: DefectModel) -> int:
     if trace.first_contact is None:
         return 0
     k, depth, speed = defect.sample_period, defect.min_penetration, defect.min_impact_speed
-    band = _TIE * max(speed, sys.float_info.min)
     reached = 0
     for phase, frames in trace.phase_frames(range(-(-trace.first_contact // k) * k, len(trace), k)):
-        for i, ex, ey, nx, ny, o0, o1, o2, o3 in phase.frames(frames):
+        for _, ex, ey, nx, ny, o0, o1, o2, o3 in phase.frames(frames):
             # all four >= 0 iff their np.min is, NaN included; past this test
             # none is NaN, so min is np.min
             if not (o0 >= 0.0 and o1 >= 0.0 and o2 >= 0.0 and o3 >= 0.0):
-                level = 0 if math.isfinite(o0 + o1 + o2 + o3) else _kernel_level(phase, i, depth, speed)
-            elif min(o0, o1, o2, o3) < depth:
-                level = 1
-            elif speed <= 0.0:
-                level = _FIRED
-            else:
-                gap = phase.closing_speed(ex, ey, nx, ny) - speed
-                if band < abs(gap) < math.inf:
-                    level = _FIRED if gap > 0.0 else 2
-                else:
-                    level = _kernel_level(phase, i, depth, speed)
-            if level == _FIRED:
+                continue
+            if min(o0, o1, o2, o3) < depth:
+                reached = max(reached, 1)
+            elif speed <= 0.0 or phase.closing_speed(ex, ey, nx, ny) >= speed:
                 return _FIRED
-            reached = max(reached, level)
+            else:
+                reached = 2
     return reached
-
-
-def _kernel_level(phase: _Phase, i: int, depth: float, speed: float) -> int:
-    """_inspect's gate count for frame i, from the simulator's array kernel."""
-    _, _, overlap, closing = phase.frame_values(np.array([i]))
-    overlap, closing = float(overlap[0]), float(closing[0])
-    if not overlap >= 0.0:
-        return 0
-    if not overlap >= depth:
-        return 1
-    return _FIRED if speed <= 0.0 or closing >= speed else 2

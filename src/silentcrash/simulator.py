@@ -36,9 +36,11 @@ _Phase owns these expressions in two forms that round alike: a numpy kernel
 over an array of frames (the confirm windows and a Trace's per-frame arrays,
 built on first access) and one scalar evaluator in Python floats,
 _Phase.frames, which the built-in detector and the peak IoU's overlap walk
-call for the few frames they read. The overlap and penetration values use
-the same face-normal projections as the scalar geometry module; frame
-invariants are cross-checked against it in tests.
+call for the few frames they read. A center distance is sqrt(dx*dx + dy*dy)
+in both: IEEE 754 rounds each of its operations correctly, so numpy and
+Python give the same bits. The overlap and penetration values use the same
+face-normal projections as the scalar geometry module; frame invariants are
+cross-checked against it in tests.
 """
 
 from __future__ import annotations
@@ -66,9 +68,15 @@ _SLACK = 1e-9
 # every accepted config simulates in bounded memory.
 MAX_STEPS = 100_000
 
+# The farthest either center may be from the origin along x or y, in metres.
+# Within it a squared center offset stays finite, so sqrt(dx*dx + dy*dy)
+# never overflows; a phase that leaves it is rejected.
+MAX_COORD = 1e150
+_UNBOUNDED = f"non-finite positions or positions beyond {MAX_COORD:g} m"
+
 
 class SimulationError(ValueError):
-    """Non-finite state or malformed configuration."""
+    """Non-finite or out-of-range state, or malformed configuration."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
 
 def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
     """Rate at which the EV approaches the NPC center, for each center offset in delta."""
-    dist = np.hypot(delta[:, 0], delta[:, 1])
+    dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
     towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
     return np.where(dist > 1e-12, towards / np.maximum(dist, 1e-12), 0.0)
 
@@ -197,21 +205,15 @@ class _Phase(NamedTuple):
             )
 
     def closing_speed(self, ex: float, ey: float, nx: float, ny: float) -> float:
-        """Closing speed in Python floats at the EV and NPC centers that `frames` gives for a frame.
-
-        math.hypot can differ from the kernel's np.hypot in the last bit, so
-        this is _closing_speed's value only to about an ulp; it is NaN within
-        2e-12 of a zero distance, where the kernel's 1e-12 cutoff could fall
-        on either side.
-        """
+        """_closing_speed's value, bit for bit, at the EV and NPC centers that `frames` gives for a frame."""
         dx, dy = nx - ex, ny - ey
         (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
-        dist = math.hypot(dx, dy)
-        return ((vx - ux) * dx + (vy - uy) * dy) / dist if dist > 2e-12 else math.nan
+        dist = math.sqrt(dx * dx + dy * dy)
+        return ((vx - ux) * dx + (vy - uy) * dy) / dist if dist > 1e-12 else 0.0
 
-    def finite(self) -> bool:
-        """Whether both centers stay finite; they move monotonically, so the last frame decides."""
-        return all(map(math.isfinite, next(self.frames((self.last,)))[1:5]))
+    def bounded(self) -> bool:
+        """Whether both centers stay within MAX_COORD; they move monotonically, so the end frames decide."""
+        return all(abs(c) <= MAX_COORD for f in self.frames((self.first, self.last)) for c in f[1:5])
 
     @property
     def _offset(self) -> tuple[float, float, float, float, float]:
@@ -228,7 +230,7 @@ class _Phase(NamedTuple):
         reach = d + slack
         a = wx * wx + wy * wy
         if a == 0.0:
-            window = range(self.first, self.last + 1) if math.hypot(px, py) <= reach else range(0)
+            window = range(self.first, self.last + 1) if math.sqrt(px * px + py * py) <= reach else range(0)
         elif a == math.inf:
             window = range(self.first, self.last + 1)
         else:
@@ -244,7 +246,7 @@ class _Phase(NamedTuple):
         with np.errstate(over="ignore", invalid="ignore"):
             ev, npc = self.centers(np.arange(window.start, window.stop))
             delta = npc - ev
-            below = np.hypot(delta[:, 0], delta[:, 1]) <= d
+            below = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]) <= d
         return window.start + int(np.argmax(below)) if below.any() else None
 
     def contact_window(self) -> range | None:
@@ -496,8 +498,8 @@ class CruiseStage:
             axes=axes,
             radii=radii,
         )
-        if not phase.finite():
-            raise SimulationError("non-finite positions")
+        if not phase.bounded():
+            raise SimulationError(_UNBOUNDED)
         return phase
 
 
@@ -523,8 +525,8 @@ def cruise_stage(spec: ScenarioSpec, d: float, cfg: SimConfig = SimConfig()) -> 
         phases = (path,)
     else:
         phases = (path._replace(last=trigger - 1),) if trigger > 0 else ()
-    if not all(phase.finite() for phase in phases):
-        raise SimulationError("non-finite positions")
+    if not all(phase.bounded() for phase in phases):
+        raise SimulationError(_UNBOUNDED)
     first_contact = phases[0].first_contact() if phases else None
     return CruiseStage(spec, d, cfg, ev_half, npc_half, path, trigger, phases, first_contact)
 

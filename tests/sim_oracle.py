@@ -49,7 +49,8 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
 
     ev_pos = ev0[None, :] + times[:, None] * ev_v0[None, :]
     npc_pos = npc0[None, :] + times[:, None] * npc_v[None, :]
-    below = np.hypot(*(npc_pos - ev_pos).T) <= params.d
+    dx, dy = (npc_pos - ev_pos).T
+    below = np.sqrt(dx * dx + dy * dy) <= params.d
     trigger = int(np.argmax(below)) if below.any() else None
 
     ev_yaws = np.full(n + 1, spec.ev.yaw)

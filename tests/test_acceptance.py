@@ -6,6 +6,7 @@ reference campaign and its baselines run once.
 """
 
 import contextlib
+import hashlib
 import io
 import time
 
@@ -23,6 +24,11 @@ from silentcrash.oracle import ScenarioType, check_ic, classify, recall_sweep
 from silentcrash.report import AXES, CROSS_PAIRS, success_rates
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
+
+
+# sha256 of the replay traces of every reference-log record, concatenated in
+# ordinal order
+REFERENCE_TRACES_DIGEST = "11439c50a6e69e850a01de68b4e33e3e5d9c66c426449c758132a2a911a079d6"
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:
@@ -113,21 +119,25 @@ def test_criterion_4_determinism_and_replay(tmp_path):
     ).read_bytes() == (out_b / "manifest.json").read_bytes()
 
     records = (out_a / "records.jsonl").read_text().splitlines()
-    trace_out = str(tmp_path / "trace.jsonl")
+    trace_out = tmp_path / "trace.jsonl"
     replay_failures = 0
+    traces = hashlib.sha256()
     with contextlib.redirect_stdout(io.StringIO()):
         for ordinal in range(len(records)):
             code = main(
-                ["replay", "--log", str(out_a / "records.jsonl"), "--ordinal", str(ordinal), "--out", trace_out]
+                ["replay", "--log", str(out_a / "records.jsonl"), "--ordinal", str(ordinal), "--out", str(trace_out)]
             )
             if code != 0:
                 replay_failures += 1
-    ok = identical and replay_failures == 0
+            else:
+                traces.update(trace_out.read_bytes())
+    pinned = traces.hexdigest() == REFERENCE_TRACES_DIGEST
+    ok = identical and replay_failures == 0 and pinned
     report_line(
         4,
         ok,
         f"two runs byte-identical: {identical}; cmd_replay reproduced "
-        f"{len(records) - replay_failures}/{len(records)} logged verdicts",
+        f"{len(records) - replay_failures}/{len(records)} logged verdicts; traces pinned: {pinned}",
     )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -71,11 +72,11 @@ SWEEP_CSV_DIGEST = "48efd22cfa844f7cc711c0cf505c17c1bf3c2476ce073c948da43a1f5281
 # sha256 of the `replay` trace JSONL of reference-log ordinals: IC (FLB),
 # DC (LC), NC (InC), IC (PSF) and the last record, NC (PCF)
 REFERENCE_TRACE_DIGESTS = {
-    13: "fd5b6ba4e83af0c2353ddb9dd8bb7389e688bc34cd177edddacdfea7a726374c",
-    1298: "62b8d3c2e8402ba6a0406e946cd7dd6cfe903593758f99ef9f3d576e70741a1c",
-    2774: "aad33b5f480eeaffdca5ca87267f1d9ad5dbe838d4e2209a27e3d0feca1d05ce",
-    3323: "3b8d6f303712a7420e99e27ba5a8a3a93c2a425f8ebcde90275b2bb70eb5148a",
-    5229: "03d4becfafd0ed29da5ead8f10beca77610397469ae752762e0455391b9de625",
+    13: "37b94a6308501913c2965fb5dd14a52cfb5e546086c19b94775e1698e6b99a30",
+    1298: "eface72f4e22501fd6f4c47874dfbb316ed386fc61d0cca336fc431b06d6edeb",
+    2774: "c6a0e89668b8939f86f4979fea397060168896a84190cb670185d9d6d305ef16",
+    3323: "8ce3a525cdf382e74cf289df490357c9a76b6962631e13f9bf4c38c7dbeeef72",
+    5229: "2de5f23887d7eb5c9d015b318f6d1c6130326a118a4dcf002308575a23d59968",
 }
 
 # (sha256 of records.jsonl, record count) of reference-config variants that
@@ -226,6 +227,14 @@ class TestRun:
             ({"scenario_overrides": {"FLV": {"npc": [1]}}}, "scenario_overrides.FLV"),
             ({"scenario_overrides": {"FLV": {"npc": {"speed": float("nan")}}}}, "scenario_overrides.FLV"),
             ({"scenario_overrides": {"FLB": {"npc": {"speed": 1e308}}}}, "non-finite"),
+            # centers past simulator.MAX_COORD, where squared offsets overflow: an error, not a flipped verdict
+            (
+                {
+                    "kinds": ["PSF"],
+                    "scenario_overrides": {"PSF": {"npc": {"half_length": 1e155, "x": 2.5e155}, "ev": {"speed": 2e154}}},
+                },
+                "beyond 1e+150 m",
+            ),
             ({"defect": {"min_penetration": 10**400}}, "defect.min_penetration"),
             ({"sim": {"dt": 10**400}}, "sim.dt"),
             ({"scenario_overrides": {"FLV": {"npc": {"yaw": 1e300}}}}, "scenario_overrides.FLV: npc override 'yaw'"),
@@ -235,6 +244,7 @@ class TestRun:
             "actor-override-list",
             "nan-npc-speed",
             "overflowing-npc-speed",
+            "centers-beyond-max-coord",
             "huge-integer-penetration",
             "huge-integer-dt",
             "npc-yaw-out-of-range",
@@ -293,6 +303,18 @@ class TestRun:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         # the index still vouches for the log it sits beside
         assert cli._indexed_record(out / "records.jsonl", 39).ordinal == 39
+
+    def test_a_directory_in_an_outputs_place_leaves_the_earlier_outputs(self, tmp_path, capsys):
+        _, out = run_mini(tmp_path, budget=30)
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run_mini(tmp_path, budget=40)[0] == 2
+        assert_one_error_line(capsys, f"cannot write {out / 'manifest.json'}: {os.strerror(errno.EISDIR)}")
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli._RUN_OUTPUTS)
+        assert len(cli._read_records(out / "records.jsonl")) == 30
 
     def test_a_rerun_replaces_every_output_and_leaves_no_temporary_file(self, tmp_path):
         _, out = run_mini(tmp_path, budget=40)
@@ -613,10 +635,12 @@ class TestReplay:
         assert len(parses) == 1  # the second replay reused the first one's config
         blind = dict(manifest, config=dict(manifest["config"], defect={"sample_period": 100000}))
         rejected = dict(manifest, config=dict(manifest["config"], budget=-1))
+        overflowing = dict(manifest, config=dict(manifest["config"], scenario_overrides={"FLB": {"npc": {"speed": 1e308}}}))
         for raw, code, message in [
             (json.dumps(blind).encode(), 3, "replay verdict IC != logged DC"),
             (original[:-5], 2, "manifest.json line"),
             (json.dumps(rejected).encode(), 1, "manifest config invalid: budget"),
+            (json.dumps(overflowing).encode(), 1, "manifest config invalid: non-finite positions"),
             (b"[]", 2, "not a JSON object"),
         ]:
             assert replay(original) == 0

@@ -224,19 +224,20 @@ def test_trace_jsonl_times_follow_each_dt_in_turn():
     pick=st.data(),
 )
 def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg, scale, pick):
-    """_Phase.frames gives the kernel's centers and minimum overlap bit for bit, and a NaN counts as apart.
+    """_Phase.frames and closing_speed give the kernel's centers, minimum overlap and closing speed bit for bit.
 
     The phases are scaled as test_oracle._scaled scales them, so large scales
-    overflow the centers or the radii and make offsets and overlaps
-    infinite or NaN. The overlaps are checked along the phase's own normals
-    and along those of the wrapped yaws, as the peak IoU's walk reads them.
+    overflow the centers or the radii and make offsets, overlaps and closing
+    speeds infinite or NaN. The overlaps are checked along the phase's own
+    normals and along those of the wrapped yaws, as the peak IoU's walk reads
+    them; a NaN overlap counts as apart.
     """
     trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
     phase = pick.draw(st.sampled_from(trace.phases))
     i = pick.draw(st.integers(min_value=phase.first, max_value=phase.last))
     wrapped = _face_normals(normalize_yaw(phase.ev_yaw), trace.ev_half, normalize_yaw(trace.npc_yaw), trace.npc_half)
     with np.errstate(all="ignore"):
-        ev, npc, low, _ = phase.frame_values(np.array([i]))
+        ev, npc, low, closing = phase.frame_values(np.array([i]))
         wrapped_low = _min_overlap(npc - ev, *wrapped)
         for normals, want in ((None, low[0]), (wrapped, wrapped_low[0])):
             got_i, ex, ey, nx, ny, *overlaps = next(phase.frames((i,), *(normals or ())))
@@ -244,6 +245,7 @@ def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg,
             assert list(map(float.hex, (ex, ey, nx, ny))) == list(map(float.hex, (*ev[0].tolist(), *npc[0].tolist())))
             assert float.hex(float(np.min(overlaps))) == float.hex(float(want))
             assert all(o >= 0.0 for o in overlaps) == bool(want >= 0.0)
+        assert float.hex(phase.closing_speed(ex, ey, nx, ny)) == float.hex(float(closing[0]))
 
 
 @settings(max_examples=200, deadline=None)
