@@ -212,8 +212,19 @@ class _Phase(NamedTuple):
         return ((vx - ux) * dx + (vy - uy) * dy) / dist if dist > 1e-12 else 0.0
 
     def bounded(self) -> bool:
-        """Whether both centers stay within MAX_COORD; they move monotonically, so the end frames decide."""
-        return all(abs(c) <= MAX_COORD for f in self.frames((self.first, self.last)) for c in f[1:5])
+        """Whether both centers stay within MAX_COORD; they move monotonically, so the end frames decide.
+
+        The centers are computed as `frames` computes them; a NaN is out of range.
+        """
+        (px, py), (ux, uy) = self.npc_origin, self.npc_velocity
+        (ox, oy), (vx, vy) = self.ev_origin, self.ev_velocity
+        for i in (self.first, self.last):
+            t = i * self.dt
+            since = t - self.t0
+            if not (abs(ox + since * vx) <= MAX_COORD and abs(oy + since * vy) <= MAX_COORD
+                    and abs(px + t * ux) <= MAX_COORD and abs(py + t * uy) <= MAX_COORD):
+                return False
+        return True
 
     @property
     def _offset(self) -> tuple[float, float, float, float, float]:
@@ -274,7 +285,11 @@ class _Phase(NamedTuple):
             enter, leave = (-reach - p) / q, (reach - p) / q
             if enter > leave:
                 enter, leave = leave, enter
-            lo, hi = max(lo, enter), min(hi, leave)
+            # what max(lo, enter) and min(hi, leave) keep, NaN and -0.0 included
+            if enter > lo:
+                lo = enter
+            if leave < hi:
+                hi = leave
         return _frame_span(lo, hi, self.first, self.last, self.dt)
 
     def first_contact(self) -> int | None:
@@ -484,19 +499,16 @@ class CruiseStage:
 
     def switched(self, params: ControlParameters) -> _Phase:
         """The phase from the trigger frame on, at speed v_hat along heading + a * 90 deg."""
-        (ox, oy), (vx, vy) = self.path.ev_origin, self.path.ev_velocity
+        path = self.path
+        (ox, oy), (vx, vy) = path.ev_origin, path.ev_velocity
         yaw1 = self.spec.ev.yaw + params.a * (math.pi / 2.0)
-        v1 = (params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1))
         t0 = self.trigger * self.cfg.dt
         axes, radii = _face_normals(yaw1, self.ev_half, self.spec.npc.yaw, self.npc_half)
-        phase = self.path._replace(
-            first=self.trigger,
-            t0=t0,
-            ev_origin=(ox + t0 * vx, oy + t0 * vy),
-            ev_velocity=v1,
-            ev_yaw=yaw1,
-            axes=axes,
-            radii=radii,
+        (c, s), v_hat = axes[0], params.v_hat  # axes[0] is (cos, sin) of yaw1
+        phase = _Phase(
+            first=self.trigger, last=path.last, dt=path.dt, npc_origin=path.npc_origin, npc_velocity=path.npc_velocity,
+            t0=t0, ev_origin=(ox + t0 * vx, oy + t0 * vy), ev_velocity=(v_hat * c, v_hat * s), ev_yaw=yaw1,
+            axes=axes, radii=radii,
         )
         if not phase.bounded():
             raise SimulationError(_UNBOUNDED)
