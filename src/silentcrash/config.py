@@ -121,10 +121,14 @@ def _parse_kinds(raw) -> tuple[ScenarioKind, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("kinds: must be a non-empty list")
     try:
-        return tuple(ScenarioKind(k) for k in raw)
+        kinds = tuple(ScenarioKind(k) for k in raw)
     except ValueError:
         valid = ", ".join(k.value for k in ScenarioKind)
         raise ConfigError(f"kinds: entries must be among {valid}") from None
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ConfigError(f"kinds: duplicate entry {kind.value}")
+    return kinds
 
 
 def _parse_enum(enum_cls, raw, field: str):

@@ -7,6 +7,13 @@ first overlap frame of the whole horizon. It shares only the per-frame
 kernel with the simulator, so any frame the located search skips or picks
 wrongly shows up as a difference.
 
+`switched_phase_former`, `bounded_former` and `contact_window_former` are
+the switched phase's build, the bounds check and the slab solve as the
+simulator wrote them before it dropped their per-call overhead: the phase
+by `_replace` on the cruise path with the EV velocity from its own cos and
+sin, the bounds through `_Phase.frames`, and the slab edges folded with
+max and min. The switched phase is returned unchecked.
+
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
 call per frame dict.
 
@@ -35,7 +42,18 @@ import numpy as np
 from silentcrash.detector import DefectModel
 from silentcrash.geometry import OrientedBox, Point2, area, heading, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioSpec
-from silentcrash.simulator import SimConfig, _behavior_velocity, _closing_speed, _face_normals, _min_overlap
+from silentcrash.simulator import (
+    _SLACK,
+    MAX_COORD,
+    CruiseStage,
+    SimConfig,
+    _behavior_velocity,
+    _closing_speed,
+    _face_normals,
+    _frame_span,
+    _min_overlap,
+    _Phase,
+)
 
 
 def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig = SimConfig()) -> SimpleNamespace:
@@ -100,6 +118,45 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
         length=end,
         duration=float(times[stop]),
     )
+
+
+def switched_phase_former(stage: CruiseStage, params: ControlParameters) -> _Phase:
+    (ox, oy), (vx, vy) = stage.path.ev_origin, stage.path.ev_velocity
+    yaw1 = stage.spec.ev.yaw + params.a * (math.pi / 2.0)
+    v1 = (params.v_hat * math.cos(yaw1), params.v_hat * math.sin(yaw1))
+    t0 = stage.trigger * stage.cfg.dt
+    axes, radii = _face_normals(yaw1, stage.ev_half, stage.spec.npc.yaw, stage.npc_half)
+    return stage.path._replace(
+        first=stage.trigger,
+        t0=t0,
+        ev_origin=(ox + t0 * vx, oy + t0 * vy),
+        ev_velocity=v1,
+        ev_yaw=yaw1,
+        axes=axes,
+        radii=radii,
+    )
+
+
+def bounded_former(phase: _Phase) -> bool:
+    return all(abs(c) <= MAX_COORD for f in phase.frames((phase.first, phase.last)) for c in f[1:5])
+
+
+def contact_window_former(phase: _Phase) -> range | None:
+    px, py, qx, qy, slack = phase._offset
+    if not math.isfinite(slack * (1.1 / _SLACK)):
+        return None
+    lo, hi = -math.inf, math.inf
+    for (ax, ay), r in zip(phase.axes, phase.radii):
+        p, q, reach = px * ax + py * ay, qx * ax + qy * ay, r + slack
+        if q == 0.0:
+            if abs(p) > reach:
+                return range(0)
+            continue
+        enter, leave = (-reach - p) / q, (reach - p) / q
+        if enter > leave:
+            enter, leave = leave, enter
+        lo, hi = max(lo, enter), min(hi, leave)
+    return _frame_span(lo, hi, phase.first, phase.last, phase.dt)
 
 
 def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:

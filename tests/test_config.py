@@ -60,6 +60,7 @@ def test_explicit_schedules_are_validated():
         ({"budget": "many"}, "budget"),
         ({"kinds": []}, "kinds"),
         ({"kinds": ["XYZ"]}, "kinds"),
+        ({"kinds": ["FLB", "PSF", "FLB"]}, "^kinds: duplicate entry FLB$"),
         ({"mutator": "genetic"}, "mutator"),
         ({"defect": {"sample_period": 0}}, "sample_period"),
         ({"defect": {"knob": 1}}, "defect"),

@@ -2,10 +2,11 @@ import dataclasses
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from silentcrash.detector import PERFECT_DETECTOR, silenced_by
@@ -13,6 +14,7 @@ from silentcrash.geometry import normalize_yaw, overlaps, penetration_depth
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import (
+    MAX_COORD,
     SimConfig,
     SimulationError,
     Trace,
@@ -20,10 +22,19 @@ from silentcrash.simulator import (
     _min_overlap,
     _Phase,
     _segments,
+    cruise_stage,
     simulate,
     trace_to_jsonl,
 )
-from sim_oracle import center_distance, ev_box, npc_box, trace_to_jsonl_per_frame
+from sim_oracle import (
+    bounded_former,
+    center_distance,
+    contact_window_former,
+    ev_box,
+    npc_box,
+    switched_phase_former,
+    trace_to_jsonl_per_frame,
+)
 from test_oracle import _scaled
 
 
@@ -294,3 +305,73 @@ def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
     with np.errstate(all="ignore"):
         assert math.isnan(phase.frame_values(np.array([0]))[2][0])
         assert silenced_by(trace, PERFECT_DETECTOR) == "sampling"
+
+
+# coordinates on either side of MAX_COORD, and speeds that overflow or are not finite
+_EDGE_COORDS = (-MAX_COORD, math.nextafter(MAX_COORD, 0.0), MAX_COORD, math.nextafter(MAX_COORD, math.inf), 1e300)
+_EDGE_SPEEDS = (0.0, -0.0, 1e140, -1e149, 1e300, math.inf, -math.inf, math.nan)
+_ACTOR_OVERRIDES = st.fixed_dictionaries(
+    {},
+    optional={
+        "x": st.floats(min_value=-100.0, max_value=100.0),
+        "y": st.floats(min_value=-20.0, max_value=20.0),
+        "yaw": st.floats(min_value=-math.pi, max_value=math.pi),
+        "speed": st.floats(min_value=0.5, max_value=60.0),
+        "half_length": st.floats(min_value=0.2, max_value=6.0),
+        "half_width": st.floats(min_value=0.2, max_value=3.0),
+    },
+)
+
+
+def _bits(value):
+    """The value with every float spelled by float.hex, nested tuples kept."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return float.hex(value) if isinstance(value, float) else (type(value), value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.one_of(st.floats(min_value=0.5, max_value=50.0), st.sampled_from(_EDGE_SPEEDS)),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    overrides=st.fixed_dictionaries({}, optional={"ev": _ACTOR_OVERRIDES, "npc": _ACTOR_OVERRIDES}),
+    shift=st.tuples(*[st.one_of(st.just(0.0), st.sampled_from(_EDGE_COORDS))] * 2),
+    velocities=st.tuples(*[st.one_of(st.none(), st.sampled_from(_EDGE_SPEEDS))] * 4),
+    pick=st.data(),
+)
+def test_switched_phase_matches_the_former_recipes(kind, d, v_hat, a, cfg, overrides, shift, velocities, pick):
+    """switched builds the former recipe's phase bit for bit; bounded and contact_window agree with theirs.
+
+    The stage is the one cruise_stage builds for the overridden seed, moved
+    by `shift` (so the centers lie near, at or beyond MAX_COORD), with any
+    velocity component replaced by an edge speed and the trigger at any
+    frame. The parameters are a plain (v_hat, a) namespace, so v_hat may
+    lie outside ControlParameters' range. Where the former bounds check
+    fails, switched raises.
+    """
+    try:
+        spec = apply_overrides(make_seed(kind)[0], overrides)
+        stage = cruise_stage(spec, d, cfg)
+    except (ValueError, SimulationError):  # actors that overlap at the start, a speed for a standing NPC
+        assume(False)
+    path, (sx, sy) = stage.path, shift
+    (nx, ny), (ox, oy) = path.npc_origin, path.ev_origin
+    ux, uy, vx, vy = (v if w is None else w for v, w in zip((*path.npc_velocity, *path.ev_velocity), velocities))
+    path = path._replace(
+        npc_origin=(nx + sx, ny + sy), ev_origin=(ox + sx, oy + sy), npc_velocity=(ux, uy), ev_velocity=(vx, vy)
+    )
+    trigger = pick.draw(st.integers(min_value=0, max_value=path.last))
+    stage = dataclasses.replace(stage, path=path, trigger=trigger)
+    params = SimpleNamespace(v_hat=v_hat, a=ControlParameters.from_angle(d, 20.0, a).a)
+    want = switched_phase_former(stage, params)
+    for phase in (path, want):
+        assert phase.bounded() == bounded_former(phase), phase
+        assert phase.contact_window() == contact_window_former(phase), phase
+    if bounded_former(want):
+        assert _bits(stage.switched(params)) == _bits(want)
+    else:
+        with pytest.raises(SimulationError):
+            stage.switched(params)

@@ -169,17 +169,25 @@ def _tie_cases():
     return cases
 
 
-def _hypot_frames(ref):
-    """Contact frames whose center distance math.hypot and np.hypot round differently."""
-    delta = ref.npc_centers - ref.ev_centers
-    dist = np.hypot(delta[:, 0], delta[:, 1]).tolist()
-    return {i for i in np.flatnonzero(ref.gt_overlap).tolist() if math.hypot(*delta[i].tolist()) != dist[i]}
+def _hypot_split_frames(ref):
+    """Contact frames whose center distance math.hypot rounds differently from math.sqrt(dx*dx + dy*dy).
+
+    The simulator computes the latter. At these frames a closing speed
+    computed from hypot would land on the other side of a tie threshold.
+    """
+    delta = (ref.npc_centers - ref.ev_centers).tolist()
+    return {
+        i
+        for i in np.flatnonzero(ref.gt_overlap).tolist()
+        if math.hypot(*delta[i]) != math.sqrt(delta[i][0] * delta[i][0] + delta[i][1] * delta[i][1])
+    }
 
 
 def test_builtin_verdict_on_exact_ties():
     # ties at the first and deepest contact frames, the last frame, around the
-    # trigger frame, and wherever the two hypots disagree in the last bit
-    checked = boundary = hypot = 0
+    # trigger frame, and wherever hypot and sqrt(dx*dx + dy*dy) disagree in
+    # the last bit
+    checked = boundary = hypot_split = 0
     for spec, params, cfg in _tie_cases():
         trace, ref = simulate(spec, params, cfg), simulate_full(spec, params, cfg)
         case = (spec.kind.value, params, cfg)
@@ -187,7 +195,7 @@ def test_builtin_verdict_on_exact_ties():
             assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, defect)
         if ref.first_contact is None:
             continue
-        unequal = _hypot_frames(ref)
+        unequal = _hypot_split_frames(ref)
         frames = {ref.first_contact, ref.length - 1, int(np.argmax(ref.penetration)), *unequal}
         if ref.trigger_frame is not None:
             frames |= {ref.trigger_frame - 1, ref.trigger_frame, ref.trigger_frame + 1}
@@ -195,12 +203,12 @@ def test_builtin_verdict_on_exact_ties():
             if not (0 <= i < ref.length and ref.gt_overlap[i]):
                 continue
             boundary += i + 1 == ref.trigger_frame
-            hypot += i in unequal
+            hypot_split += i in unequal
             for defect in _tie_models(ref, i):
                 assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, i, defect)
                 assert silenced_by(trace, defect) == silenced_by_full(ref, defect), (case, i, defect)
                 checked += 1
-    assert checked > 3000 and boundary > 0 and hypot > 0, (checked, boundary, hypot)
+    assert checked > 3000 and boundary > 0 and hypot_split > 0, (checked, boundary, hypot_split)
 
 
 def assert_same_jsonl(trace, case):
