@@ -60,7 +60,6 @@ def test_explicit_schedules_are_validated():
         ({"budget": "many"}, "budget"),
         ({"kinds": []}, "kinds"),
         ({"kinds": ["XYZ"]}, "kinds"),
-        ({"kinds": ["FLB", "PSF", "FLB"]}, "^kinds: duplicate entry FLB$"),
         ({"mutator": "genetic"}, "mutator"),
         ({"defect": {"sample_period": 0}}, "sample_period"),
         ({"defect": {"knob": 1}}, "defect"),
@@ -100,6 +99,7 @@ def test_explicit_schedules_are_validated():
         ({"sim": {"dt": 1e-300}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
         ({"sim": {"dt": 5e-324, "horizon": 1e308}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
         ({"sim": {"dt": 0.001, "horizon": 100.0001}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
+        ({"kinds": ["FLB", "PSF", "FLB"]}, "^kinds: duplicate entry FLB$"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):
