@@ -28,8 +28,6 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from . import report as report_mod
 from .detector import DefectModel
 from .oracle import OracleConfig, ScenarioType, check_ic
@@ -363,6 +361,8 @@ def _run_nc_start_round(
 
 
 def _run_random(config: CampaignConfig, executor: _Executor) -> None:
+    import numpy as np
+
     rng = np.random.default_rng(config.rng_seed)
     seeds = {kind: config.seed_for(kind) for kind in config.kinds}
     i = 0
@@ -453,6 +453,8 @@ def step_size_sweep(
         config = CampaignConfig(kinds=(kind,), budget=1)
     spec, _ = config.seed_for(kind)
     plan = config.plans[kind]
+
+    import numpy as np
 
     points = []
     cruise = None

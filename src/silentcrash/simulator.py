@@ -40,22 +40,25 @@ call for the few frames they read. A center distance is sqrt(dx*dx + dy*dy)
 in both: IEEE 754 rounds each of its operations correctly, so numpy and
 Python give the same bits. The overlap and penetration values use the same
 face-normal projections as the scalar geometry module; frame invariants are
-cross-checked against it in tests.
+cross-checked against it in tests. numpy is imported inside the functions
+that build arrays, so importing this module, and the CLI with it, does not
+load numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import heading, iou_bounds, normalize_yaw
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 # Slack on every located threshold, relative to the magnitude of the
 # coordinates involved: about 10^7 times the rounding error of the per-frame
@@ -122,6 +125,8 @@ def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
     elementwise products are used, never a matrix product, so a frame's value
     does not depend on how many frames are evaluated with it.
     """
+    import numpy as np
+
     ax, ay = zip(*axes)
     proj = np.abs(delta[:, :1] * ax + delta[:, 1:] * ay)  # (k, 4)
     return (radii - proj).min(axis=1)
@@ -129,6 +134,8 @@ def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
 
 def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
     """Rate at which the EV approaches the NPC center, for each center offset in delta."""
+    import numpy as np
+
     dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
     towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
     return np.where(dist > 1e-12, towards / np.maximum(dist, 1e-12), 0.0)
@@ -254,6 +261,8 @@ class _Phase(NamedTuple):
             window = _frame_span(tc - h, tc + h, self.first, self.last, self.dt)
         if not window:
             return None
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             ev, npc = self.centers(np.arange(window.start, window.stop))
             delta = npc - ev
@@ -305,6 +314,8 @@ class _Phase(NamedTuple):
             return next((f[0] for f in every if f[5] >= 0.0 and f[6] >= 0.0 and f[7] >= 0.0 and f[8] >= 0.0), None)
         if not window:
             return None
+        import numpy as np
+
         ev, npc = self.centers(np.arange(window.start, window.stop))
         hit = _min_overlap(npc - ev, self.axes, self.radii) >= 0.0
         return window.start + int(np.argmax(hit)) if hit.any() else None
@@ -363,6 +374,8 @@ class Trace:
 
     def _frame_values(self, frames: range) -> list[np.ndarray]:
         """frame_values of each phase, joined over the ascending frames."""
+        import numpy as np
+
         parts = [phase.frame_values(np.arange(p.start, p.stop, p.step)) for phase, p in self.phase_frames(frames)]
         if len(parts) == 1:
             return list(parts[0])
@@ -424,6 +437,8 @@ class Trace:
 
     @cached_property
     def times(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(self.length) * self.dt
 
     @cached_property
@@ -440,6 +455,8 @@ class Trace:
 
     @cached_property
     def penetration(self) -> np.ndarray:
+        import numpy as np
+
         return np.maximum(self._arrays[2], 0.0)
 
     @cached_property
@@ -448,6 +465,8 @@ class Trace:
 
     @cached_property
     def ev_yaws(self) -> np.ndarray:
+        import numpy as np
+
         yaws = np.empty(self.length)
         for phase in self.phases:
             yaws[phase.first : phase.last + 1] = phase.ev_yaw
@@ -455,10 +474,14 @@ class Trace:
 
     @cached_property
     def npc_yaws(self) -> np.ndarray:
+        import numpy as np
+
         return np.full(self.length, self.npc_yaw)
 
     @cached_property
     def triggered(self) -> np.ndarray:
+        import numpy as np
+
         triggered = np.zeros(self.length, dtype=bool)
         if self.trigger_frame is not None:
             triggered[self.trigger_frame :] = True
@@ -638,6 +661,8 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     trace's arrays). Without a budget every segment is spelled from the
     trace's own arrays.
     """
+    import numpy as np
+
     halves = (*trace.ev_half, *trace.npc_half)
     fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
     fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
@@ -694,6 +719,8 @@ def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, times) -> list[s
     Only the columns that vary in the segment, and t, are spelled per frame;
     they are interleaved with the template's constant pieces into one list.
     """
+    import numpy as np
+
     bits = np.column_stack([column[lo:hi] for column, _ in columns.values()]).view(np.int64)
     fields, per_frame = dict(fixed), []
     for (name, (column, spell)), vary in zip(columns.items(), (bits[1:] != bits[:-1]).any(axis=0).tolist()):
@@ -728,33 +755,21 @@ def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:
             yield start, stop, phase
 
 
-def _json_times(times: np.ndarray) -> list[str]:
-    """repr(round(t, 9)) of each time t, rounded by numpy where that gives the same double.
-
-    rint(t * 1e9) / 1e9 is Python's correctly rounded result wherever the
-    float product t * 1e9 lies more than one spacing from a half-integer: the
-    exact product then rounds to the same integer N, and N / 1e9 is the double
-    nearest to N / 10**9, as round returns. The other times (ties, near-ties,
-    products beyond 2**51, non-finite) are rounded by Python.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = times * 1e9
-        values = (np.rint(scaled) / 1e9).tolist()
-        unsure = ~(np.abs(scaled - np.floor(scaled) - 0.5) > np.abs(np.spacing(scaled)))
-    for i in np.flatnonzero(unsure).tolist():
-        values[i] = round(float(times[i]), 9)
-    return list(map(float.__repr__, values))
+def _json_times(times: Iterable[float]) -> list[str]:
+    """repr(round(t, 9)) of each time t (floats, or a float array)."""
+    return [repr(round(t, 9)) for t in map(float, times)]
 
 
 @lru_cache(maxsize=4)
 def _frame_times(dt: float, count: int) -> tuple[str, ...]:
     """_json_times of frames 0..count-1 at dt.
 
-    np.arange(n) * dt is elementwise, so a trace's times, np.arange(length) *
-    dt, are a prefix of these with the same bits, and one tuple per (dt,
-    horizon frame count) serves every trace.
+    i * dt is one IEEE product of float(i) and dt, as each element of
+    np.arange(n) * dt is, so a trace's times, np.arange(length) * dt, are a
+    prefix of these with the same bits, and one tuple per (dt, horizon frame
+    count) serves every trace.
     """
-    return tuple(_json_times(np.arange(count) * dt))
+    return tuple(_json_times(i * dt for i in range(count)))
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
@@ -767,6 +782,8 @@ def _json_floats(column: np.ndarray) -> list[str]:
     range is spelled by orjson, on a C-contiguous copy (it refuses strided
     views), and any other column value by value.
     """
+    import numpy as np
+
     magnitude = np.abs(column)
     if column.size and (((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)).all():
         import orjson  # here, not at the top: run and the sweeps never encode a trace

@@ -24,6 +24,10 @@ def _to_frame_of(box: OrientedBox, other: OrientedBox):
     return dx * c + dy * s, -dx * s + dy * c, other.yaw - box.yaw
 
 
+# samples per membership-test slice of mc_intersection_area
+_SLICE = 65536
+
+
 def mc_intersection_area(a: OrientedBox, b: OrientedBox, n: int, rng: np.random.Generator) -> float:
     """Estimate the intersection area with a jittered-grid membership sample.
 
@@ -53,13 +57,18 @@ def mc_intersection_area(a: OrientedBox, b: OrientedBox, n: int, rng: np.random.
     xs = (x0 + (cells[:, None] + jitter[0]) * hx).ravel()
     ys = (y0 + (cells[None, :] + jitter[1]) * hy).ravel()
 
-    # sampling region lies inside a along x/y wherever clipped; test both
-    inside_a = (np.abs(xs) <= a.half_length) & (np.abs(ys) <= a.half_width)
+    # sampling region lies inside a along x/y wherever clipped; test both,
+    # a slice of samples at a time so the temporaries stay cache-sized
     cb, sb = math.cos(byaw), math.sin(byaw)
-    ux = (xs - bx) * cb + (ys - by) * sb
-    uy = -(xs - bx) * sb + (ys - by) * cb
-    inside_b = (np.abs(ux) <= b.half_length) & (np.abs(uy) <= b.half_width)
-    frac = float(np.count_nonzero(inside_a & inside_b)) / (side * side)
+    hits = 0
+    for start in range(0, xs.size, _SLICE):
+        x, y = xs[start : start + _SLICE], ys[start : start + _SLICE]
+        inside_a = (np.abs(x) <= a.half_length) & (np.abs(y) <= a.half_width)
+        ux = (x - bx) * cb + (y - by) * sb
+        uy = -(x - bx) * sb + (y - by) * cb
+        inside_b = (np.abs(ux) <= b.half_length) & (np.abs(uy) <= b.half_width)
+        hits += int(np.count_nonzero(inside_a & inside_b))
+    frac = float(hits) / (side * side)
     return (x1 - x0) * (y1 - y0) * frac
 
 

@@ -10,6 +10,8 @@ import os
 import shutil
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -86,6 +88,11 @@ VARIANT_DIGESTS = {
     "random": ("017ba15598f831cd432fba686fade0f725bbd4e98262767a3099ec0136b89343", 20000),
     "per-axis": ("e343d299eb91b0167ed194f51bd387d0bc938f375aba55129b7cc94b1e80b53a", 7146),
 }
+
+# sha256 of `sweep-step --kind FLB --axis angle --steps 0.05,0.1 --trials 3`
+# with the default config: its trials draw their fixed parameters from
+# np.random.default_rng([rng_seed, trial])
+SWEEP_STEP_CSV_DIGEST = "af0d172ac7acff823e751adb78ced2b80f8ef5d399c66a60e0a891d25301ef48"
 
 MINI_CONFIG = {
     "kinds": ["FLB"],
@@ -1189,6 +1196,11 @@ class TestSweepStep:
     def test_bad_axis_is_config_error(self, tmp_path):
         assert main(["sweep-step", "--kind", "FLB", "--axis", "mass", "--steps", "0.05", "--trials", "1", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_output_is_pinned(self, tmp_path):
+        out = tmp_path / "steps.csv"
+        assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", "0.05,0.1", "--trials", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_STEP_CSV_DIGEST
+
     @pytest.mark.parametrize("how", ["missing-dir", "directory"])
     def test_unwritable_out_is_io_error(self, tmp_path, capsys, how):
         out = unwritable(tmp_path, how)
@@ -1261,3 +1273,37 @@ def test_config_that_is_a_directory_is_io_error(tmp_path, capsys, command):
 def test_usage_errors_map_to_config_error_code(capsys):
     assert main(["run"]) == 1
     assert main([]) == 1
+
+
+# Run in a fresh interpreter: imports the CLI, loads every config that
+# perfbench's set-up loads, then runs commands that never evaluate a frame
+# and prints their exit codes and whether numpy was imported.
+_WITHOUT_FRAMES = """
+import contextlib, io, sys
+from silentcrash import cli
+for name in ("reference", "tunneling", "graze"):
+    cli.load_config_file(f"configs/{name}.json")
+cli.parse_config(cli._SWEEP_THRESHOLD_DEFAULT)
+log, out, bad = sys.argv[1:]
+commands = [
+    ["report", "--log", log, "--format", "csv", "--out", out],
+    ["report", "--log", log, "--format", "svg", "--out", out],
+    ["replay", "--log", log, "--ordinal", "999"],
+    ["run", "--config", bad, "--out", out + "/run"],
+    ["--help"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(command) for command in commands]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_set_up_reports_and_error_exits_never_import_numpy(tmp_path):
+    _, out_dir = run_mini(tmp_path, budget=20)
+    bad = write_config(tmp_path, dict(MINI_CONFIG, budget=-1), name="bad.json")
+    argv = [sys.executable, "-c", _WITHOUT_FRAMES, str(out_dir / "records.jsonl"), str(tmp_path / "r"), str(bad)]
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(argv, cwd=CONFIG_DIR.parent, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 2, 1, 0] False\n"
+    assert (tmp_path / "r" / "report.csv").exists() and (tmp_path / "r" / "report.svg").exists()
