@@ -441,7 +441,8 @@ def step_size_sweep(
 
     For each trial the off-axis parameters are drawn uniformly from the plan
     ranges with a trial-indexed rng, so trial i is identical no matter how
-    many trials run in total.
+    many trials run in total. A seed that does not collide raises
+    InvalidSeedError, as in run_round.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -451,7 +452,9 @@ def step_size_sweep(
     kind = ScenarioKind(kind)
     if config is None:
         config = CampaignConfig(kinds=(kind,), budget=1)
-    spec, _ = config.seed_for(kind)
+    spec, seed_params = config.seed_for(kind)
+    if not validate_seed(spec, seed_params, config.sim):
+        raise InvalidSeedError(f"seed for {kind.value} does not produce a determined collision")
     plan = config.plans[kind]
 
     import numpy as np

@@ -14,6 +14,13 @@ by `_replace` on the cruise path with the EV velocity from its own cos and
 sin, the bounds through `_Phase.frames`, and the slab edges folded with
 max and min. The switched phase is returned unchecked.
 
+`overlap_frames_former` is Trace.overlap_frames as the simulator wrote it
+before it walked each phase in one written-out loop: the phase's frames
+through `_Phase.frames`, filtered to the hits, and the hits walked again
+through `_Phase.frames` along the wrapped yaws' normals wherever those
+differ from the phase's own. `face_normals_former` is `_face_normals` as a
+list comprehension over the four normals.
+
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
 call per frame dict.
 
@@ -40,7 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from silentcrash.detector import DefectModel
-from silentcrash.geometry import OrientedBox, Point2, area, heading, rect_corners
+from silentcrash.geometry import OrientedBox, Point2, area, heading, iou_bounds, normalize_yaw, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
     _SLACK,
@@ -157,6 +164,43 @@ def contact_window_former(phase: _Phase) -> range | None:
             enter, leave = leave, enter
         lo, hi = max(lo, enter), min(hi, leave)
     return _frame_span(lo, hi, phase.first, phase.last, phase.dt)
+
+
+def overlap_frames_former(trace) -> tuple[list[float], list[tuple[float, float, float, float, float, float]]]:
+    if trace.first_contact is None:
+        return [], []
+    ev_half, npc_half = trace.ev_half, trace.npc_half
+    (ev_hl, ev_hw), (npc_hl, npc_hw) = ev_half, npc_half
+    npc_yaw = normalize_yaw(trace.npc_yaw)
+    overlaps, frames, reach = [], [], 0.0
+    for phase, span in trace.phase_frames(range(trace.first_contact, trace.length)):
+        hits = [f for f in phase.frames(span) if f[5] >= 0.0 and f[6] >= 0.0 and f[7] >= 0.0 and f[8] >= 0.0]
+        if not hits:
+            continue
+        ev_yaw = normalize_yaw(phase.ev_yaw)
+        ec, es = heading(phase.ev_yaw)
+        frames += [(ex, ey, ec, es, nx, ny) for _, ex, ey, nx, ny, _, _, _, _ in hits]
+        reach = max(reach, *map(abs, hits[0][1:5]), *map(abs, hits[-1][1:5]))
+        if ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw:
+            along = hits
+        else:
+            along = phase.frames([f[0] for f in hits], *_face_normals(ev_yaw, ev_half, npc_yaw, npc_half))
+        overlaps += [f[5:] for f in along]
+    reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
+    return iou_bounds(overlaps, ev_half, npc_half, reach), frames
+
+
+def face_normals_former(ev_yaw: float, ev_half, npc_yaw: float, npc_half) -> tuple[tuple, tuple[float, ...]]:
+    (el, ew), (nl, nw) = ev_half, npc_half
+    ce, se = math.cos(ev_yaw), math.sin(ev_yaw)
+    cn, sn = math.cos(npc_yaw), math.sin(npc_yaw)
+    axes = ((ce, se), (-se, ce), (cn, sn), (-sn, cn))
+    radii = [
+        (el * abs(ax * ce + ay * se) + ew * abs(ay * ce - ax * se))
+        + (nl * abs(ax * cn + ay * sn) + nw * abs(ay * cn - ax * sn))
+        for ax, ay in axes
+    ]
+    return axes, tuple(radii)
 
 
 def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:

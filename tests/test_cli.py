@@ -1254,6 +1254,11 @@ class TestSweepThreshold:
         assert main(["sweep-threshold", "--thresholds", "0", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert "seed for FLB" in err and err.count("\n") == 1
+        # sweep-step rejects the seed too, before it writes a row
+        step = ["sweep-step", "--kind", "FLB", "--axis", "speed", "--steps", "5", "--trials", "1"]
+        assert main([*step, "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+        assert_one_error_line(capsys, "seed for FLB does not produce a determined collision")
+        assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from silentcrash.fuzzer import run_campaign
 from silentcrash.geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import SimConfig, _face_normals, simulate
-from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, simulate_full
+from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, overlap_frames_former, simulate_full
 from test_detector import PSF_GRAZE, sample_traces
 
 TUNNELING = DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0)
@@ -239,6 +239,42 @@ def _scaled(trace, scale):
     )
     halves = {name: tuple(h * scale for h in getattr(trace, name)) for name in ("ev_half", "npc_half")}
     return dataclasses.replace(trace, phases=phases, memo={}, **halves)
+
+
+def _turned(trace, turn):
+    """The trace with turn rad added to each phase's EV yaw, and its normals taken at the new yaw."""
+    phases = []
+    for phase in trace.phases:
+        yaw = phase.ev_yaw + turn
+        axes, radii = _face_normals(yaw, trace.ev_half, trace.npc_yaw, trace.npc_half)
+        phases.append(phase._replace(ev_yaw=yaw, axes=axes, radii=radii))
+    return dataclasses.replace(trace, phases=tuple(phases), memo={})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**200, 2.0**1000, 2.0**1012, 2.0**1016, 2.0**1019, 2.0**1023)),
+    turn=st.sampled_from((0.0, 1e16)),
+)
+def test_overlap_frames_match_the_former_walk(kind, d, v_hat, a, cfg, scale, turn):
+    """overlap_frames gives the bounds and frames of the former filter-then-rewalk recipe, bit for bit.
+
+    The trace is turned by 0 or 1e16 rad, as in
+    test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws, so
+    its wrapped yaws differ from the phases' own, and then scaled as _scaled
+    scales it, so large scales overflow centers, overlaps and reach into
+    inf and NaN.
+    """
+    trace = simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg)
+    trace = _scaled(_turned(trace, turn) if turn else trace, scale)
+    (want_bounds, want_frames), (bounds, frames) = overlap_frames_former(trace), trace.overlap_frames()
+    assert list(map(float.hex, bounds)) == list(map(float.hex, want_bounds))
+    assert [list(map(float.hex, f)) for f in frames] == [list(map(float.hex, f)) for f in want_frames]
 
 
 def _corner_error(trace, frame) -> str | None:

@@ -31,6 +31,7 @@ from sim_oracle import (
     center_distance,
     contact_window_former,
     ev_box,
+    face_normals_former,
     npc_box,
     switched_phase_former,
     trace_to_jsonl_per_frame,
@@ -328,6 +329,19 @@ def _bits(value):
     if isinstance(value, tuple):
         return tuple(map(_bits, value))
     return float.hex(value) if isinstance(value, float) else (type(value), value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    yaws=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+    halves=st.tuples(*[st.one_of(st.floats(min_value=0.1, max_value=10.0), st.floats())] * 4),
+)
+@example(yaws=(0.0, -0.0), halves=(2.4, 1.0, 2.4, 1.0))
+@example(yaws=(math.pi / 2, 1e16), halves=(math.inf, 1.0, 2.0, math.nan))
+def test_face_normals_match_the_former_comprehension(yaws, halves):
+    """The written-out _face_normals gives the list comprehension's normals and summed half extents bit for bit."""
+    args = (yaws[0], halves[:2], yaws[1], halves[2:])
+    assert _bits(_face_normals(*args)) == _bits(face_normals_former(*args))
 
 
 @settings(max_examples=400, deadline=None)
