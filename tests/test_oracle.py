@@ -21,7 +21,7 @@ from silentcrash.oracle import (
 from silentcrash.fuzzer import run_campaign
 from silentcrash.geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
-from silentcrash.simulator import SimConfig, _face_normals, simulate
+from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, simulate
 from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, overlap_frames_former, simulate_full
 from test_detector import PSF_GRAZE, sample_traces
 
@@ -275,6 +275,26 @@ def test_overlap_frames_match_the_former_walk(kind, d, v_hat, a, cfg, scale, tur
     (want_bounds, want_frames), (bounds, frames) = overlap_frames_former(trace), trace.overlap_frames()
     assert list(map(float.hex, bounds)) == list(map(float.hex, want_bounds))
     assert [list(map(float.hex, f)) for f in frames] == [list(map(float.hex, f)) for f in want_frames]
+
+
+@pytest.mark.parametrize(
+    "nan_at, ev_yaw, npc_yaw", [(0, math.pi / 4, 0.0), (1, -math.pi / 4, 0.0), (2, 0.0, math.pi / 4), (3, 0.0, -math.pi / 4)]
+)
+def test_overlap_frames_drop_a_frame_whose_overlap_is_nan_at_any_normal(nan_at, ev_yaw, npc_yaw):
+    """A frame with one NaN overlap and three infinite ones is apart, wherever the NaN falls, as in the former walk.
+
+    Boxes with infinite extents at center offset (1.7e308, 1.7e308): the one
+    normal at 45 degrees to both axes projects the offset to inf, so its
+    overlap is inf - inf, and the others project it to a finite value.
+    """
+    axes, _ = _face_normals(ev_yaw, (1.0, 1.0), npc_yaw, (1.0, 1.0))
+    huge, at_rest = 1.7e308, (0.0, 0.0)
+    phase = _Phase(0, 0, 0.01, (huge, huge), at_rest, 0.0, at_rest, at_rest, ev_yaw, axes, (math.inf,) * 4)
+    overlaps = next(phase.frames((0,)))[5:]
+    assert [math.isnan(o) for o in overlaps] == [k == nan_at for k in range(4)]
+    assert all(o == math.inf for o in overlaps if not math.isnan(o))
+    trace = Trace(0, None, (1.0, 1.0), (1.0, 1.0), 1, 0.01, npc_yaw, (phase,), cruise=None)
+    assert trace.overlap_frames() == overlap_frames_former(trace) == ([], [])
 
 
 def _corner_error(trace, frame) -> str | None:
