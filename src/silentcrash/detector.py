@@ -86,14 +86,33 @@ def _inspect(trace: Trace, defect: DefectModel) -> int:
 
     Frames before the first contact have no overlap, so only the inspected
     frames from there on are evaluated, and the first one that fires ends
-    the scan.
+    the scan. A trace that reads its cruise stage's memo (Trace.stage_memo)
+    inspects the stage's frames before the trigger as every trace of the
+    stage does, so their count is kept there per defect model: _FIRED ends
+    the scan, and any other count carries into the scan of the inspected
+    frames from the trigger on.
     """
     if trace.first_contact is None:
         return 0
-    k, depth, speed = defect.sample_period, defect.min_penetration, defect.min_impact_speed
-    reached = 0
-    for phase, frames in trace.phase_frames(range(-(-trace.first_contact // k) * k, len(trace), k)):
-        for _, ex, ey, nx, ny, o0, o1, o2, o3 in phase.frames(frames):
+    k = defect.sample_period
+    start, reached = -(-trace.first_contact // k) * k, 0
+    memo = trace.stage_memo()
+    if memo is not None:
+        end = trace.phases[0].last + 1
+        reached = memo.get(defect)
+        if reached is None:
+            reached = memo[defect] = _gates(trace, range(start, min(end, len(trace)), k), defect, 0)
+        if reached == _FIRED:
+            return _FIRED
+        start = -(-end // k) * k
+    return _gates(trace, range(start, len(trace), k), defect, reached)
+
+
+def _gates(trace: Trace, frames: range, defect: DefectModel, reached: int) -> int:
+    """_inspect's scan of the ascending inspected frames, from `reached` gates passed."""
+    depth, speed = defect.min_penetration, defect.min_impact_speed
+    for phase, part in trace.phase_frames(frames):
+        for _, ex, ey, nx, ny, o0, o1, o2, o3 in phase.frames(part):
             # all four >= 0 iff their np.min is, NaN included; past this test
             # none is NaN, so min is np.min
             if not (o0 >= 0.0 and o1 >= 0.0 and o2 >= 0.0 and o3 >= 0.0):

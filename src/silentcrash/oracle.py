@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import DefectModel, builtin_cd, ground_truth
-from .geometry import corners_iou, heading, rect_area, rect_corners
+from .geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
 from .simulator import Trace
 
 
@@ -50,7 +50,7 @@ class _PeakCursor:
     `peak` is the largest IoU clipped so far (0 before any clip). `bounds`
     and `frames` hold the frames still to clip, in ascending order of bound,
     ties in reverse time order, so that the next frame to clip is the last:
-    the largest bound, ties in time order (Trace.overlap_frames gives the
+    the largest bound, ties in time order (Trace.overlap_walk gives the
     frames). A frame not yet clipped has an IoU at or below its bound, and so
     at or below the last bound. Once the peak exceeds a frame's bound, that
     frame can raise no answer and is dropped; so the cursor only ever keeps
@@ -60,12 +60,22 @@ class _PeakCursor:
     non-finite corner's error in time order, as a clip of every frame would.
     Each clip builds both boxes' corners and runs geometry.corners_iou on
     them, as geometry.iou would on the two boxes.
+
+    A trace that reads its cruise stage's memo (Trace.stage_memo) shares its
+    overlap frames before the trigger with every trace of the stage. Their
+    exact peak is clipped once per stage, in time order, and kept in the
+    stage's memo; the cursor starts from that peak and keeps only the later
+    frames whose bound is at least it. The peak is a max, so it has the bits
+    of a clip of every frame in any order. The shared frames come first in
+    time, so a clip of them that raises raises the error a clip of every
+    frame in time order would; the stage then keeps no peak.
     """
 
     __slots__ = ("bounds", "frames", "peak", "_halves", "_areas", "_npc_heading")
 
     def __init__(self, trace: Trace):
-        bounds, frames = trace.overlap_frames()
+        shared, overlaps, frames, reach = trace.overlap_walk()
+        bounds = iou_bounds(overlaps, trace.ev_half, trace.npc_half, reach)
         order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)[::-1]
         self.bounds = [bounds[i] for i in order]
         self.frames = [frames[i] for i in order]
@@ -73,17 +83,33 @@ class _PeakCursor:
         self._halves = (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
         self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
         self._npc_heading = heading(trace.npc_yaw)
+        if shared is not None:
+            memo = trace.cruise.memo
+            peak = memo.get(_PeakCursor)
+            if peak is None:
+                peak = 0.0
+                for frame in shared.frames:
+                    peak = max(peak, self._iou(frame))
+                memo[_PeakCursor] = peak
+            self.peak = peak
+            self._drop()
         while self.bounds and self.bounds[-1] == math.inf:
             self._clip()
 
+    def _iou(self, frame: tuple[float, float, float, float, float, float]) -> float:
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = self._halves
+        ex, ey, ec, es, nx, ny = frame
+        ev, npc = rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, *self._npc_heading)
+        return corners_iou(ev, npc, *self._areas)
+
     def _clip(self) -> None:
         """Clip the last frame; then drop the frames whose bound is below the peak."""
-        (ev_hl, ev_hw), (npc_hl, npc_hw) = self._halves
-        ex, ey, ec, es, nx, ny = self.frames[-1]
-        ev, npc = rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, *self._npc_heading)
-        self.peak = max(self.peak, corners_iou(ev, npc, *self._areas))
+        self.peak = max(self.peak, self._iou(self.frames[-1]))
         self.bounds.pop()
         self.frames.pop()
+        self._drop()
+
+    def _drop(self) -> None:
         below = bisect_left(self.bounds, self.peak)
         del self.bounds[:below], self.frames[:below]
 

@@ -28,7 +28,11 @@ when there was none before. simulate composes the two and takes a cruise
 stage from an earlier trace, which it uses when it was built for the same
 spec and sim config objects and an equal d; a campaign that sweeps v_hat and
 a at a fixed d locates its trigger once, and replays of one manifest share
-each stage and the text of its frames.
+each stage and the text of its frames. A stage that touches before its
+trigger also keeps, in its memo, what every trace built on it derives from
+the frames between first contact and the trigger: their overlap walk, their
+peak IoU and how far the built-in detector got through them. Each trace
+scores only its frames from the trigger on.
 
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
@@ -36,9 +40,9 @@ _Phase owns these expressions in two forms that round alike: a numpy kernel
 over an array of frames (the confirm windows and a Trace's per-frame arrays,
 built on first access) and one scalar evaluator in Python floats,
 _Phase.frames, which the built-in detector calls for the few frames it
-reads. Trace.overlap_frames, the peak IoU's walk, writes the scalar
-evaluator's expressions out in its own loop, in the same order, so its
-values round alike too. A center distance is sqrt(dx*dx + dy*dy)
+reads. The peak IoU's walk of a phase's overlap frames (_walk) writes the
+scalar evaluator's expressions out in its own loop, in the same order, so
+its values round alike too. A center distance is sqrt(dx*dx + dy*dy)
 in both: IEEE 754 rounds each of its operations correctly, so numpy and
 Python give the same bits. The overlap and penetration values use the same
 face-normal projections as the scalar geometry module; frame invariants are
@@ -195,21 +199,21 @@ class _Phase(NamedTuple):
         npc = self.npc_origin + t[:, None] * self.npc_velocity
         return ev, npc
 
-    def frames(self, idx, axes=None, radii=None) -> Iterator[tuple[float, ...]]:
+    def frames(self, idx) -> Iterator[tuple[float, ...]]:
         """The scalar frame evaluator: (i, ex, ey, nx, ny, o0, o1, o2, o3) for each frame i of idx.
 
         (ex, ey) and (nx, ny) are the EV and NPC centers, and o0..o3 the
-        overlaps radii[k] - |(npc - ev) . axes[k]| along the given face
-        normals, the phase's own by default. Each is computed with the
-        operations of centers and _min_overlap in the same order, so it is
-        the kernel's value at frame i bit for bit, and the np.min of o0..o3
-        is _min_overlap's. Python's min skips a NaN that np.min propagates,
-        so a frame overlaps iff all four are >= 0: a NaN counts as apart.
+        overlaps radii[k] - |(npc - ev) . axes[k]| along the phase's face
+        normals. Each is computed with the operations of centers and
+        _min_overlap in the same order, so it is the kernel's value at frame
+        i bit for bit, and the np.min of o0..o3 is _min_overlap's. Python's
+        min skips a NaN that np.min propagates, so a frame overlaps iff all
+        four are >= 0: a NaN counts as apart.
         """
         (px, py), (ux, uy) = self.npc_origin, self.npc_velocity
         (ox, oy), (vx, vy) = self.ev_origin, self.ev_velocity
-        (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = self.axes if axes is None else axes
-        r0, r1, r2, r3 = self.radii if radii is None else radii
+        (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = self.axes
+        r0, r1, r2, r3 = self.radii
         dt, t0 = self.dt, self.t0
         for i in idx:
             t = i * dt
@@ -342,6 +346,73 @@ class _Phase(NamedTuple):
         return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
 
 
+class _Walk(NamedTuple):
+    """Overlap frames in time order, as Trace.overlap_frames lists them before the bounds.
+
+    overlaps holds each frame's four overlaps along the wrapped yaws' normals,
+    frames its inputs, and reach the largest center coordinate magnitude of
+    the frames, as max folds them from 0.0.
+    """
+
+    overlaps: list[tuple[float, float, float, float]]
+    frames: list[tuple[float, float, float, float, float, float]]
+    reach: float
+
+
+def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list, reach: float) -> float:
+    """Append the overlap frames of the phase's frames span to overlaps and frames; return reach raised by them."""
+    ev_half, npc_half = trace.ev_half, trace.npc_half
+    npc_yaw = normalize_yaw(trace.npc_yaw)
+    (px, py), (ux, uy) = phase.npc_origin, phase.npc_velocity
+    (ox, oy), (vx, vy) = phase.ev_origin, phase.ev_velocity
+    (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes
+    r0, r1, r2, r3 = phase.radii
+    dt, t0 = phase.dt, phase.t0
+    ev_yaw = normalize_yaw(phase.ev_yaw)
+    # the phase's own normals, up to the sign of a zero, which abs absorbs
+    own = ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw
+    if not own:
+        wrapped, (s0, s1, s2, s3) = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
+        (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = wrapped
+    ec, es = heading(phase.ev_yaw)
+    start = len(frames)
+    for i in span:
+        t = i * dt
+        since = t - t0
+        ex, ey, nx, ny = ox + since * vx, oy + since * vy, px + t * ux, py + t * uy
+        dx, dy = nx - ex, ny - ey
+        # all four overlaps >= 0 iff their np.min is, NaN included
+        o0 = r0 - abs(dx * a0x + dy * a0y)
+        if not o0 >= 0.0:
+            continue
+        o1 = r1 - abs(dx * a1x + dy * a1y)
+        if not o1 >= 0.0:
+            continue
+        o2 = r2 - abs(dx * a2x + dy * a2y)
+        if not o2 >= 0.0:
+            continue
+        o3 = r3 - abs(dx * a3x + dy * a3y)
+        if not o3 >= 0.0:
+            continue
+        if own:
+            overlaps.append((o0, o1, o2, o3))
+        else:
+            overlaps.append((
+                s0 - abs(dx * b0x + dy * b0y),
+                s1 - abs(dx * b1x + dy * b1y),
+                s2 - abs(dx * b2x + dy * b2y),
+                s3 - abs(dx * b3x + dy * b3y),
+            ))
+        frames.append((ex, ey, ec, es, nx, ny))
+    if len(frames) > start:
+        # each center coordinate is monotonic over a phase's frames, so its
+        # first and last hit hold the largest magnitudes; max keeps the first
+        # of a NaN and its peers, so the order is the hits'
+        (ex, ey, _, _, nx, ny), (lx, ly, _, _, mx, my) = frames[start], frames[-1]
+        reach = max(reach, abs(ex), abs(ey), abs(nx), abs(ny), abs(lx), abs(ly), abs(mx), abs(my))
+    return reach
+
+
 @dataclass(eq=False)
 class Trace:
     """Frame-by-frame record of one execution.
@@ -394,6 +465,59 @@ class Trace:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
 
+    def stage_memo(self) -> dict | None:
+        """The cruise stage's memo, if this trace touched before its trigger on the stage's own frames; else None.
+
+        The memo holds what the overlap walk, the peak IoU and the built-in
+        detector derive from the stage's first phase, from first contact to
+        the end of that phase or of the trace, with the stage's halves and
+        NPC yaw. So only a trace whose first phase is the stage's (the same
+        object), and whose halves, NPC yaw (the same objects), first contact
+        and length are the stage's, reads it. A trace derived from a
+        simulated one with other phases, halves or frames, or one without a
+        stage, reads nothing, and neither does a trace whose stage has no
+        contact before the trigger.
+        """
+        stage = self.cruise
+        if stage is None or stage.first_contact is None:
+            return None
+        if (
+            self.phases[0] is stage.phases[0]
+            and self.ev_half is stage.ev_half
+            and self.npc_half is stage.npc_half
+            and self.npc_yaw is stage.spec.npc.yaw
+            and self.first_contact == stage.first_contact
+            and self.length == min(stage.first_contact + stage.cfg.settle_frames, stage.path.last) + 1
+        ):
+            return stage.memo
+        return None
+
+    def overlap_walk(self) -> tuple[_Walk | None, list, list, float]:
+        """overlap_frames' walk, before the bounds: (shared, overlaps, frames, reach).
+
+        For a trace that reads its stage's memo (stage_memo), shared is the
+        walk of the stage's first phase, kept in the memo by the first such
+        trace to ask, and overlaps and frames are those of the later phases,
+        walked from the trigger on with the running reach carried in.
+        Otherwise shared is None, and overlaps and frames are every phase's.
+        reach is that of every listed frame, as overlap_frames describes it.
+        """
+        (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
+        shared, overlaps, frames, reach = None, [], [], 0.0
+        if self.first_contact is not None:
+            start, memo = self.first_contact, self.stage_memo()
+            if memo is not None:
+                first = self.phases[0]
+                shared = memo.get(_Walk)
+                if shared is None:
+                    pre_overlaps, pre_frames, span = [], [], range(start, min(first.last + 1, self.length))
+                    pre_reach = _walk(self, first, span, pre_overlaps, pre_frames, 0.0)
+                    shared = memo[_Walk] = _Walk(pre_overlaps, pre_frames, pre_reach)
+                start, reach = first.last + 1, shared.reach
+            for phase, span in self.phase_frames(range(start, self.length)):
+                reach = _walk(self, phase, span, overlaps, frames, reach)
+        return shared, overlaps, frames, (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
+
     def overlap_frames(self) -> tuple[list[float], list[tuple[float, float, float, float, float, float]]]:
         """Each overlap frame, in time order: an upper bound on its IoU, and its inputs.
 
@@ -422,70 +546,22 @@ class Trace:
         every frame would; a non-finite heading makes its phase's bounds NaN,
         which iou_bounds also reads as +inf.
 
-        The walk is one written-out loop per phase, rather than a filter over
-        _Phase.frames and a second pass over the hits along the wrapped
-        normals: it computes each frame's centers once and drops a frame at
-        its first overlap that is negative or NaN. A threshold sweep calls it
-        once per trace, and the generator's per-frame tuples and the second
-        pass took about 30 % of it (27-28 against 19-20 us a trace over the
-        default sweep's 600 traces, best of 60 passes, 2-vCPU host).
+        The walk (_walk) is one written-out loop per phase, rather than a
+        filter over _Phase.frames and a second pass over the hits along the
+        wrapped normals: it computes each frame's centers once and drops a
+        frame at its first overlap that is negative or NaN. A threshold sweep
+        calls it once per trace, and the generator's per-frame tuples and the
+        second pass took about 30 % of it (27-28 against 19-20 us a trace over
+        the default sweep's 600 traces, best of 60 passes, 2-vCPU host).
+        Every trace that touches before its trigger walks the same frames of
+        the cruise stage's phase, so that part of the walk is kept in the
+        stage's memo (overlap_walk); the lists, the reach and so the bounds
+        have the bits of a walk of every phase.
         """
-        if self.first_contact is None:
-            return [], []
-        ev_half, npc_half = self.ev_half, self.npc_half
-        (ev_hl, ev_hw), (npc_hl, npc_hw) = ev_half, npc_half
-        npc_yaw = normalize_yaw(self.npc_yaw)
-        overlaps, frames, reach = [], [], 0.0
-        for phase, span in self.phase_frames(range(self.first_contact, self.length)):
-            (px, py), (ux, uy) = phase.npc_origin, phase.npc_velocity
-            (ox, oy), (vx, vy) = phase.ev_origin, phase.ev_velocity
-            (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes
-            r0, r1, r2, r3 = phase.radii
-            dt, t0 = phase.dt, phase.t0
-            ev_yaw = normalize_yaw(phase.ev_yaw)
-            # the phase's own normals, up to the sign of a zero, which abs absorbs
-            own = ev_yaw == phase.ev_yaw and npc_yaw == self.npc_yaw
-            if not own:
-                wrapped, (s0, s1, s2, s3) = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
-                (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = wrapped
-            ec, es = heading(phase.ev_yaw)
-            start = len(frames)
-            for i in span:
-                t = i * dt
-                since = t - t0
-                ex, ey, nx, ny = ox + since * vx, oy + since * vy, px + t * ux, py + t * uy
-                dx, dy = nx - ex, ny - ey
-                # all four overlaps >= 0 iff their np.min is, NaN included
-                o0 = r0 - abs(dx * a0x + dy * a0y)
-                if not o0 >= 0.0:
-                    continue
-                o1 = r1 - abs(dx * a1x + dy * a1y)
-                if not o1 >= 0.0:
-                    continue
-                o2 = r2 - abs(dx * a2x + dy * a2y)
-                if not o2 >= 0.0:
-                    continue
-                o3 = r3 - abs(dx * a3x + dy * a3y)
-                if not o3 >= 0.0:
-                    continue
-                if own:
-                    overlaps.append((o0, o1, o2, o3))
-                else:
-                    overlaps.append((
-                        s0 - abs(dx * b0x + dy * b0y),
-                        s1 - abs(dx * b1x + dy * b1y),
-                        s2 - abs(dx * b2x + dy * b2y),
-                        s3 - abs(dx * b3x + dy * b3y),
-                    ))
-                frames.append((ex, ey, ec, es, nx, ny))
-            if len(frames) > start:
-                # each center coordinate is monotonic over a phase's frames, so
-                # its first and last hit hold the largest magnitudes; max keeps
-                # the first of a NaN and its peers, so the order is the hits'
-                (ex, ey, _, _, nx, ny), (lx, ly, _, _, mx, my) = frames[start], frames[-1]
-                reach = max(reach, abs(ex), abs(ey), abs(nx), abs(ny), abs(lx), abs(ly), abs(mx), abs(my))
-        reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
-        return iou_bounds(overlaps, ev_half, npc_half, reach), frames
+        shared, overlaps, frames, reach = self.overlap_walk()
+        if shared is not None:
+            overlaps, frames = shared.overlaps + overlaps, shared.frames + frames
+        return iou_bounds(overlaps, self.ev_half, self.npc_half, reach), frames
 
     @cached_property
     def _arrays(self) -> list[np.ndarray]:
@@ -558,6 +634,15 @@ class CruiseStage:
     Before the trigger the EV ignores v_hat and a, so the cruise path, the
     trigger frame and any contact before it are the same for every (v_hat, a)
     at the same spec, d and sim config, and one stage serves all of them.
+
+    When the stage touches before the trigger, every trace built on it also
+    scores the same frames from first contact to the trigger the same way.
+    `memo` keeps those results, filled by the first trace that asks
+    (Trace.stage_memo says which traces read it): the overlap walk of the
+    stage's phase under _Walk, its peak IoU under oracle._PeakCursor, and
+    per defect model how many of the built-in's gates its inspected frames
+    passed. memo is not an init field, so a stage made by dataclasses.replace
+    starts with an empty one.
     """
 
     spec: ScenarioSpec
@@ -571,6 +656,7 @@ class CruiseStage:
     first_contact: int | None  # first contact in phases
     # trace_to_jsonl's text of the segments of phases, keyed by (start, stop), under a TextBudget
     text: dict = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def fits(self, spec: ScenarioSpec, d: float, cfg: SimConfig) -> bool:
         """Whether this stage was built for this spec and cfg (the same objects) and an equal d."""

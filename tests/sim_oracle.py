@@ -17,8 +17,8 @@ max and min. The switched phase is returned unchecked.
 `overlap_frames_former` is Trace.overlap_frames as the simulator wrote it
 before it walked each phase in one written-out loop: the phase's frames
 through `_Phase.frames`, filtered to the hits, and the hits walked again
-through `_Phase.frames` along the wrapped yaws' normals wherever those
-differ from the phase's own. `face_normals_former` is `_face_normals` as a
+through `_Phase.frames` of the phase with the wrapped yaws' normals
+wherever those differ from the phase's own. `face_normals_former` is `_face_normals` as a
 list comprehension over the four normals.
 
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
@@ -184,7 +184,8 @@ def overlap_frames_former(trace) -> tuple[list[float], list[tuple[float, float, 
         if ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw:
             along = hits
         else:
-            along = phase.frames([f[0] for f in hits], *_face_normals(ev_yaw, ev_half, npc_yaw, npc_half))
+            axes, radii = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
+            along = phase._replace(axes=axes, radii=radii).frames([f[0] for f in hits])
         overlaps += [f[5:] for f in along]
     reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
     return iou_bounds(overlaps, ev_half, npc_half, reach), frames

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from silentcrash import cli, oracle
 from silentcrash.config import parse_config
-from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, ground_truth
+from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, ground_truth, silenced_by
 from silentcrash.oracle import (
     OracleConfig,
     ScenarioType,
@@ -21,8 +21,15 @@ from silentcrash.oracle import (
 from silentcrash.fuzzer import run_campaign
 from silentcrash.geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
-from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, simulate
-from sim_oracle import builtin_cd_full, max_iou_whole_trace, overlap_corners, overlap_frames_former, simulate_full
+from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, _Walk, simulate
+from sim_oracle import (
+    builtin_cd_full,
+    max_iou_whole_trace,
+    overlap_corners,
+    overlap_frames_former,
+    silenced_by_full,
+    simulate_full,
+)
 from test_detector import PSF_GRAZE, sample_traces
 
 TUNNELING = DefectModel(sample_period=40, min_penetration=0.0, min_impact_speed=0.0)
@@ -130,7 +137,8 @@ def test_max_iou_clips_under_half_the_overlap_frames_of_the_default_sweep(monkey
     monkeypatch.undo()
     assert len(traces) == 600
     assert sum(int(trace.gt_overlap.sum()) for trace in traces) == 7215
-    assert len(calls) <= 3100
+    # 2643 with each cruise stage's frames before the trigger clipped once per stage, 3047 without
+    assert len(calls) <= 2700
     assert [peak.hex() for peak in peaks] == [max_iou_whole_trace(trace).hex() for trace in traces]
 
 
@@ -147,8 +155,9 @@ def test_recall_sweep_clips_under_a_quarter_of_the_overlap_frames_of_the_default
     swept = len(calls)
     peaks = [max_iou(trace) for trace in traces]
     monkeypatch.undo()
-    # the sweep's clips are the first of those max_iou makes: the total is max_iou's alone
-    assert swept <= 1650 and len(calls) <= 3100
+    # the sweep's clips are the first of those max_iou makes: the total is max_iou's alone;
+    # 1106 and 2643 with each cruise stage's frames before the trigger clipped once per stage, 1587 and 3047 without
+    assert swept <= 1150 and len(calls) <= 2700
     silent = [not builtin_cd(trace, DefectModel()) for trace in traces]
     assert [p.fp for p in points[1:]] == [sum(q and peak >= t for q, peak in zip(silent, peaks)) for t in SWEEP[1:]]
 
@@ -194,6 +203,113 @@ def test_threshold_verdicts_in_any_order_match_the_whole_trace_peak(kind, d, v_h
         clips.reset_mock()
         assert max_iou(trace).hex() == peak.hex()
     assert swept <= clipped_alone and swept + clips.call_count == clipped_alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=3.0) | st.floats(min_value=2.0, max_value=7.0),
+    controls=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(-1.0, 1.0)), min_size=2, max_size=4),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    # the last two stop short of firing on most contacts before the trigger, and often after it at fewer gates
+    defect=st.sampled_from((
+        DefectModel(), PERFECT_DETECTOR, TUNNELING,
+        DefectModel(sample_period=1, min_penetration=0.3, min_impact_speed=50.0),
+        DefectModel(sample_period=3, min_penetration=1.0, min_impact_speed=0.0),
+    )),
+    data=st.data(),
+)
+def test_traces_of_one_cruise_stage_score_as_their_whole_trace_references(kind, d, controls, cfg, defect, data):
+    """Executions at several (v_hat, a) share one cruise stage, and each scores as its whole-trace reference.
+
+    The traces are scored in a drawn order, so whichever comes first fills
+    the stage's memo, and each is asked overlap_frames, max_iou, builtin_cd,
+    silenced_by and check_ic at drawn thresholds (0, random ones, the
+    sweep's, the exact peak and its neighbours) in a drawn order. Every
+    answer has the bits of the references: the former walk of every phase
+    and the whole-trace peak and detector. A stage that touches before its
+    trigger is read by every trace and keeps the walk, the peak and the
+    defect model's count.
+    """
+    spec, cruise = make_seed(kind)[0], None
+    cases, traces = [ControlParameters.from_angle(d=d, v_hat=v_hat, a=a) for v_hat, a in controls], []
+    for params in cases:
+        traces.append(simulate(spec, params, cfg, cruise))
+        cruise = traces[-1].cruise
+    assert all(trace.cruise is cruise for trace in traces)
+    for i in data.draw(st.permutations(range(len(traces)))):
+        trace, ref = traces[i], simulate_full(spec, cases[i], cfg)
+        peak, fired = max_iou_whole_trace(simulate(spec, cases[i], cfg)), builtin_cd_full(ref, defect)
+        near = [t for t in (peak, math.nextafter(peak, 0.0), math.nextafter(peak, 1.0)) if 0.0 < t < 1.0]
+        pool = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from((0.0, *near, *SWEEP[1:]))
+        asks = ["overlap_frames", "max_iou", "builtin_cd", "silenced_by", *data.draw(st.lists(pool, max_size=6))]
+        for ask in data.draw(st.permutations(asks)):
+            if ask == "overlap_frames":
+                (want_bounds, want_frames), (bounds, frames) = overlap_frames_former(trace), trace.overlap_frames()
+                assert list(map(float.hex, bounds)) == list(map(float.hex, want_bounds)), i
+                assert [list(map(float.hex, f)) for f in frames] == [list(map(float.hex, f)) for f in want_frames], i
+            elif ask == "max_iou":
+                assert max_iou(trace).hex() == peak.hex(), (i, ask)
+            elif ask == "builtin_cd":
+                assert builtin_cd(trace, defect) is fired, (i, ask)
+            elif ask == "silenced_by":
+                assert silenced_by(trace, defect) == silenced_by_full(ref, defect), (i, ask)
+            else:
+                cond1 = ref.first_contact is not None if ask == 0.0 else peak >= ask
+                assert check_ic(trace, defect, OracleConfig(ask)) is classify(cond1, fired), (i, ask, peak)
+    if cruise.first_contact is None:
+        assert cruise.memo == {}
+    else:
+        assert all(trace.stage_memo() is cruise.memo for trace in traces)
+        assert cruise.memo.keys() == {_Walk, oracle._PeakCursor, defect}
+
+
+def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
+    """Other phases (_scaled, _turned), other halves, a cut length or no stage: the trace reads no stage memo.
+
+    Each derived trace is scored before the simulated one fills its stage's
+    memo and again after, with the same answers, and leaves the memo empty.
+    A stage whose halves make the clip of its frames before the trigger
+    raise gives the error of a clip of every frame in time order, and keeps
+    no peak.
+    """
+    spec, params = make_seed(ScenarioKind.FLB)[0], ControlParameters.from_angle(d=2.0, v_hat=20.0, a=0.2)
+    trace = simulate(spec, params)
+    stage = trace.cruise
+    assert stage.first_contact is not None and stage.first_contact < stage.trigger < trace.length
+    ev_hl, ev_hw = trace.ev_half
+    derived = [
+        _scaled(trace, 2.0),
+        _turned(trace, 1e16),
+        dataclasses.replace(trace, ev_half=(ev_hl * 1.5, ev_hw), memo={}),
+        dataclasses.replace(trace, npc_half=(trace.npc_half[0], 2.0), memo={}),
+        dataclasses.replace(trace, length=trace.length - 1, memo={}),
+        dataclasses.replace(trace, cruise=None, memo={}),
+    ]
+
+    def scores(trace):
+        verdicts = [check_ic(trace, defect, OracleConfig(t)) for t in SWEEP for defect in (DefectModel(), TUNNELING)]
+        return max_iou(trace).hex(), verdicts, silenced_by(trace, DefectModel()), silenced_by(trace, TUNNELING)
+
+    assert all(other.stage_memo() is None for other in derived)
+    before = [scores(other) for other in derived]
+    assert stage.memo == {}
+    scores(trace)
+    assert trace.stage_memo() is stage.memo
+    assert stage.memo.keys() == {_Walk, oracle._PeakCursor, DefectModel(), TUNNELING}
+    assert [scores(dataclasses.replace(other, memo={})) for other in derived] == before
+
+    widened = dataclasses.replace(stage, npc_half=(math.inf, stage.npc_half[1]))
+    raising = simulate(spec, params, stage.cfg, widened)
+    assert raising.cruise is widened and widened.memo == {} and raising.stage_memo() is widened.memo
+    with pytest.raises(ValueError) as want:
+        max_iou(dataclasses.replace(raising, cruise=None, memo={}))
+    assert str(want.value).startswith("non-finite point")
+    for t in (0.05, 0.5):
+        with pytest.raises(ValueError) as got:
+            check_ic(raising, DefectModel(), OracleConfig(t))
+        assert str(got.value) == str(want.value)
+        assert oracle._PeakCursor not in widened.memo and raising.memo == {}
 
 
 def test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws():

@@ -251,8 +251,9 @@ def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg,
     with np.errstate(all="ignore"):
         ev, npc, low, closing = phase.frame_values(np.array([i]))
         wrapped_low = _min_overlap(npc - ev, *wrapped)
-        for normals, want in ((None, low[0]), (wrapped, wrapped_low[0])):
-            got_i, ex, ey, nx, ny, *overlaps = next(phase.frames((i,), *(normals or ())))
+        turned = phase._replace(axes=wrapped[0], radii=wrapped[1])
+        for along, want in ((phase, low[0]), (turned, wrapped_low[0])):
+            got_i, ex, ey, nx, ny, *overlaps = next(along.frames((i,)))
             assert got_i == i
             assert list(map(float.hex, (ex, ey, nx, ny))) == list(map(float.hex, (*ev[0].tolist(), *npc[0].tolist())))
             assert float.hex(float(np.min(overlaps))) == float.hex(float(want))
