@@ -83,7 +83,7 @@ class _PeakCursor:
         self._halves = (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
         self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
         self._npc_heading = heading(trace.npc_yaw)
-        if shared is not None:
+        if shared is not None:  # the trace reads its stage's memo
             memo = trace.cruise.memo
             peak = memo.get(_PeakCursor)
             if peak is None:
