@@ -28,7 +28,12 @@ _TWO_PI = 2.0 * math.pi
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
+    """Wrap an angle into [-pi, pi), as (yaw + pi) % 2pi - pi.
+
+    yaw + pi rounds, so an angle that is already in range can come back
+    moved: by up to half an ulp of yaw + pi (at most 4.4e-16 rad for
+    |yaw| <= pi/2), which is many ulps of a small angle.
+    """
     return (yaw + math.pi) % _TWO_PI - math.pi
 
 

@@ -28,7 +28,8 @@ when there was none before. simulate composes the two and takes a cruise
 stage from an earlier trace, which it uses when it was built for the same
 spec and sim config objects and an equal d; a campaign that sweeps v_hat and
 a at a fixed d locates its trigger once, and replays of one manifest share
-each stage and the text of its frames. A stage that touches before its
+each stage and the text of its frames, and each kind's NPC side of the rows
+from the trigger on. A stage that touches before its
 trigger also keeps, in its memo, what every trace built on it derives from
 the frames between first contact and the trigger: their overlap walk, their
 peak IoU and how far the built-in detector got through them. Each trace
@@ -369,7 +370,10 @@ def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list
     r0, r1, r2, r3 = phase.radii
     dt, t0 = phase.dt, phase.t0
     ev_yaw = normalize_yaw(phase.ev_yaw)
-    # the phase's own normals, up to the sign of a zero, which abs absorbs
+    # where both wrapped yaws equal the phase's own (a zero's sign aside,
+    # which abs absorbs), the wrapped normals are the phase's. normalize_yaw
+    # can move an in-range yaw by an ulp of yaw + pi, so this fails for many
+    # in-range yaws too, and those phases take the wrapped normals' overlaps
     own = ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw
     if not own:
         wrapped, (s0, s1, s2, s3) = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
@@ -745,45 +749,101 @@ def simulate(
     )
 
 
-# The most bytes of segment text (ASCII, so one byte per character) that the
-# cruise stages under one TextBudget keep. The 22 stages of the reference log
-# take 1.12 MB; one cruise of MAX_STEPS frames alone would take about 28 MB.
+# The most bytes of text (ASCII, so one byte per character) that the holders
+# under one TextBudget keep. The 22 stages of the reference log take 1.12 MB
+# and the NPC rows of its 6 kinds 1.2 MB; one cruise of MAX_STEPS frames alone
+# would take about 28 MB.
 CRUISE_TEXT_BUDGET = 8 << 20
 
 
 class TextBudget:
-    """The cruise stages that keep segment text for trace_to_jsonl, and the bytes each keeps.
+    """The text that trace_to_jsonl keeps, and the bytes each of its holders keeps.
 
-    When new text would take the total above CRUISE_TEXT_BUDGET, the stages
-    that were given text longest ago give up theirs until it fits; text
-    longer than the budget is not kept.
+    Two kinds of holder keep text in their `text` dict: a cruise stage keeps
+    its own segments' text, and an _NpcRows the NPC side of a scenario kind's
+    rows from the trigger on (npc_rows). When new text would take the total
+    above CRUISE_TEXT_BUDGET, the holders that were given text longest ago
+    give up theirs until it fits; text longer than the budget is not kept.
     """
 
     def __init__(self) -> None:
-        self.stages: dict[CruiseStage, int] = {}  # least recently given text first
+        self.holders: dict[CruiseStage | _NpcRows, int] = {}  # least recently given text first
         self.bytes = 0
+        self.npc: dict[tuple[str, ...], _NpcRows] = {}  # by what its rows are spelled from (npc_rows)
 
-    def keep(self, stage: CruiseStage, key: tuple[int, int], text: str) -> None:
-        if len(text) > CRUISE_TEXT_BUDGET:
+    def keep(self, holder: CruiseStage | _NpcRows, key, text, size: int) -> None:
+        if size > CRUISE_TEXT_BUDGET:
             return
-        stage.text[key] = text
-        self.stages[stage] = self.stages.pop(stage, 0) + len(text)
-        self.bytes += len(text)
+        holder.text[key] = text
+        self.holders[holder] = self.holders.pop(holder, 0) + size
+        self.bytes += size
         while self.bytes > CRUISE_TEXT_BUDGET:
-            oldest = next(iter(self.stages))
-            self.bytes -= self.stages.pop(oldest)
+            oldest = next(iter(self.holders))
+            self.bytes -= self.holders.pop(oldest)
             oldest.text.clear()
+
+    def npc_rows(self, phase: _Phase, fixed: dict) -> tuple[str, ...] | None:
+        """The NPC side of the rows of frames 0..phase.last when triggered and apart; None if longer than the budget.
+
+        Row i is what trace_to_jsonl writes after the EV side of frame i when
+        the frame is triggered and apart with no penetration: gt_overlap
+        false, the NPC box, penetration 0.0, t and triggered true. fixed
+        spells the NPC's halves and yaw. A phase's NPC centers depend only on
+        its NPC origin and velocity and its dt, and the NPC never reacts, so
+        every switched phase of a scenario kind copies them from the kind's
+        cruise path: the rows are spelled once per kind and sim config and
+        kept within the budget, keyed by what they are spelled from.
+        """
+        motion = repr((phase.npc_origin, phase.npc_velocity, phase.dt, phase.last))  # tells -0.0 from 0.0
+        key = (motion, fixed["npc_hl"], fixed["npc_hw"], fixed["npc_yaw"])
+        holder = self.npc.get(key)
+        if holder is None:
+            holder = self.npc[key] = _NpcRows()
+        if holder.size is not None and holder.size > CRUISE_TEXT_BUDGET:
+            return None
+        rows = holder.text.get(None)
+        if rows is None:
+            rows = _spell_npc_rows(phase, fixed)
+            holder.size = sum(map(len, rows))
+            self.keep(holder, None, rows, holder.size)
+        return rows
+
+
+class _NpcRows:
+    """A TextBudget's holder of a kind's NPC rows: text[None] is the rows while kept, size their bytes once spelled."""
+
+    __slots__ = ("text", "size")
+
+    def __init__(self) -> None:
+        self.text, self.size = {}, None
 
 
 # One frame of trace_to_jsonl, keys sorted as json.dumps(..., sort_keys=True)
-# writes them. Each segment fills in the fields; a column spelled per frame,
-# and t, stay "%s", the slots at which the template is split.
-_ROW = (
+# writes them: the EV side, then the NPC side. Each segment fills in the
+# fields; a column spelled per frame, and t, stay "%s", the slots at which the
+# template is split.
+_EV_ROW = (
     '{{"closing_speed": {closing_speed}, "ev": {{"half_length": {ev_hl}, "half_width": {ev_hw}, '
-    '"x": {ev_x}, "y": {ev_y}, "yaw": {ev_yaw}}}, "gt_overlap": {gt_overlap}, '
+    '"x": {ev_x}, "y": {ev_y}, "yaw": {ev_yaw}}}'
+)
+_NPC_ROW = (
+    ', "gt_overlap": {gt_overlap}, '
     '"npc": {{"half_length": {npc_hl}, "half_width": {npc_hw}, "x": {npc_x}, "y": {npc_y}, "yaw": {npc_yaw}}}, '
     '"penetration": {penetration}, "t": %s, "triggered": {triggered}}}\n'
 )
+_ROW = _EV_ROW + _NPC_ROW
+
+
+def _spell_npc_rows(phase: _Phase, fixed: dict) -> tuple[str, ...]:
+    """TextBudget.npc_rows' rows for frames 0..phase.last, from the NPC centers that phase.centers gives them."""
+    import numpy as np
+
+    npc = phase.centers(np.arange(phase.last + 1))[1]
+    spelled = dict(fixed, gt_overlap="false", npc_x="%s", npc_y="%s", penetration=json.dumps(0.0), triggered="true")
+    head, mid, tail, end = _NPC_ROW.format(**spelled).split("%s")
+    times = _frame_times(phase.dt, phase.last + 1)
+    xs, ys = _json_floats(npc[:, 0]), _json_floats(npc[:, 1])
+    return tuple(f"{head}{x}{mid}{y}{tail}{t}{end}" for x, y, t in zip(xs, ys, times))
 
 
 def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
@@ -793,15 +853,24 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
     gt_overlap, penetration, closing_speed and triggered. The frames are cut
     into segments at each phase start and at first contact, and each segment
-    is written by _segment_text. A segment of the cruise stage's own phases
-    has the same text in every trace that shares the stage and the segment's
-    (start, stop). Given a budget, that text is read from the stage's `text`
-    memo under that key, or written and kept there within the budget, so
-    only the other segments are spelled, and the per-frame values are
-    evaluated only from the first segment that is spelled on (each is an
-    elementwise expression of its frame, so the bits are those of the whole
-    trace's arrays). Without a budget every segment is spelled from the
-    trace's own arrays.
+    is written by _segment_text. Without a budget every segment is spelled
+    from the trace's own arrays. Given a budget, two kinds of text are kept
+    within it and read again:
+
+    - A segment of the cruise stage's own phases has the same text in every
+      trace that shares the stage and the segment's (start, stop). That text
+      is read from the stage's `text` memo under that key, or written and
+      kept there.
+    - From the trigger on only the EV's maneuver differs between the traces
+      of a scenario kind. A segment there whose every frame is apart, with a
+      penetration of +0.0 by bits, is written as each row's EV side
+      followed by the NPC side of the row, which TextBudget.npc_rows keeps
+      once per (NPC spec, sim config). A segment that it does not serve,
+      or any other segment, is spelled whole.
+
+    The per-frame values are evaluated only from the first segment that is
+    spelled on (each is an elementwise expression of its frame, so the bits
+    are those of the whole trace's arrays).
     """
     import numpy as np
 
@@ -810,7 +879,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
-    stage = trace.cruise
+    stage, trigger = trace.cruise, trace.trigger_frame
     # the per-frame columns, whose first row is frame `first`
     first, columns = 0, None
     if budget is None:
@@ -818,7 +887,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     parts = []
     for start, stop, phase in _segments(trace):
         fixed["ev_yaw"] = json.dumps(float(phase.ev_yaw))
-        fixed["triggered"] = json.dumps(trace.trigger_frame is not None and start >= trace.trigger_frame)
+        fixed["triggered"] = json.dumps(trigger is not None and start >= trigger)
         shared = budget is not None and any(phase is own for own in stage.phases)
         text = stage.text.get((start, stop)) if shared else None
         if text is not None:
@@ -828,10 +897,25 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
             first = start
             ev, npc, overlap, closing = trace._frame_values(range(first, trace.length))
             columns = _columns(ev, npc, overlap >= 0.0, np.maximum(overlap, 0.0), closing)
-        segment = _segment_text(columns, start - first, stop - first, fixed, times[start:stop])
+        lo, hi = start - first, stop - first
+        # the stage's phases end before the trigger, so a segment from it on is never shared
+        if (
+            budget is not None
+            and trigger is not None
+            and start >= trigger
+            and not columns["gt_overlap"][0][lo:hi].any()
+            and not columns["penetration"][0][lo:hi].view(np.int64).any()
+            and phase.dt is trace.dt
+        ):
+            rows = budget.npc_rows(phase, fixed)
+            if rows is not None:
+                ev_side = {name: columns[name] for name in ("closing_speed", "ev_x", "ev_y")}
+                parts += _segment_text(ev_side, lo, hi, fixed, rows[start:stop], _EV_ROW + "%s")
+                continue
+        segment = _segment_text(columns, lo, hi, fixed, times[start:stop])
         if shared:
             text = "".join(segment)
-            budget.keep(stage, (start, stop), text)
+            budget.keep(stage, (start, stop), text, len(text))
             parts.append(text)
         else:
             parts += segment
@@ -851,15 +935,16 @@ def _columns(ev_centers, npc_centers, gt_overlap, penetration, closing_speed) ->
     }
 
 
-def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, times) -> list[str]:
-    """The lines of the columns' rows lo..hi-1, whose time strings are `times`, as pieces to join.
+def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, last, row: str = _ROW) -> list[str]:
+    """The lines of the columns' rows lo..hi-1 as pieces to join; `last` holds each row's string for row's last slot.
 
     The segment is written through its own row template, with the fields of
     `fixed` (the yaws and `triggered`, spelled once per segment). Any column
     whose values in the segment share one float64 bit pattern (so 0.0 and
     -0.0 differ, and NaN runs match) is spelled once into the template too.
-    Only the columns that vary in the segment, and t, are spelled per frame;
-    they are interleaved with the template's constant pieces into one list.
+    Only the columns that vary in the segment are spelled per frame; they
+    and `last` (the time strings for _ROW, each frame's NPC side for the EV
+    side) are interleaved with the template's constant pieces into one list.
     """
     import numpy as np
 
@@ -871,10 +956,10 @@ def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, times) -> list[s
             per_frame.append(spell(column[lo:hi]))
         else:
             fields[name] = spell(column[lo : lo + 1])[0]
-    per_frame.append(times)
+    per_frame.append(last)
     # head, then per frame each column's string and the piece after it; a
     # row's last piece and the next row's head are one piece between rows
-    head, *tails = _ROW.format(**fields).split("%s")
+    head, *tails = row.format(**fields).split("%s")
     k, n = len(per_frame), hi - lo
     segment = [tails[-1] + head] * (2 * k * n + 1)
     segment[0], segment[-1] = head, tails[-1]

@@ -1,9 +1,10 @@
 """`silentcrash replay`: the cruise stages and their text kept across replays, and how --out is written.
 
-A replay keeps the seed specs and cruise stages of its manifest, and each
-stage keeps the text of its own trace segments. These tests hold every
-replayed trace to the bytes of the same replay with nothing kept, and to the
-per-frame encoder of tests/sim_oracle.py.
+A replay keeps the seed specs and cruise stages of its manifest, each stage
+keeps the text of its own trace segments, and each kind keeps the NPC side
+of its rows from the trigger on. These tests hold every replayed trace to
+the bytes of the same replay with nothing kept, and to the per-frame encoder
+of tests/sim_oracle.py.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from conftest import CONFIG_DIR
 from silentcrash import cli, simulator
 from silentcrash.cli import main
 from silentcrash.fuzzer import OutcomeRecord
+from silentcrash.oracle import ScenarioType
 from silentcrash.scenario import ScenarioKind
 from silentcrash.simulator import simulate, trace_to_jsonl
 from sim_oracle import trace_to_jsonl_per_frame
@@ -86,7 +88,22 @@ def contact_in_cruise(log: Path) -> list[int]:
 
 
 def kept_text(log: Path) -> list[str]:
-    return [text for stage in kept(log).text.stages for text in stage.text.values()]
+    """The segment text that the cruise stages of the log's replays keep."""
+    return [text for stage in kept(log).stages.values() for text in stage.text.values()]
+
+
+def kept_npc_rows(log: Path) -> list[tuple[str, ...]]:
+    """The NPC rows that the replays of the log's manifest keep, one tuple per kind."""
+    return [rows for holder in kept(log).text.npc.values() for rows in holder.text.values()]
+
+
+def one_per_kind(log: Path) -> list[int]:
+    """The first NC ordinal of each kind: full-horizon traces, apart from the trigger on."""
+    first = {}
+    for rec in records(log):
+        if rec.verdict is ScenarioType.NC:
+            first.setdefault(rec.kind, rec.ordinal)
+    return list(first.values())
 
 
 def test_replays_of_four_logs_in_turn_give_the_bytes_of_replays_with_nothing_kept(logs, tmp_path):
@@ -275,3 +292,68 @@ class TestOut:
         code, printed, left = replay(log, 5229, out)
         assert code == 2 and printed == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
         assert len(calls) == 2 and left == fresh[: len(fresh) // 3]
+
+
+def test_npc_rows_are_kept_once_per_kind_and_count_against_the_budget(logs, tmp_path, monkeypatch):
+    log = logs["reference"]
+    ordinals = one_per_kind(log)
+    spelled, spell = [], simulator._spell_npc_rows
+    monkeypatch.setattr(simulator, "_spell_npc_rows", lambda *args: spelled.append(args) or spell(*args))
+    out = tmp_path / "trace.jsonl"
+    forget()
+    for ordinal in ordinals * 2:
+        assert replay(log, ordinal, out)[0] == 0
+    rows, budget = kept_npc_rows(log), kept(log).text
+    assert len(ordinals) == len(rows) == len(spelled) == 6
+    assert all(len(kind_rows) == 1501 for kind_rows in rows)
+    assert budget.bytes == sum(map(len, kept_text(log))) + sum(len(row) for kind_rows in rows for row in kind_rows)
+    config = kept(log).config
+    for ordinal in ordinals:
+        rec = records(log)[ordinal]
+        trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
+        assert replay(log, ordinal, out)[2].decode() == trace_to_jsonl_per_frame(trace), ordinal
+
+
+def test_a_budget_smaller_than_a_kinds_npc_rows_keeps_none_of_them_and_replays_keep_their_bytes(
+    logs, tmp_path, monkeypatch
+):
+    log = logs["reference"]
+    ordinals = one_per_kind(log) + random.Random(11).sample(range(len(records(log))), 20)
+    out = tmp_path / "trace.jsonl"
+    forget()
+    seen = {ordinal: replay(log, ordinal, out) for ordinal in ordinals}
+    smallest = min(holder.size for holder in kept(log).text.npc.values())
+    monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", smallest - 1)
+    spelled, spell = [], simulator._spell_npc_rows
+    monkeypatch.setattr(simulator, "_spell_npc_rows", lambda *args: spelled.append(args) or spell(*args))
+    forget()
+    for ordinal in ordinals * 2:
+        assert replay(log, ordinal, out) == seen[ordinal], ordinal
+    budget = kept(log).text
+    assert not kept_npc_rows(log) and kept_text(log)
+    assert budget.bytes == sum(map(len, kept_text(log))) <= smallest - 1
+    # each kind's rows were spelled once, found too long, and not spelled again
+    assert len(spelled) == len(budget.npc) == 6
+
+
+def test_a_rewritten_manifest_drops_the_npc_rows_of_the_old_one(logs, tmp_path):
+    source = logs["reference"].parent
+    campaign = tmp_path / "campaign"
+    campaign.mkdir()
+    for name in ("records.jsonl", "records.jsonl.idx", "manifest.json"):
+        (campaign / name).write_bytes((source / name).read_bytes())
+    log, manifest = campaign / "records.jsonl", campaign / "manifest.json"
+    rewritten = json.loads(manifest.read_bytes())
+    rewritten["config"]["sim"] = {"settle_frames": 2}
+    ordinal = one_per_kind(log)[0]
+    out = tmp_path / "trace.jsonl"
+    forget()
+    first = replay(log, ordinal, out)
+    old_budget, (old_rows,) = weakref.ref(kept(log).text), kept_npc_rows(log)
+    manifest.write_bytes(json.dumps(rewritten).encode())
+    again = replay(log, ordinal, out)
+    (new_rows,) = kept_npc_rows(log)
+    assert new_rows is not old_rows and new_rows == old_rows  # settle_frames does not reach an NC trace's rows
+    gc.collect()
+    assert old_budget() is None  # nothing holds the old manifest's budget, and so its rows
+    assert again == first == cold(log, ordinal, out)

@@ -13,10 +13,12 @@ from silentcrash.detector import PERFECT_DETECTOR, silenced_by
 from silentcrash.geometry import normalize_yaw, overlaps, penetration_depth
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import ControlParameters, ScenarioKind, apply_overrides, make_seed
+from silentcrash import simulator
 from silentcrash.simulator import (
     MAX_COORD,
     SimConfig,
     SimulationError,
+    TextBudget,
     Trace,
     _face_normals,
     _min_overlap,
@@ -223,6 +225,75 @@ def test_trace_jsonl_times_follow_each_dt_in_turn():
         for i, cfg in enumerate(cfgs):
             for trace in _random_traces(ScenarioKind.LC, 7 + i, 3, cfg):
                 assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+
+
+def _rows_used(monkeypatch) -> list[str]:
+    """The row template of each segment that trace_to_jsonl spells from now on, in order."""
+    used, spell = [], simulator._segment_text
+
+    def recording(columns, lo, hi, fixed, last, row=simulator._ROW):
+        used.append("ev side" if row != simulator._ROW else "whole")
+        return spell(columns, lo, hi, fixed, last, row)
+
+    monkeypatch.setattr(simulator, "_segment_text", recording)
+    return used
+
+
+def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_frame_encoder(monkeypatch):
+    # a moving NPC met after the trigger: up to contact the frames are apart,
+    # and each row is its EV side and the kind's kept NPC row; from contact on
+    # gt_overlap and penetration vary, so that segment is spelled whole
+    used, budget, found = _rows_used(monkeypatch), TextBudget(), 0
+    for kind in (ScenarioKind.InC, ScenarioKind.FLV):
+        for trace in _random_traces(kind, 31, 200):
+            trigger, contact = trace.trigger_frame, trace.first_contact
+            if trigger is None or contact is None or not 0 < trigger < contact:
+                continue
+            after = slice(contact, trace.length)
+            if trace.gt_overlap[after].all() or len(set(trace.penetration[after].tolist())) < 2:
+                continue
+            del used[:]
+            assert trace_to_jsonl(trace, budget) == trace_to_jsonl_per_frame(trace)
+            assert used == ["whole", "ev side", "whole"]
+            found += 1
+    assert found >= 20
+    # one kept row per frame for each kind's NPC
+    assert sorted(len(holder.text[None]) for holder in budget.npc.values()) == [1501, 1501]
+
+
+def test_budgeted_trace_jsonl_of_boxes_touching_at_zero_overlap_matches_the_per_frame_encoder():
+    # an overlap of exactly 0.0 is contact with a penetration of +0.0: the
+    # frames are not apart, so the segment is spelled whole
+    spec, _ = make_seed(ScenarioKind.PSF)
+    trace = dataclasses.replace(_at_rest(4.0, 50), trigger_frame=0, cruise=cruise_stage(spec, 5.0))
+    assert trace.gt_overlap.all() and not trace.penetration.view(np.int64).any()
+    assert trace_to_jsonl(trace, TextBudget()) == trace_to_jsonl_per_frame(trace)
+
+
+@pytest.mark.parametrize(
+    "overrides, spelled",
+    [
+        ({"npc": {"y": 1e-5}}, '"y": 1e-05, "yaw": 0.0}, "penetration"'),
+        ({"ev": {"x": 3e16}, "npc": {"x": 3e16 + 30.0}}, 'e+16, "y": 0.0, "yaw": 0.0}, "penetration"'),
+    ],
+    ids=["small-npc-y", "npc-x-past-1e16"],
+)
+def test_budgeted_trace_jsonl_of_npc_coordinates_outside_orjsons_range_matches_the_per_frame_encoder(
+    monkeypatch, overrides, spelled
+):
+    # orjson spells these in other notation, so the NPC rows spell them value
+    # by value, as json.dumps does; the EV veers off and never meets the NPC
+    spec, _ = make_seed(ScenarioKind.FLV)
+    spec = apply_overrides(spec, overrides)
+    used, budget = _rows_used(monkeypatch), TextBudget()
+    for v_hat, a in ((30.0, 1.0), (12.0, -0.9), (40.0, 0.7)):
+        trace = simulate(spec, ControlParameters.from_angle(5.0, v_hat, a))
+        assert trace.trigger_frame is not None
+        del used[:]
+        text = trace_to_jsonl(trace, budget)
+        assert text == trace_to_jsonl_per_frame(trace)
+        assert "ev side" in used
+        assert spelled in text.splitlines()[trace.trigger_frame]
 
 
 @settings(max_examples=300, deadline=None)
