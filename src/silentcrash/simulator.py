@@ -751,8 +751,8 @@ def simulate(
 
 # The most bytes of text (ASCII, so one byte per character) that the holders
 # under one TextBudget keep. The 22 stages of the reference log take 1.12 MB
-# and the NPC rows of its 6 kinds 1.2 MB; one cruise of MAX_STEPS frames alone
-# would take about 28 MB.
+# and the NPC rows of its 6 kinds 1.50 MB; one cruise of MAX_STEPS frames
+# alone would take about 28 MB.
 CRUISE_TEXT_BUDGET = 8 << 20
 
 
@@ -865,8 +865,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
       of a scenario kind. A segment there whose every frame is apart, with a
       penetration of +0.0 by bits, is written as each row's EV side
       followed by the NPC side of the row, which TextBudget.npc_rows keeps
-      once per (NPC spec, sim config). A segment that it does not serve,
-      or any other segment, is spelled whole.
+      once per kind and sim config. Any other segment is spelled whole.
 
     The per-frame values are evaluated only from the first segment that is
     spelled on (each is an elementwise expression of its frame, so the bits
@@ -905,7 +904,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
             and start >= trigger
             and not columns["gt_overlap"][0][lo:hi].any()
             and not columns["penetration"][0][lo:hi].view(np.int64).any()
-            and phase.dt is trace.dt
+            and phase.dt is trace.dt  # the rows spell t at the phase's dt
         ):
             rows = budget.npc_rows(phase, fixed)
             if rows is not None:

@@ -88,8 +88,9 @@ def contact_in_cruise(log: Path) -> list[int]:
 
 
 def kept_text(log: Path) -> list[str]:
-    """The segment text that the cruise stages of the log's replays keep."""
-    return [text for stage in kept(log).stages.values() for text in stage.text.values()]
+    """The segment text that the cruise stages under the budget of the log's replays keep."""
+    holders = kept(log).text.holders
+    return [text for stage in holders if isinstance(stage, simulator.CruiseStage) for text in stage.text.values()]
 
 
 def kept_npc_rows(log: Path) -> list[tuple[str, ...]]:

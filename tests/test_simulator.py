@@ -283,8 +283,7 @@ def test_budgeted_trace_jsonl_of_npc_coordinates_outside_orjsons_range_matches_t
 ):
     # orjson spells these in other notation, so the NPC rows spell them value
     # by value, as json.dumps does; the EV veers off and never meets the NPC
-    spec, _ = make_seed(ScenarioKind.FLV)
-    spec = apply_overrides(spec, overrides)
+    spec = apply_overrides(make_seed(ScenarioKind.FLV)[0], overrides)
     used, budget = _rows_used(monkeypatch), TextBudget()
     for v_hat, a in ((30.0, 1.0), (12.0, -0.9), (40.0, 0.7)):
         trace = simulate(spec, ControlParameters.from_angle(5.0, v_hat, a))
