@@ -39,7 +39,8 @@ Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
 _Phase owns these expressions in two forms that round alike: a numpy kernel
 over an array of frames (the confirm windows and a Trace's per-frame arrays,
-built on first access) and one scalar evaluator in Python floats,
+built on first access, whose overlaps it takes only inside each phase's
+contact window) and one scalar evaluator in Python floats,
 _Phase.frames, which the built-in detector calls for the few frames it
 reads. The peak IoU's walk of a phase's overlap frames (_walk) writes the
 scalar evaluator's expressions out in its own loop, in the same order, so
@@ -338,13 +339,28 @@ class _Phase(NamedTuple):
         hit = _min_overlap(npc - ev, self.axes, self.radii) >= 0.0
         return window.start + int(np.argmax(hit)) if hit.any() else None
 
-    def frame_values(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """EV centers, NPC centers, minimum axis overlap and closing speed at frames idx."""
+    def frame_values(
+        self, idx: np.ndarray, near: slice | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """EV centers, NPC centers, minimum axis overlap and closing speed at frames idx.
+
+        Given near, the overlap is the kernel's at idx[near] and -inf
+        elsewhere; without it, the raw kernel's at every frame.
+        Trace._frame_values passes the frames of contact_window, outside
+        which the kernel's overlap is finite and negative, so gt_overlap and
+        penetration, the only readers of the overlap, read the same bits.
+        """
+        import numpy as np
+
         ev, npc = self.centers(idx)
         delta = npc - ev
         (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
         closing = _closing_speed(delta, (vx - ux, vy - uy))
-        return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
+        if near is None:
+            return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
+        overlap = np.full(len(idx), -np.inf)
+        overlap[near] = _min_overlap(delta[near], self.axes, self.radii)
+        return ev, npc, overlap, closing
 
 
 class _Walk(NamedTuple):
@@ -461,10 +477,25 @@ class Trace:
                 yield phase, part
 
     def _frame_values(self, frames: range) -> list[np.ndarray]:
-        """frame_values of each phase, joined over the ascending frames."""
+        """frame_values of each phase, joined over the ascending frames, with overlaps only where boxes can touch.
+
+        Each phase's overlap is the kernel's on the frames of its
+        contact_window (every frame when that is None) and -inf on the
+        others. Every frame whose overlap is >= 0 lies in the window, and
+        where the window is not None its finiteness gate bounds every
+        projection and radius, so outside it the kernel's overlap is finite
+        and negative: gt_overlap false and penetration +0.0, as -inf gives.
+        Only gt_overlap and penetration read the overlaps.
+        """
         import numpy as np
 
-        parts = [phase.frame_values(np.arange(p.start, p.stop, p.step)) for phase, p in self.phase_frames(frames)]
+        parts = []
+        for phase, p in self.phase_frames(frames):
+            near, window = None, phase.contact_window()
+            if window is not None:
+                # how many frames of p lie before the window, and before its end
+                near = slice(len(range(p.start, window.start, p.step)), len(range(p.start, window.stop, p.step)))
+            parts.append(phase.frame_values(np.arange(p.start, p.stop, p.step), near))
         if len(parts) == 1:
             return list(parts[0])
         return [np.concatenate(columns) for columns in zip(*parts)]
@@ -569,6 +600,7 @@ class Trace:
 
     @cached_property
     def _arrays(self) -> list[np.ndarray]:
+        """_frame_values of frames 0..len-1; the overlaps are -inf outside each phase's contact window."""
         return self._frame_values(range(self.length))
 
     @cached_property
@@ -869,13 +901,14 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
 
     The per-frame values are evaluated only from the first segment that is
     spelled on (each is an elementwise expression of its frame, so the bits
-    are those of the whole trace's arrays).
+    are those of the whole trace's arrays), and the overlaps only inside
+    each phase's contact window, as Trace._frame_values evaluates them.
     """
     import numpy as np
 
     halves = (*trace.ev_half, *trace.npc_half)
-    fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(json.dumps, halves)))
-    fixed["npc_yaw"] = json.dumps(float(trace.npc_yaw))
+    fixed = dict(zip(("ev_hl", "ev_hw", "npc_hl", "npc_hw"), map(_json_scalar, halves)))
+    fixed["npc_yaw"] = _json_scalar(float(trace.npc_yaw))
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
     stage, trigger = trace.cruise, trace.trigger_frame
@@ -885,8 +918,8 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         columns = _columns(trace.ev_centers, trace.npc_centers, trace.gt_overlap, trace.penetration, trace.closing_speed)
     parts = []
     for start, stop, phase in _segments(trace):
-        fixed["ev_yaw"] = json.dumps(float(phase.ev_yaw))
-        fixed["triggered"] = json.dumps(trigger is not None and start >= trigger)
+        fixed["ev_yaw"] = _json_scalar(float(phase.ev_yaw))
+        fixed["triggered"] = _json_scalar(trigger is not None and start >= trigger)
         shared = budget is not None and any(phase is own for own in stage.phases)
         text = stage.text.get((start, stop)) if shared else None
         if text is not None:
@@ -940,7 +973,8 @@ def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, last, row: str =
     The segment is written through its own row template, with the fields of
     `fixed` (the yaws and `triggered`, spelled once per segment). Any column
     whose values in the segment share one float64 bit pattern (so 0.0 and
-    -0.0 differ, and NaN runs match) is spelled once into the template too.
+    -0.0 differ, and NaN runs match) is spelled once into the template too,
+    from its one value by _json_scalar.
     Only the columns that vary in the segment are spelled per frame; they
     and `last` (the time strings for _ROW, each frame's NPC side for the EV
     side) are interleaved with the template's constant pieces into one list.
@@ -954,7 +988,7 @@ def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, last, row: str =
             fields[name] = "%s"
             per_frame.append(spell(column[lo:hi]))
         else:
-            fields[name] = spell(column[lo : lo + 1])[0]
+            fields[name] = _json_scalar(column[lo].item())
     per_frame.append(last)
     # head, then per frame each column's string and the piece after it; a
     # row's last piece and the next row's head are one piece between rows
@@ -1011,12 +1045,32 @@ def _json_floats(column: np.ndarray) -> list[str]:
     import numpy as np
 
     magnitude = np.abs(column)
-    if column.size and (((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)).all():
+    # the largest and smallest magnitude decide, but for zeros below 1e-4
+    if (
+        column.size
+        and magnitude.max() < 1e16
+        and (magnitude.min() >= 1e-4 or ((magnitude >= 1e-4) | (magnitude == 0.0)).all())
+    ):
         import orjson  # here, not at the top: run and the sweeps never encode a trace
 
         return orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     values = column.tolist()
     return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, values))
+
+
+def _json_scalar(value) -> str:
+    """json.dumps's spelling of one value: a float's repr, or NaN/Infinity/-Infinity, and a bool's true/false.
+
+    Any value that is not exactly a float or a bool is spelled by json.dumps.
+    """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0.0 else "-Infinity")
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
 
 
 def _json_bools(column: np.ndarray) -> list[str]:
