@@ -22,7 +22,10 @@ wherever those differ from the phase's own. `face_normals_former` is `_face_norm
 list comprehension over the four normals.
 
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
-call per frame dict.
+call per frame dict. `assert_same_text` compares two encoded traces and, when
+they differ, names the first line that does and shows both versions of it;
+a bare `assert got == want` on two traces of some 100 KB each makes pytest
+diff them for minutes.
 
 `silenced_by_full` names the detector gate no inspected frame passed, over
 every inspected frame of the whole-trace arrays.
@@ -335,6 +338,20 @@ def trace_to_jsonl_per_frame(trace) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want, case=None) -> None:
+    """Assert that two texts (str or bytes) are equal; if not, report the first line that differs, in both."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), min(len(got_lines), len(want_lines)))
+    line, expected = (lines[i] if i < len(lines) else "<end of text>" for lines in (got_lines, want_lines))
+    where = "" if case is None else f"{case!r}: "
+    raise AssertionError(
+        f"{where}texts of {len(got_lines)} and {len(want_lines)} lines first differ at line {i}\n"
+        f"got:  {line!r}\nwant: {expected!r}"
+    )
 
 
 def _box_fields(center, yaw, half) -> dict:

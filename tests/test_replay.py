@@ -28,7 +28,7 @@ from silentcrash.fuzzer import OutcomeRecord
 from silentcrash.oracle import ScenarioType
 from silentcrash.scenario import ScenarioKind
 from silentcrash.simulator import simulate, trace_to_jsonl
-from sim_oracle import trace_to_jsonl_per_frame
+from sim_oracle import assert_same_text, trace_to_jsonl_per_frame
 
 # the reference config with another frame period and a settle time short
 # enough that InC at d=2, whose contact comes before its trigger, ends
@@ -82,6 +82,12 @@ def cold(log: Path, ordinal: int, out: Path) -> tuple[int, str, bytes | None]:
     return replay(log, ordinal, out)
 
 
+def assert_same_replay(got, want, case=None) -> None:
+    """Two results of replay are equal; where their traces differ, the first differing line is named."""
+    assert got[:2] == want[:2] and (got[2] is None) == (want[2] is None), case
+    assert_same_text(got[2], want[2], case)
+
+
 def contact_in_cruise(log: Path) -> list[int]:
     """Ordinals of the records of InC at d=2, which meet before their trigger."""
     return [rec.ordinal for rec in records(log) if rec.kind is ScenarioKind.InC and rec.params.d == 2.0]
@@ -123,7 +129,7 @@ def test_replays_of_four_logs_in_turn_give_the_bytes_of_replays_with_nothing_kep
             assert seen[name, ordinal][0] == 0
     assert kept_text(logs[name])
     for (name, ordinal), result in seen.items():
-        assert cold(logs[name], ordinal, out) == result, (name, ordinal)
+        assert_same_replay(cold(logs[name], ordinal, out), result, (name, ordinal))
 
 
 def test_a_trace_that_ends_inside_its_cruise_stage_keeps_its_bytes(logs, tmp_path):
@@ -139,7 +145,7 @@ def test_a_trace_that_ends_inside_its_cruise_stage_keeps_its_bytes(logs, tmp_pat
         trace = simulate(spec, records(log)[ordinal].params, config.sim)
         stage = trace.cruise
         assert stage.first_contact is not None and trace.length <= stage.trigger
-        assert text.decode() == trace_to_jsonl_per_frame(trace)
+        assert_same_text(text.decode(), trace_to_jsonl_per_frame(trace), ordinal)
 
 
 def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
@@ -152,7 +158,7 @@ def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
             rec = every[ordinal]
             assert replay(log, ordinal, out)[0] == 0
             trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
-            assert out.read_text() == trace_to_jsonl_per_frame(trace), (name, ordinal)
+            assert_same_text(out.read_text(), trace_to_jsonl_per_frame(trace), (name, ordinal))
 
 
 def test_stage_text_is_kept_per_segment_start_and_stop(logs):
@@ -169,7 +175,9 @@ def test_stage_text_is_kept_per_segment_start_and_stop(logs):
     budget = simulator.TextBudget()
     for length in lengths:
         short = dataclasses.replace(trace, length=length, trigger_frame=trigger if trigger < length else None, memo={})
-        assert trace_to_jsonl(short, budget) == trace_to_jsonl(short) == trace_to_jsonl_per_frame(short), length
+        want = trace_to_jsonl_per_frame(short)
+        assert_same_text(trace_to_jsonl(short, budget), want, length)
+        assert_same_text(trace_to_jsonl(short), want, length)
     assert len(stage.text) > 2 and budget.bytes == sum(map(len, stage.text.values()))
 
 
@@ -196,7 +204,7 @@ def test_a_rewritten_manifest_drops_the_stages_of_the_old_one(logs, tmp_path, mo
     out = tmp_path / "trace.jsonl"
     forget()
     first = replay(log, ordinal, out)
-    assert replay(log, ordinal, out) == first
+    assert_same_replay(replay(log, ordinal, out), first)
     assert given[0] is None and given[1]() is built[0]()  # the second replay reused the stage
     manifest.write_bytes(json.dumps(rewritten).encode())
     shorter = replay(log, ordinal, out)
@@ -204,9 +212,9 @@ def test_a_rewritten_manifest_drops_the_stages_of_the_old_one(logs, tmp_path, mo
     gc.collect()
     assert built[0]() is None  # and nothing holds the old one
     assert len(shorter[2]) < len(first[2])
-    assert shorter == cold(log, ordinal, out)
+    assert_same_replay(shorter, cold(log, ordinal, out))
     manifest.write_bytes(original)
-    assert replay(log, ordinal, out) == first
+    assert_same_replay(replay(log, ordinal, out), first)
 
 
 def test_kept_text_stays_within_its_budget_and_replays_past_it_keep_their_bytes(logs, tmp_path, monkeypatch):
@@ -229,7 +237,7 @@ def test_kept_text_stays_within_its_budget_and_replays_past_it_keep_their_bytes(
     # more text than fits: some stages gave theirs up
     assert len(stages) > 10 and any(not stage.text for stage in stages) and texts
     for ordinal, result in seen.items():
-        assert cold(log, ordinal, out) == result, ordinal
+        assert_same_replay(cold(log, ordinal, out), result, ordinal)
 
 
 class TestOut:
@@ -244,9 +252,9 @@ class TestOut:
         fresh = replay(log, 13, tmp_path / "fresh.jsonl")
         out = tmp_path / "trace.jsonl"
         out.write_bytes(b"x" * (3 * len(fresh[2])))
-        assert replay(log, 13, out)[2] == fresh[2]
+        assert_same_text(replay(log, 13, out)[2], fresh[2])
         out.write_bytes(b"y" * 10)
-        assert replay(log, 13, out)[2] == fresh[2]
+        assert_same_text(replay(log, 13, out)[2], fresh[2])
 
     def test_dev_null_is_written_and_not_cut(self, log):
         code, printed, _ = replay(log, 13, Path(os.devnull))
@@ -261,7 +269,8 @@ class TestOut:
         code, printed, _ = replay(log, 13, fifo)
         reader.join(timeout=60)
         assert code == 0 and printed.startswith("ordinal=13 ")
-        assert got == [replay(log, 13, tmp_path / "fresh.jsonl")[2]]
+        assert len(got) == 1
+        assert_same_text(got[0], replay(log, 13, tmp_path / "fresh.jsonl")[2])
 
     def test_a_symlink_updates_its_target(self, log, tmp_path):
         target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
@@ -269,7 +278,7 @@ class TestOut:
         link.symlink_to(target)
         assert replay(log, 13, link)[0] == 0
         assert link.is_symlink()
-        assert target.read_bytes() == replay(log, 13, tmp_path / "fresh.jsonl")[2]
+        assert_same_text(target.read_bytes(), replay(log, 13, tmp_path / "fresh.jsonl")[2])
 
     def test_a_directory_is_an_io_error(self, log, tmp_path):
         code, printed, _ = replay(log, 13, tmp_path)
@@ -312,7 +321,7 @@ def test_npc_rows_are_kept_once_per_kind_and_count_against_the_budget(logs, tmp_
     for ordinal in ordinals:
         rec = records(log)[ordinal]
         trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
-        assert replay(log, ordinal, out)[2].decode() == trace_to_jsonl_per_frame(trace), ordinal
+        assert_same_text(replay(log, ordinal, out)[2].decode(), trace_to_jsonl_per_frame(trace), ordinal)
 
 
 def test_a_budget_smaller_than_a_kinds_npc_rows_keeps_none_of_them_and_replays_keep_their_bytes(
@@ -329,7 +338,7 @@ def test_a_budget_smaller_than_a_kinds_npc_rows_keeps_none_of_them_and_replays_k
     monkeypatch.setattr(simulator, "_spell_npc_rows", lambda *args: spelled.append(args) or spell(*args))
     forget()
     for ordinal in ordinals * 2:
-        assert replay(log, ordinal, out) == seen[ordinal], ordinal
+        assert_same_replay(replay(log, ordinal, out), seen[ordinal], ordinal)
     budget = kept(log).text
     assert not kept_npc_rows(log) and kept_text(log)
     assert budget.bytes == sum(map(len, kept_text(log))) <= smallest - 1
@@ -357,4 +366,5 @@ def test_a_rewritten_manifest_drops_the_npc_rows_of_the_old_one(logs, tmp_path):
     assert new_rows is not old_rows and new_rows == old_rows  # settle_frames does not reach an NC trace's rows
     gc.collect()
     assert old_budget() is None  # nothing holds the old manifest's budget, and so its rows
-    assert again == first == cold(log, ordinal, out)
+    assert_same_replay(again, first)
+    assert_same_replay(first, cold(log, ordinal, out))

@@ -29,6 +29,7 @@ from silentcrash.simulator import (
     trace_to_jsonl,
 )
 from sim_oracle import (
+    assert_same_text,
     bounded_former,
     center_distance,
     contact_window_former,
@@ -73,7 +74,7 @@ def test_identical_inputs_give_bit_identical_traces():
     assert np.array_equal(t1.ev_centers, t2.ev_centers)
     assert np.array_equal(t1.penetration, t2.penetration)
     assert np.array_equal(t1.closing_speed, t2.closing_speed)
-    assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
+    assert_same_text(trace_to_jsonl(t1), trace_to_jsonl(t2))
 
 
 def test_halving_dt_shifts_first_contact_by_at_most_two_steps():
@@ -190,7 +191,7 @@ def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
     assert found
     for trace in found:
         assert (trace.trigger_frame, trace.trigger_frame + 1) in [(a, b) for a, b, _ in _segments(trace)]
-        assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace))
 
 
 def test_trace_jsonl_of_a_trigger_at_frame_0():
@@ -198,7 +199,7 @@ def test_trace_jsonl_of_a_trigger_at_frame_0():
     for x in (5.0, 6.0):
         trace = simulate(apply_overrides(spec, {"npc": {"x": x}}), ControlParameters.from_angle(7.0, 20.0, 0.3))
         assert trace.trigger_frame == 0 and len(trace.phases) == 1
-        assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), x)
 
 
 @pytest.mark.parametrize("npc_x", [3.0, 10.0], ids=["overlapping", "apart"])
@@ -206,7 +207,7 @@ def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
     trace = _at_rest(npc_x, 50)
     assert len(list(_segments(trace))) == 1
     text = trace_to_jsonl(trace)
-    assert text == trace_to_jsonl_per_frame(trace)
+    assert_same_text(text, trace_to_jsonl_per_frame(trace))
     assert len(set(line.split('"t": ')[0] for line in text.splitlines())) == 1
 
 
@@ -214,7 +215,7 @@ def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
 def test_trace_jsonl_cut_at_any_frame_matches_the_per_frame_encoder(cut):
     # a first contact moved to an arbitrary frame only moves a segment cut
     trace = next(t for t in _random_traces(ScenarioKind.FLB, 5, 50) if t.first_contact is None)
-    assert trace_to_jsonl(dataclasses.replace(trace, first_contact=cut)) == trace_to_jsonl_per_frame(trace)
+    assert_same_text(trace_to_jsonl(dataclasses.replace(trace, first_contact=cut)), trace_to_jsonl_per_frame(trace))
 
 
 def test_trace_jsonl_times_follow_each_dt_in_turn():
@@ -224,7 +225,7 @@ def test_trace_jsonl_times_follow_each_dt_in_turn():
     for _ in range(2):
         for i, cfg in enumerate(cfgs):
             for trace in _random_traces(ScenarioKind.LC, 7 + i, 3, cfg):
-                assert trace_to_jsonl(trace) == trace_to_jsonl_per_frame(trace)
+                assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), (cfg, i))
 
 
 def _rows_used(monkeypatch) -> list[str]:
@@ -253,7 +254,7 @@ def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_fra
             if trace.gt_overlap[after].all() or len(set(trace.penetration[after].tolist())) < 2:
                 continue
             del used[:]
-            assert trace_to_jsonl(trace, budget) == trace_to_jsonl_per_frame(trace)
+            assert_same_text(trace_to_jsonl(trace, budget), trace_to_jsonl_per_frame(trace), kind)
             assert used == ["whole", "ev side", "whole"]
             found += 1
     assert found >= 20
@@ -267,7 +268,7 @@ def test_budgeted_trace_jsonl_of_boxes_touching_at_zero_overlap_matches_the_per_
     spec, _ = make_seed(ScenarioKind.PSF)
     trace = dataclasses.replace(_at_rest(4.0, 50), trigger_frame=0, cruise=cruise_stage(spec, 5.0))
     assert trace.gt_overlap.all() and not trace.penetration.view(np.int64).any()
-    assert trace_to_jsonl(trace, TextBudget()) == trace_to_jsonl_per_frame(trace)
+    assert_same_text(trace_to_jsonl(trace, TextBudget()), trace_to_jsonl_per_frame(trace))
 
 
 @pytest.mark.parametrize(
@@ -290,7 +291,7 @@ def test_budgeted_trace_jsonl_of_npc_coordinates_outside_orjsons_range_matches_t
         assert trace.trigger_frame is not None
         del used[:]
         text = trace_to_jsonl(trace, budget)
-        assert text == trace_to_jsonl_per_frame(trace)
+        assert_same_text(text, trace_to_jsonl_per_frame(trace), (v_hat, a))
         assert "ev side" in used
         assert spelled in text.splitlines()[trace.trigger_frame]
 

@@ -32,6 +32,7 @@ from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import SimConfig, _json_floats, _json_times, cruise_stage, simulate, trace_to_jsonl
 from sim_oracle import (
+    assert_same_text,
     builtin_cd_full,
     ev_box,
     max_iou_whole_trace,
@@ -211,15 +212,6 @@ def test_builtin_verdict_on_exact_ties():
     assert checked > 3000 and boundary > 0 and hypot_split > 0, (checked, boundary, hypot_split)
 
 
-def assert_same_jsonl(trace, case):
-    # line by line, so that a failure reports one frame instead of diffing megabytes
-    got = trace_to_jsonl(trace).splitlines(keepends=True)
-    want = trace_to_jsonl_per_frame(trace).splitlines(keepends=True)
-    assert len(got) == len(want), case
-    for i, (line, expected) in enumerate(zip(got, want)):
-        assert line == expected, (case, i)
-
-
 def _started_in_contact(spec):
     """spec with the NPC moved onto the EV; skips ScenarioSpec's check that actors start disjoint."""
     moved = copy.copy(spec)
@@ -245,7 +237,7 @@ def test_trace_jsonl_matches_per_frame_encoder(kind):
     ]
     traces = [assert_equivalent(*case) for case in cases]
     for case, trace in zip(cases, traces):
-        assert_same_jsonl(trace, case)
+        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), case)
     horizon = int(round(SimConfig().horizon / SimConfig().dt)) + 1
     assert any(t.trigger_frame is None for t in traces)
     assert any(t.first_contact == 0 for t in traces)
@@ -260,7 +252,7 @@ def test_trace_jsonl_spells_non_finite_and_signed_zero_like_json_dumps():
     trace.closing_speed[:4] = [np.nan, np.inf, -np.inf, -0.0]
     trace.penetration = trace.penetration.copy()
     trace.penetration[-1] = np.inf
-    assert_same_jsonl(trace, "non-finite")
+    assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), "non-finite")
     text = trace_to_jsonl(trace)
     assert '"closing_speed": NaN' in text and '"closing_speed": -Infinity' in text
     assert '"closing_speed": -0.0' in text
@@ -394,7 +386,7 @@ def test_trace_jsonl_spells_runs_like_per_frame_encoder(data, label):
     trace.npc_centers = np.column_stack([data.draw(_runs(c, marks)) for c in trace.npc_centers.T])
     gt = data.draw(_runs(trace.gt_overlap.astype(float), marks))
     trace.gt_overlap = np.where(np.isnan(gt), False, gt != 0.0)
-    assert_same_jsonl(trace, label)
+    assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), label)
 
 
 def test_run_cases_put_the_segment_cuts_where_they_are_named():
@@ -455,3 +447,4 @@ def test_json_floats_spell_like_json_dumps(signed, step):
             got = _json_floats(column)
         assert got == [json.dumps(v) for v in column.tolist()]
         assert spy.called == all(map(_orjson_spells, column.tolist())), column
+
