@@ -361,6 +361,34 @@ def test_contact_window_holds_every_overlap_frame(kind, d, v_hat, a, cfg, scale)
             assert phase.first_contact() == (hits[0] if hits else None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**200, 2.0**1000, 2.0**1012, 2.0**1016, 2.0**1019, 2.0**1023)),
+)
+# the switched phase's window is None, the cruise phase's not; then both are None
+@example(kind=ScenarioKind.PSF, d=2.0, v_hat=20.0, a=0.0, cfg=SimConfig(), scale=2.0**1016)
+@example(kind=ScenarioKind.InC, d=3.0, v_hat=20.0, a=-0.5, cfg=SimConfig(), scale=2.0**1019)
+@example(kind=ScenarioKind.FLV, d=3.0, v_hat=20.0, a=0.5, cfg=SimConfig(), scale=2.0**1023)
+def test_trace_overlap_columns_are_the_kernels_over_every_frame(kind, d, v_hat, a, cfg, scale):
+    """gt_overlap and penetration, read from overlaps taken only inside each contact window, are the raw kernel's.
+
+    The trace is stretched to every frame of its phases, so the frames after
+    first contact plus the settle window are compared too; at the largest
+    scales the windows are None and every overlap is the kernel's.
+    """
+    trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
+    trace = dataclasses.replace(trace, length=trace.phases[-1].last + 1)
+    with np.errstate(all="ignore"):
+        raw = np.concatenate([p.frame_values(np.arange(p.first, p.last + 1))[2] for p in trace.phases])
+        assert trace.gt_overlap.tobytes() == (raw >= 0.0).tobytes()
+        assert trace.penetration.tobytes() == np.maximum(raw, 0.0).tobytes()
+
+
 def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
     # boxes with infinite extents whose center offset (1.7e308, 1.7e308)
     # projects to inf on the EV's second normal only: that overlap is

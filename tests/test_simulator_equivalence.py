@@ -30,7 +30,16 @@ from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, sile
 from silentcrash.geometry import Point2, corners
 from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
-from silentcrash.simulator import SimConfig, _json_floats, _json_times, cruise_stage, simulate, trace_to_jsonl
+from silentcrash.simulator import (
+    SimConfig,
+    _json_bools,
+    _json_floats,
+    _json_scalar,
+    _json_times,
+    cruise_stage,
+    simulate,
+    trace_to_jsonl,
+)
 from sim_oracle import (
     assert_same_text,
     builtin_cd_full,
@@ -448,3 +457,28 @@ def test_json_floats_spell_like_json_dumps(signed, step):
         assert got == [json.dumps(v) for v in column.tolist()]
         assert spy.called == all(map(_orjson_spells, column.tolist())), column
 
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 5e-324, 1e-5, 1e-4, 9.999e15, 1e16, 3e16, math.nan, math.inf, -math.inf, np.float64(2.4), 2]
+    + [True, False],
+    ids=repr,
+)
+def test_a_constant_value_is_spelled_like_its_one_frame_column(value):
+    """_json_scalar spells a value as json.dumps does, and a float's or a bool's as the column spellers spell it.
+
+    A segment's constant column is spelled from its one value, and the fixed
+    fields (half extents, which may be ints or numpy floats, yaws and
+    `triggered`) from theirs.
+    """
+    assert _json_scalar(value) == json.dumps(value)
+    if type(value) is bool:
+        column = np.array([not value, value])
+        spell = _json_bools
+    elif isinstance(value, float):
+        column = np.array([1.5, value, -value])
+        spell = _json_floats
+    else:
+        return
+    for lo in range(1, len(column)):
+        assert _json_scalar(column[lo].item()) == spell(column[lo : lo + 1])[0] == json.dumps(column[lo].item())
