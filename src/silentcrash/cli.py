@@ -158,26 +158,29 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
     no earlier than the log was last modified, records the log's size, and
     points at exactly one line whose record parses and carries this ordinal.
     """
+    log = idx = -1  # the descriptors opened so far
     try:
-        # unbuffered, so that each read takes only the bytes it asks for
-        with open(path, "rb", buffering=0) as log, open(_index_path(path), "rb", buffering=0) as idx:
-            log_stat, idx_stat = os.fstat(log.fileno()), os.fstat(idx.fileno())
-            head = idx.read(_INDEX_HEAD)
-            if not head.startswith(_INDEX_MAGIC) or log_stat.st_mtime_ns > idx_stat.st_mtime_ns:
-                return None
-            size, count = struct.unpack_from("<QQ", head, len(_INDEX_MAGIC))
-            whole = idx_stat.st_size == _INDEX_HEAD + 8 * (count + 1)
-            if not (whole and size == log_stat.st_size and 0 <= ordinal < count):
-                return None
-            idx.seek(_INDEX_HEAD + 8 * ordinal)
-            start, stop = struct.unpack("<QQ", idx.read(16))
-            if not start < stop <= size:
-                return None
-            before = 1 if start else 0  # the byte before the line must end the previous one
-            log.seek(start - before)
-            chunk = log.read(stop - start + before)
+        log = os.open(path, os.O_RDONLY)
+        idx = os.open(_index_path(path), os.O_RDONLY)
+        log_stat, idx_stat = os.fstat(log), os.fstat(idx)
+        head = os.pread(idx, _INDEX_HEAD, 0)
+        if not head.startswith(_INDEX_MAGIC) or log_stat.st_mtime_ns > idx_stat.st_mtime_ns:
+            return None
+        size, count = struct.unpack_from("<QQ", head, len(_INDEX_MAGIC))
+        whole = idx_stat.st_size == _INDEX_HEAD + 8 * (count + 1)
+        if not (whole and size == log_stat.st_size and 0 <= ordinal < count):
+            return None
+        start, stop = struct.unpack("<QQ", os.pread(idx, 16, _INDEX_HEAD + 8 * ordinal))
+        if not start < stop <= size:
+            return None
+        before = 1 if start else 0  # the byte before the line must end the previous one
+        chunk = os.pread(log, stop - start + before, start - before)
     except (OSError, struct.error):  # struct.error: a header or offset pair cut short
         return None
+    finally:
+        for fd in (log, idx):
+            if fd >= 0:
+                os.close(fd)
     line = chunk[before:]
     if chunk[:before] != b"\n" * before or line.find(b"\n") != len(line) - 1:  # one whole line
         return None
@@ -339,9 +342,16 @@ _STAGES_KEPT = 1024
 
 
 class _Replays(NamedTuple):
-    """What the replays of one manifest share: its config, and a cruise stage per (kind, d) with their text."""
+    """What the replays of one manifest share: its config, and the seed specs and cruise stages built for them.
+
+    specs holds one seed spec per kind, stages a cruise stage per (kind, d),
+    and text the budget of the stages' text. Every stage of a kind is built
+    from the kind's one spec, so what is keyed on the spec's identity is
+    shared by all of them.
+    """
 
     config: CampaignConfig
+    specs: dict
     stages: dict
     text: TextBudget
 
@@ -357,7 +367,7 @@ def _manifest_config(raw: bytes) -> _Replays:
     manifest = json.loads(raw)
     if not isinstance(manifest, dict):
         raise _NotAnObject
-    return _Replays(parse_config(manifest["config"]), {}, TextBudget())
+    return _Replays(parse_config(manifest["config"]), {}, {}, TextBudget())
 
 
 def _write_in_place(path: Path, text: str) -> None:
@@ -413,9 +423,11 @@ def cmd_replay(args) -> int:
         defect, overridden = _defect_override(args, config.defect)
     except ValueError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
-    stages, key = replays.stages, (record.kind, record.params.d)
+    stages, specs, key = replays.stages, replays.specs, (record.kind, record.params.d)
     stage = stages.get(key)
-    spec = config.seed_for(record.kind)[0] if stage is None else stage.spec
+    spec = specs.get(record.kind) if stage is None else stage.spec
+    if spec is None:
+        spec = specs[record.kind] = config.seed_for(record.kind)[0]
     try:
         trace = simulate(spec, record.params, config.sim, stage)
     except SimulationError as exc:

@@ -885,9 +885,10 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
     gt_overlap, penetration, closing_speed and triggered. The frames are cut
     into segments at each phase start and at first contact, and each segment
-    is written by _segment_text. Without a budget every segment is spelled
-    from the trace's own arrays. Given a budget, two kinds of text are kept
-    within it and read again:
+    is written by _segment_text from one frame block (_frame_block) per
+    trace. Without a budget the block holds the trace's own per-frame
+    attributes. Given a budget, two kinds of text are kept within it and
+    read again:
 
     - A segment of the cruise stage's own phases has the same text in every
       trace that shares the stage and the segment's (start, stop). That text
@@ -895,14 +896,16 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
       kept there.
     - From the trigger on only the EV's maneuver differs between the traces
       of a scenario kind. A segment there whose every frame is apart, with a
-      penetration of +0.0 by bits, is written as each row's EV side
-      followed by the NPC side of the row, which TextBudget.npc_rows keeps
-      once per kind and sim config. Any other segment is spelled whole.
+      penetration of +0.0 by bits, is written as each row's EV side (the
+      block's first three rows) followed by the NPC side of the row, which
+      TextBudget.npc_rows keeps once per kind and sim config. Any other
+      segment is spelled whole.
 
-    The per-frame values are evaluated only from the first segment that is
-    spelled on (each is an elementwise expression of its frame, so the bits
-    are those of the whole trace's arrays), and the overlaps only inside
-    each phase's contact window, as Trace._frame_values evaluates them.
+    The block then covers only the frames from the first segment that is
+    spelled on (each value is an elementwise expression of its frame, so the
+    bits are those of the whole trace's arrays), with the overlaps evaluated
+    only inside each phase's contact window, as Trace._frame_values
+    evaluates them.
     """
     import numpy as np
 
@@ -912,10 +915,10 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
     stage, trigger = trace.cruise, trace.trigger_frame
-    # the per-frame columns, whose first row is frame `first`
-    first, columns = 0, None
+    # the per-frame values, whose first column is frame `first`
+    first, block = 0, None
     if budget is None:
-        columns = _columns(trace.ev_centers, trace.npc_centers, trace.gt_overlap, trace.penetration, trace.closing_speed)
+        block = _frame_block(trace.closing_speed, trace.ev_centers, trace.gt_overlap, trace.npc_centers, trace.penetration)
     parts = []
     for start, stop, phase in _segments(trace):
         fixed["ev_yaw"] = _json_scalar(float(phase.ev_yaw))
@@ -925,26 +928,25 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         if text is not None:
             parts.append(text)
             continue
-        if columns is None:
+        if block is None:
             first = start
             ev, npc, overlap, closing = trace._frame_values(range(first, trace.length))
-            columns = _columns(ev, npc, overlap >= 0.0, np.maximum(overlap, 0.0), closing)
+            block = _frame_block(closing, ev, overlap >= 0.0, npc, np.maximum(overlap, 0.0))
         lo, hi = start - first, stop - first
         # the stage's phases end before the trigger, so a segment from it on is never shared
         if (
             budget is not None
             and trigger is not None
             and start >= trigger
-            and not columns["gt_overlap"][0][lo:hi].any()
-            and not columns["penetration"][0][lo:hi].view(np.int64).any()
+            # gt_overlap and penetration: 0.0 and +0.0 are the only values whose bits are all zero
+            and not block[3::3, lo:hi].view(np.int64).any()
             and phase.dt is trace.dt  # the rows spell t at the phase's dt
         ):
             rows = budget.npc_rows(phase, fixed)
             if rows is not None:
-                ev_side = {name: columns[name] for name in ("closing_speed", "ev_x", "ev_y")}
-                parts += _segment_text(ev_side, lo, hi, fixed, rows[start:stop], _EV_ROW + "%s")
+                parts += _segment_text(block[:3], lo, hi, fixed, rows[start:stop], _EV_ROW + "%s")
                 continue
-        segment = _segment_text(columns, lo, hi, fixed, times[start:stop])
+        segment = _segment_text(block, lo, hi, fixed, times[start:stop])
         if shared:
             text = "".join(segment)
             budget.keep(stage, (start, stop), text, len(text))
@@ -954,41 +956,62 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     return "".join(parts)
 
 
-def _columns(ev_centers, npc_centers, gt_overlap, penetration, closing_speed) -> dict:
-    """The per-frame columns of trace_to_jsonl and how each is spelled, in row order."""
-    return {
-        "closing_speed": (closing_speed, _json_floats),
-        "ev_x": (ev_centers[:, 0], _json_floats),
-        "ev_y": (ev_centers[:, 1], _json_floats),
-        "gt_overlap": (gt_overlap, _json_bools),
-        "npc_x": (npc_centers[:, 0], _json_floats),
-        "npc_y": (npc_centers[:, 1], _json_floats),
-        "penetration": (penetration, _json_floats),
-    }
+# The rows of a frame block, in _ROW's key order
+_BLOCK_ROWS = ("closing_speed", "ev_x", "ev_y", "gt_overlap", "npc_x", "npc_y", "penetration")
 
 
-def _segment_text(columns: dict, lo: int, hi: int, fixed: dict, last, row: str = _ROW) -> list[str]:
-    """The lines of the columns' rows lo..hi-1 as pieces to join; `last` holds each row's string for row's last slot.
+def _frame_block(closing_speed, ev_centers, gt_overlap, npc_centers, penetration) -> np.ndarray:
+    """The per-frame values of trace_to_jsonl as one C-contiguous float64 array of shape (7, n).
 
-    The segment is written through its own row template, with the fields of
-    `fixed` (the yaws and `triggered`, spelled once per segment). Any column
-    whose values in the segment share one float64 bit pattern (so 0.0 and
-    -0.0 differ, and NaN runs match) is spelled once into the template too,
-    from its one value by _json_scalar.
-    Only the columns that vary in the segment are spelled per frame; they
-    and `last` (the time strings for _ROW, each frame's NPC side for the EV
-    side) are interleaved with the template's constant pieces into one list.
+    Row k holds the values of _BLOCK_ROWS[k] (gt_overlap as 0.0 and 1.0), so
+    each row's slice of a segment is contiguous, and block[:3] is the EV
+    side of a row. Every float keeps its bits.
     """
     import numpy as np
 
-    bits = np.column_stack([column[lo:hi] for column, _ in columns.values()]).view(np.int64)
+    block = np.empty((7, len(closing_speed)))
+    block[0] = closing_speed
+    block[1:3] = ev_centers.T
+    block[3] = gt_overlap
+    block[4:6] = npc_centers.T
+    block[6] = penetration
+    return block
+
+
+def _segment_text(block: np.ndarray, lo: int, hi: int, fixed: dict, last, row: str = _ROW) -> list[str]:
+    """The lines of the block's columns lo..hi-1 as pieces to join; `last` holds each row's string for row's last slot.
+
+    The block's m rows are the first m of _BLOCK_ROWS, the fields that `row`
+    spells per frame besides its last slot. The segment is written through
+    its own row template, with the fields of `fixed` (the yaws and
+    `triggered`, spelled once per segment). Any row whose values in the
+    segment share one float64 bit pattern (so 0.0 and -0.0 differ, and NaN
+    runs match) is spelled once into the template too, from its one value
+    by _json_scalar. Only the rows that vary in the segment are spelled per
+    frame: by orjson when the whole segment passes its range gate
+    (_orjson_spells), else each through _json_floats, which gates that row
+    alone. They and `last` (the time strings for _ROW, each frame's NPC side
+    for the EV side) are interleaved with the template's constant pieces
+    into one list.
+    """
+    import numpy as np
+
+    values = block[:, lo:hi]
+    bits = values.view(np.int64)
+    vary = (bits != bits[:, :1]).any(axis=1).tolist()
+    spelled = any(vary) and _orjson_spells(values)
     fields, per_frame = dict(fixed), []
-    for (name, (column, spell)), vary in zip(columns.items(), (bits[1:] != bits[:-1]).any(axis=0).tolist()):
-        if vary:
-            fields[name] = "%s"
-            per_frame.append(spell(column[lo:hi]))
+    for name, series, varies in zip(_BLOCK_ROWS, values, vary):
+        if not varies:
+            fields[name] = _json_scalar(bool(series[0]) if name == "gt_overlap" else series[0].item())
+            continue
+        fields[name] = "%s"
+        if name == "gt_overlap":
+            per_frame.append(_json_bools(series != 0.0))
+        elif spelled:
+            per_frame.append(_orjson_floats(series))
         else:
-            fields[name] = _json_scalar(column[lo].item())
+            per_frame.append(_json_floats(series))
     per_frame.append(last)
     # head, then per frame each column's string and the piece after it; a
     # row's last piece and the next row's head are one piece between rows
@@ -1032,28 +1055,43 @@ def _frame_times(dt: float, count: int) -> tuple[str, ...]:
     return tuple(_json_times(i * dt for i in range(count)))
 
 
-def _json_floats(column: np.ndarray) -> list[str]:
-    """json.dumps's spelling of each float: its repr, or NaN/Infinity/-Infinity.
+def _orjson_spells(values: np.ndarray) -> bool:
+    """Whether orjson spells every float of values (of any shape) as json.dumps does.
 
     orjson spells a float by Ryu's shortest round-trip digits (Adams, PLDI
     2018), the digits repr picks, but in other notation outside
     1e-4 <= |v| < 1e16 (1e16 for 1e+16, 0.00001 for 1e-05) and as null for
-    NaN and infinities. So a column whose every value is a zero or in that
-    range is spelled by orjson, on a C-contiguous copy (it refuses strided
-    views), and any other column value by value.
+    NaN and infinities. So it does when every value is a zero or in that
+    range; a NaN fails both bounds.
     """
     import numpy as np
 
-    magnitude = np.abs(column)
+    magnitude = np.abs(values)
     # the largest and smallest magnitude decide, but for zeros below 1e-4
-    if (
-        column.size
+    return bool(
+        values.size
         and magnitude.max() < 1e16
         and (magnitude.min() >= 1e-4 or ((magnitude >= 1e-4) | (magnitude == 0.0)).all())
-    ):
-        import orjson  # here, not at the top: run and the sweeps never encode a trace
+    )
 
-        return orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+
+def _orjson_floats(row: np.ndarray) -> list[str]:
+    """orjson's spelling of each float of a C-contiguous 1-D array (it refuses strided views)."""
+    import orjson  # here, not at the top: run and the sweeps never encode a trace
+
+    return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """json.dumps's spelling of each float: its repr, or NaN/Infinity/-Infinity.
+
+    A column that passes _orjson_spells is spelled by orjson, on a
+    C-contiguous copy, and any other column value by value.
+    """
+    import numpy as np
+
+    if _orjson_spells(column):
+        return _orjson_floats(np.ascontiguousarray(column))
     values = column.tolist()
     return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, values))
 

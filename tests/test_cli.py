@@ -800,6 +800,39 @@ def blank_a_record_in_place(log, index):
     return 6
 
 
+INDEX_DAMAGES = {
+    "index-deleted": lambda log, index: index.unlink() or 5,
+    "record-appended": append_record,
+    "log-cut-short": cut_log_short,
+    "equal-length-records-swapped": swap_equal_length_records,
+    "index-cut-mid-magic": cut_index(10),
+    "index-cut-mid-header": cut_index(len(cli._INDEX_MAGIC) + 5),
+    "index-garbage": garbage_index(keep_header=False),
+    "index-garbage-after-header": garbage_index(keep_header=True),
+    "index-count-inflated": inflate_count,
+    "offset-mid-line": offset_mid_line,
+    "stop-one-byte-short": stop_one_byte_short,
+    "offset-past-eof": offset_past_eof,
+    "log-blanked-in-place": blank_a_record_in_place,
+}
+
+
+def apply_damage(log, index, damage):
+    """Damage the run's log or index and return the ordinal whose lookup the index must refuse.
+
+    Only the in-place blanking leaves the index older than the log; after
+    any other damage the index is the newer, so that only the content
+    checks can reject it.
+    """
+    ordinal = damage(log, index)
+    if index.exists():
+        if damage is blank_a_record_in_place:
+            set_mtime_after(log, index)
+        else:
+            set_mtime_after(index, log)
+    return ordinal
+
+
 # every numeric field of a record: an int (a bool too) or a float, with -0.0,
 # subnormals, the largest floats and the non-finite ones drawn often
 EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -878,54 +911,48 @@ class TestRecordIndex:
         assert [cli._indexed_record(log, i) for i in range(len(records))] == records
         assert cli._indexed_record(log, -1) is None and cli._indexed_record(log, len(records)) is None
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda log, index: index.unlink() or 5,
-            append_record,
-            cut_log_short,
-            swap_equal_length_records,
-            cut_index(10),
-            cut_index(len(cli._INDEX_MAGIC) + 5),
-            garbage_index(keep_header=False),
-            garbage_index(keep_header=True),
-            inflate_count,
-            offset_mid_line,
-            stop_one_byte_short,
-            offset_past_eof,
-            blank_a_record_in_place,
-        ],
-        ids=[
-            "index-deleted",
-            "record-appended",
-            "log-cut-short",
-            "equal-length-records-swapped",
-            "index-cut-mid-magic",
-            "index-cut-mid-header",
-            "index-garbage",
-            "index-garbage-after-header",
-            "index-count-inflated",
-            "offset-mid-line",
-            "stop-one-byte-short",
-            "offset-past-eof",
-            "log-blanked-in-place",
-        ],
-    )
+    @pytest.mark.parametrize("damage", INDEX_DAMAGES.values(), ids=INDEX_DAMAGES.keys())
     def test_untrusted_index_changes_no_replay(self, campaign, tmp_path, damage):
         log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"
         n = len(log.read_text().splitlines())
-        ordinal = damage(log, index)
-        if index.exists():
-            if damage is blank_a_record_in_place:
-                set_mtime_after(log, index)
-            else:  # so that only the content checks can reject the index
-                set_mtime_after(index, log)
+        ordinal = apply_damage(log, index, damage)
         assert cli._indexed_record(log, ordinal) is None
         out = tmp_path / "trace.jsonl"
         for o in sorted({0, ordinal - 1, ordinal, ordinal + 1, n - 1, n, n + 1, -1, 10**20}):
             seen = replay_result(log, o, out)
             assert seen == (without_index(log, o, out) if index.exists() else replay_result(log, o, out))
             assert seen[0] in (0, 2, 3) and seen[2].count("\n") <= 1, seen[2]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    @pytest.mark.parametrize("damage", [None, *INDEX_DAMAGES.values()], ids=["trusted", *INDEX_DAMAGES])
+    def test_a_lookup_leaves_no_descriptor_open(self, campaign, damage):
+        log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"
+        ordinal = 5 if damage is None else apply_damage(log, index, damage)
+        for o in (ordinal, 0, 299, -1, 300, 10**20):  # the last three out of range
+            before = len(os.listdir("/proc/self/fd"))
+            record = cli._indexed_record(log, o)
+            assert len(os.listdir("/proc/self/fd")) == before, o
+            if o == ordinal:
+                assert (record is None) == (damage is not None)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    @pytest.mark.parametrize("read", ["pair-cut-short", "log-read-fails"])
+    def test_a_read_that_fails_leaves_no_descriptor_open(self, campaign, monkeypatch, read):
+        # a read past the end of a file changed after its size was taken
+        # returns fewer bytes, and a read of a failing device raises
+        pread = os.pread
+
+        def failing(fd, n, offset):
+            if read == "pair-cut-short" and n == 16:
+                return pread(fd, n, offset)[:8]
+            if read == "log-read-fails" and n not in (16, cli._INDEX_HEAD):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return pread(fd, n, offset)
+
+        monkeypatch.setattr(os, "pread", failing)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli._indexed_record(campaign / "records.jsonl", 5) is None
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_damaged_record_and_out_of_range_errors_name_the_same_lines(self, campaign, tmp_path):
         log, index = campaign / "records.jsonl", campaign / "records.jsonl.idx"

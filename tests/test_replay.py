@@ -161,6 +161,29 @@ def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
             assert_same_text(out.read_text(), trace_to_jsonl_per_frame(trace), (name, ordinal))
 
 
+def test_the_stages_of_a_kind_share_its_one_seed_spec(logs, tmp_path):
+    """Replays of one kind at two distances build two cruise stages from the same spec object."""
+    log = logs["reference"]
+    every = records(log)
+    config = kept(log).config
+    firsts = {}
+    for rec in every:
+        firsts.setdefault((rec.kind, rec.params.d), rec.ordinal)
+    out = tmp_path / "trace.jsonl"
+    forget()
+    for kind in ScenarioKind:
+        ordinals = [ordinal for (k, _), ordinal in firsts.items() if k is kind][:2]
+        assert len(ordinals) == 2
+        for ordinal in ordinals:
+            rec = every[ordinal]
+            assert replay(log, ordinal, out)[0] == 0
+            trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
+            assert_same_text(out.read_text(), trace_to_jsonl_per_frame(trace), ordinal)
+        first, second = (kept(log).stages[kind, every[ordinal].params.d] for ordinal in ordinals)
+        assert first is not second and first.spec is second.spec is kept(log).specs[kind]
+    assert len(kept(log).stages) == 12 and len(kept(log).specs) == 6
+
+
 def test_stage_text_is_kept_per_segment_start_and_stop(logs):
     """Traces of one cruise stage cut at several lengths: each segment's text is its own (start, stop)'s."""
     log = logs["reference"]

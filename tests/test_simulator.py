@@ -296,6 +296,36 @@ def test_budgeted_trace_jsonl_of_npc_coordinates_outside_orjsons_range_matches_t
         assert spelled in text.splitlines()[trace.trigger_frame]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**60, 2.0**1019, 2.0**1023)),
+)
+def test_budgeted_trace_jsonl_of_scaled_traces_matches_the_per_frame_encoder(kind, d, v_hat, a, cfg, scale):
+    """Segments that fail the one range gate, whole or as the EV side, keep the per-frame encoder's bytes.
+
+    The trace is scaled as test_oracle._scaled scales it: 2**-40 gives
+    nonzero values below 1e-4, 2**60 values of 1e16 and more, and the two
+    largest scales infinities and NaNs. Its cruise stage is given the
+    scaled phases, so the stage's segment text is kept; the second call
+    reads that text and the kind's kept NPC rows.
+    """
+    trace = simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg)
+    scaled = _scaled(trace, scale)
+    own = tuple(new for old, new in zip(trace.phases, scaled.phases) if any(old is p for p in trace.cruise.phases))
+    scaled = dataclasses.replace(scaled, cruise=dataclasses.replace(trace.cruise, phases=own, text={}))
+    budget = TextBudget()
+    with np.errstate(all="ignore"):
+        want = trace_to_jsonl_per_frame(scaled)
+        for _ in range(2):
+            assert_same_text(trace_to_jsonl(scaled, budget), want, scale)
+    assert budget.bytes > 0 or not own
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(list(ScenarioKind)),
