@@ -65,8 +65,12 @@ _INDEX_HEAD = len(_INDEX_MAGIC) + 16
 
 
 def _index_path(log: Path) -> Path:
-    """The index of a log is named after the log, so a renamed or copied log has none."""
-    return log.with_name(log.name + ".idx")
+    """The index of a log is named after the log, so a renamed or copied log has none.
+
+    The name is the log's path string plus ".idx", as _indexed_record spells
+    it: a path with no name, such as / or ., still names one.
+    """
+    return Path(os.fspath(log) + ".idx")
 
 
 # A log line as json.dumps(..., sort_keys=True) spells a record, with a %s
@@ -159,9 +163,10 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
     points at exactly one line whose record parses and carries this ordinal.
     """
     log = idx = -1  # the descriptors opened so far
+    name = os.fspath(path)
     try:
-        log = os.open(path, os.O_RDONLY)
-        idx = os.open(_index_path(path), os.O_RDONLY)
+        log = os.open(name, os.O_RDONLY)
+        idx = os.open(name + ".idx", os.O_RDONLY)  # _index_path's name
         log_stat, idx_stat = os.fstat(log), os.fstat(idx)
         head = os.pread(idx, _INDEX_HEAD, 0)
         if not head.startswith(_INDEX_MAGIC) or log_stat.st_mtime_ns > idx_stat.st_mtime_ns:

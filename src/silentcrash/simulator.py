@@ -38,19 +38,19 @@ scores only its frames from the trigger on.
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
 _Phase owns these expressions in two forms that round alike: a numpy kernel
-over an array of frames (the confirm windows and a Trace's per-frame arrays,
-built on first access, whose overlaps it takes only inside each phase's
-contact window) and one scalar evaluator in Python floats,
-_Phase.frames, which the built-in detector calls for the few frames it
-reads. The peak IoU's walk of a phase's overlap frames (_walk) writes the
-scalar evaluator's expressions out in its own loop, in the same order, so
-its values round alike too. A center distance is sqrt(dx*dx + dy*dy)
-in both: IEEE 754 rounds each of its operations correctly, so numpy and
-Python give the same bits. The overlap and penetration values use the same
-face-normal projections as the scalar geometry module; frame invariants are
-cross-checked against it in tests. numpy is imported inside the functions
-that build arrays, so importing this module, and the CLI with it, does not
-load numpy.
+over an array of frames (the confirm windows, and Trace.frame_block, which
+writes them out into one array for a Trace's per-frame values and the
+replayed text, with overlaps only inside each phase's contact window) and
+one scalar evaluator in Python floats, _Phase.frames, which the built-in
+detector calls for the few frames it reads. The peak IoU's walk of a
+phase's overlap frames (_walk) writes the scalar evaluator's expressions
+out in its own loop, in the same order, so its values round alike too. A
+center distance is sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its
+operations correctly, so numpy and Python give the same bits. The overlap
+and penetration values use the same face-normal projections as the scalar
+geometry module; frame invariants are cross-checked against it in tests.
+numpy is imported inside the functions that build arrays, so importing this
+module, and the CLI with it, does not load numpy.
 """
 
 from __future__ import annotations
@@ -151,15 +151,6 @@ def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
     return (radii - proj).min(axis=1)
 
 
-def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
-    """Rate at which the EV approaches the NPC center, for each center offset in delta."""
-    import numpy as np
-
-    dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
-    towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
-    return np.where(dist > 1e-12, towards / np.maximum(dist, 1e-12), 0.0)
-
-
 def _frame_span(lo: float, hi: float, first: int, last: int, dt: float) -> range:
     """Frames of first..last with times in [lo, hi], plus one more on either side.
 
@@ -179,8 +170,9 @@ class _Phase(NamedTuple):
     At time t the NPC center is npc_origin + t * npc_velocity and the EV
     center ev_origin + (t - t0) * ev_velocity. Points and velocities are
     (x, y) floats; axes and radii are _face_normals of the two boxes. Frames
-    are evaluated by the numpy kernel (centers, _min_overlap, _closing_speed)
-    or, rounding alike, by `frames` and `closing_speed` in Python floats.
+    are evaluated by the numpy kernel (centers, _min_overlap, and
+    Trace.frame_block's closing speed) or, rounding alike, by `frames` and
+    `closing_speed` in Python floats.
     """
 
     first: int
@@ -231,7 +223,7 @@ class _Phase(NamedTuple):
             )
 
     def closing_speed(self, ex: float, ey: float, nx: float, ny: float) -> float:
-        """_closing_speed's value, bit for bit, at the EV and NPC centers that `frames` gives for a frame."""
+        """Trace.frame_block's closing speed, bit for bit, at the EV and NPC centers that `frames` gives for a frame."""
         dx, dy = nx - ex, ny - ey
         (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
         dist = math.sqrt(dx * dx + dy * dy)
@@ -338,29 +330,6 @@ class _Phase(NamedTuple):
         ev, npc = self.centers(np.arange(window.start, window.stop))
         hit = _min_overlap(npc - ev, self.axes, self.radii) >= 0.0
         return window.start + int(np.argmax(hit)) if hit.any() else None
-
-    def frame_values(
-        self, idx: np.ndarray, near: slice | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """EV centers, NPC centers, minimum axis overlap and closing speed at frames idx.
-
-        Given near, the overlap is the kernel's at idx[near] and -inf
-        elsewhere; without it, the raw kernel's at every frame.
-        Trace._frame_values passes the frames of contact_window, outside
-        which the kernel's overlap is finite and negative, so gt_overlap and
-        penetration, the only readers of the overlap, read the same bits.
-        """
-        import numpy as np
-
-        ev, npc = self.centers(idx)
-        delta = npc - ev
-        (ux, uy), (vx, vy) = self.npc_velocity, self.ev_velocity
-        closing = _closing_speed(delta, (vx - ux, vy - uy))
-        if near is None:
-            return ev, npc, _min_overlap(delta, self.axes, self.radii), closing
-        overlap = np.full(len(idx), -np.inf)
-        overlap[near] = _min_overlap(delta[near], self.axes, self.radii)
-        return ev, npc, overlap, closing
 
 
 class _Walk(NamedTuple):
@@ -476,29 +445,59 @@ class Trace:
             if part:
                 yield phase, part
 
-    def _frame_values(self, frames: range) -> list[np.ndarray]:
-        """frame_values of each phase, joined over the ascending frames, with overlaps only where boxes can touch.
+    def frame_block(self, frames: range) -> np.ndarray:
+        """The per-frame values of the ascending frames, as one C-contiguous float64 array of shape (7, n).
 
-        Each phase's overlap is the kernel's on the frames of its
-        contact_window (every frame when that is None) and -inf on the
-        others. Every frame whose overlap is >= 0 lies in the window, and
-        where the window is not None its finiteness gate bounds every
-        projection and radius, so outside it the kernel's overlap is finite
-        and negative: gt_overlap false and penetration +0.0, as -inf gives.
-        Only gt_overlap and penetration read the overlaps.
+        Row k holds _BLOCK_ROWS[k] (gt_overlap as 0.0 and 1.0), so each row's
+        slice of a segment is contiguous and block[:3] is the EV side of a
+        row. Each phase fills its own columns in place: a center is the
+        product of its time and velocity plus its origin, and the closing
+        speed is ((vx - ux) * dx + (vy - uy) * dy) / dist where dist exceeds
+        1e-12, else 0.0, with _Phase.centers' and _Phase.closing_speed's
+        operations in their order, so every value is an elementwise
+        expression of its frame. The overlap is _min_overlap's on the frames
+        of the phase's contact_window (every frame when that is None).
+        Outside it the overlap is finite and negative (the window's
+        finiteness gate bounds every projection and radius), so gt_overlap
+        and penetration are 0.0 there, as the kernel's overlap gives them.
         """
         import numpy as np
 
-        parts = []
-        for phase, p in self.phase_frames(frames):
-            near, window = None, phase.contact_window()
-            if window is not None:
-                # how many frames of p lie before the window, and before its end
-                near = slice(len(range(p.start, window.start, p.step)), len(range(p.start, window.stop, p.step)))
-            parts.append(phase.frame_values(np.arange(p.start, p.stop, p.step), near))
-        if len(parts) == 1:
-            return list(parts[0])
-        return [np.concatenate(columns) for columns in zip(*parts)]
+        block = np.empty((7, len(frames)))
+        block[3::3] = 0.0
+        for phase, part in self.phase_frames(frames):
+            lo = frames.index(part.start)
+            closing, ex, ey, gt, nx, ny, pen = block[:, lo : lo + len(part)]
+            t = np.arange(part.start, part.stop, part.step) * phase.dt
+            since = t - phase.t0
+            (ox, oy), (vx, vy) = phase.ev_origin, phase.ev_velocity
+            (px, py), (ux, uy) = phase.npc_origin, phase.npc_velocity
+            np.multiply(since, vx, out=ex)
+            ex += ox
+            np.multiply(since, vy, out=ey)
+            ey += oy
+            np.multiply(t, ux, out=nx)
+            nx += px
+            np.multiply(t, uy, out=ny)
+            ny += py
+            dx, dy = nx - ex, ny - ey
+            dist = np.sqrt(dx * dx + dy * dy)
+            far = dist > 1e-12
+            closing[~far] = 0.0
+            np.divide((vx - ux) * dx + (vy - uy) * dy, dist, out=closing, where=far)
+            window = phase.contact_window()
+            if window is None:
+                near = slice(None)
+            elif window:
+                # how many frames of part lie before the window, and before its end
+                start, step = part.start, part.step
+                near = slice(len(range(start, window.start, step)), len(range(start, window.stop, step)))
+            else:
+                continue
+            overlap = _min_overlap(np.stack((dx[near], dy[near]), axis=1), phase.axes, phase.radii)
+            np.greater_equal(overlap, 0.0, out=gt[near])
+            np.maximum(overlap, 0.0, out=pen[near])
+        return block
 
     def stage_memo(self) -> dict | None:
         """The cruise stage's memo, if this trace touched before its trigger on the stage's own frames; else None.
@@ -599,9 +598,9 @@ class Trace:
         return iou_bounds(overlaps, self.ev_half, self.npc_half, reach), frames
 
     @cached_property
-    def _arrays(self) -> list[np.ndarray]:
-        """_frame_values of frames 0..len-1; the overlaps are -inf outside each phase's contact window."""
-        return self._frame_values(range(self.length))
+    def _arrays(self) -> np.ndarray:
+        """frame_block of frames 0..len-1, whose rows the per-frame attributes view."""
+        return self.frame_block(range(self.length))
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -611,25 +610,23 @@ class Trace:
 
     @cached_property
     def ev_centers(self) -> np.ndarray:
-        return self._arrays[0]
+        return self._arrays[1:3].T
 
     @cached_property
     def npc_centers(self) -> np.ndarray:
-        return self._arrays[1]
+        return self._arrays[4:6].T
 
     @cached_property
     def gt_overlap(self) -> np.ndarray:
-        return self._arrays[2] >= 0.0
+        return self._arrays[3] == 1.0
 
     @cached_property
     def penetration(self) -> np.ndarray:
-        import numpy as np
-
-        return np.maximum(self._arrays[2], 0.0)
+        return self._arrays[6]
 
     @cached_property
     def closing_speed(self) -> np.ndarray:
-        return self._arrays[3]
+        return self._arrays[0]
 
     @cached_property
     def ev_yaws(self) -> np.ndarray:
@@ -690,7 +687,8 @@ class CruiseStage:
     trigger: int | None  # first frame of path within d
     phases: tuple[_Phase, ...]  # path before the trigger frame; () when the trigger is frame 0
     first_contact: int | None  # first contact in phases
-    # trace_to_jsonl's text of the segments of phases, keyed by (start, stop), under a TextBudget
+    # trace_to_jsonl's text of the one segment of phases, keyed by (start, stop), under a TextBudget: one key
+    # per trace length that ends inside phases, and one for every trace that runs past them
     text: dict = field(default_factory=dict, repr=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -824,7 +822,9 @@ class TextBudget:
         its NPC origin and velocity and its dt, and the NPC never reacts, so
         every switched phase of a scenario kind copies them from the kind's
         cruise path: the rows are spelled once per kind and sim config and
-        kept within the budget, keyed by what they are spelled from.
+        kept within the budget, keyed by what they are spelled from. Only a
+        switched phase whose frames are all apart reads them, as in a
+        non-collision trace, or after a contact before the trigger.
         """
         motion = repr((phase.npc_origin, phase.npc_velocity, phase.dt, phase.last))  # tells -0.0 from 0.0
         key = (motion, fixed["npc_hl"], fixed["npc_hw"], fixed["npc_yaw"])
@@ -883,12 +883,11 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
 
     Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
-    gt_overlap, penetration, closing_speed and triggered. The frames are cut
-    into segments at each phase start and at first contact, and each segment
-    is written by _segment_text from one frame block (_frame_block) per
-    trace. Without a budget the block holds the trace's own per-frame
-    attributes. Given a budget, two kinds of text are kept within it and
-    read again:
+    gt_overlap, penetration, closing_speed and triggered. Each phase's frames
+    are one segment (_segments), written by _segment_text from one frame
+    block per trace. Without a budget the block holds the trace's own
+    per-frame attributes (_frame_block). Given a budget, two kinds of text
+    are kept within it and read again:
 
     - A segment of the cruise stage's own phases has the same text in every
       trace that shares the stage and the segment's (start, stop). That text
@@ -901,11 +900,12 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
       TextBudget.npc_rows keeps once per kind and sim config. Any other
       segment is spelled whole.
 
-    The block then covers only the frames from the first segment that is
-    spelled on (each value is an elementwise expression of its frame, so the
-    bits are those of the whole trace's arrays), with the overlaps evaluated
-    only inside each phase's contact window, as Trace._frame_values
-    evaluates them.
+    The block is then Trace.frame_block of the frames from the first segment
+    that is spelled on: each value is an elementwise expression of its
+    frame, so the bits are those of the whole trace's arrays. A switched
+    phase with a contact is spelled whole, apart frames before the contact
+    included: any segment has the same bytes on either path, and one call
+    costs less than two on a short run of apart frames.
     """
     import numpy as np
 
@@ -930,8 +930,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
             continue
         if block is None:
             first = start
-            ev, npc, overlap, closing = trace._frame_values(range(first, trace.length))
-            block = _frame_block(closing, ev, overlap >= 0.0, npc, np.maximum(overlap, 0.0))
+            block = trace.frame_block(range(first, trace.length))
         lo, hi = start - first, stop - first
         # the stage's phases end before the trigger, so a segment from it on is never shared
         if (
@@ -961,12 +960,7 @@ _BLOCK_ROWS = ("closing_speed", "ev_x", "ev_y", "gt_overlap", "npc_x", "npc_y", 
 
 
 def _frame_block(closing_speed, ev_centers, gt_overlap, npc_centers, penetration) -> np.ndarray:
-    """The per-frame values of trace_to_jsonl as one C-contiguous float64 array of shape (7, n).
-
-    Row k holds the values of _BLOCK_ROWS[k] (gt_overlap as 0.0 and 1.0), so
-    each row's slice of a segment is contiguous, and block[:3] is the EV
-    side of a row. Every float keeps its bits.
-    """
+    """Trace.frame_block's array, shape (7, n), copied from the given per-frame values; every float keeps its bits."""
     import numpy as np
 
     block = np.empty((7, len(closing_speed)))
@@ -1027,15 +1021,11 @@ def _segment_text(block: np.ndarray, lo: int, hi: int, fixed: dict, last, row: s
 
 
 def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:
-    """(start, stop, phase) covering frames 0..len-1, cut at each phase start and at first contact."""
+    """(start, stop, phase) covering frames 0..len-1, one segment per phase."""
     for phase in trace.phases:
-        start, stop = phase.first, min(phase.last + 1, trace.length)
-        contact = trace.first_contact
-        if contact is not None and start < contact < stop:
-            yield start, contact, phase
-            start = contact
-        if start < stop:
-            yield start, stop, phase
+        stop = min(phase.last + 1, trace.length)
+        if phase.first < stop:
+            yield phase.first, stop, phase
 
 
 def _json_times(times: Iterable[float]) -> list[str]:

@@ -21,6 +21,12 @@ through `_Phase.frames` of the phase with the wrapped yaws' normals
 wherever those differ from the phase's own. `face_normals_former` is `_face_normals` as a
 list comprehension over the four normals.
 
+`frame_values_former` is `_Phase.frame_values` and `_closing_speed` the
+closing-speed kernel as the simulator wrote them before Trace.frame_block
+filled each phase's rows of one array in place: the (n, 2) EV and NPC
+centers of `_Phase.centers`, their offsets, the minimum overlap and the
+closing speed, each a new array.
+
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
 call per frame dict. `assert_same_text` compares two encoded traces and, when
 they differ, names the first line that does and shows both versions of it;
@@ -58,7 +64,6 @@ from silentcrash.simulator import (
     CruiseStage,
     SimConfig,
     _behavior_velocity,
-    _closing_speed,
     _face_normals,
     _frame_span,
     _min_overlap,
@@ -128,6 +133,22 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
         length=end,
         duration=float(times[stop]),
     )
+
+
+def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
+    """Rate at which the EV approaches the NPC center, for each center offset in delta."""
+    dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
+    towards = rel_v[0] * delta[:, 0] + rel_v[1] * delta[:, 1]
+    return np.where(dist > 1e-12, towards / np.maximum(dist, 1e-12), 0.0)
+
+
+def frame_values_former(phase: _Phase, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """EV centers, NPC centers, the raw kernel's minimum axis overlap and closing speed at frames idx."""
+    ev, npc = phase.centers(idx)
+    delta = npc - ev
+    (ux, uy), (vx, vy) = phase.npc_velocity, phase.ev_velocity
+    closing = _closing_speed(delta, (vx - ux, vy - uy))
+    return ev, npc, _min_overlap(delta, phase.axes, phase.radii), closing
 
 
 def switched_phase_former(stage: CruiseStage, params: ControlParameters) -> _Phase:

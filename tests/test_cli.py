@@ -557,6 +557,15 @@ class TestReplay:
     def test_missing_log_is_io_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.jsonl"), "--ordinal", "0"]) == 2
 
+    @pytest.mark.parametrize("log", ["/", ".", ""], ids=["root", "dot", "empty"])
+    def test_a_log_path_with_no_name_is_io_error(self, tmp_path, monkeypatch, capsys, log):
+        # the index is named by appending ".idx" to the log's path string, so
+        # a path with no last component still gets one
+        monkeypatch.chdir(tmp_path)
+        assert main(["replay", "--log", log, "--ordinal", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {Path(log)}: Is a directory\n" and "Traceback" not in err
+
     def test_blank_lines_do_not_count_as_ordinals(self, campaign, tmp_path, capsys):
         lines = (campaign / "records.jsonl").read_text().splitlines()
         spaced = copy_log(campaign, tmp_path / "spaced", "\n" + "".join(f"{line}\n \n\t\r\n" for line in lines))

@@ -35,6 +35,7 @@ from sim_oracle import (
     contact_window_former,
     ev_box,
     face_normals_former,
+    frame_values_former,
     npc_box,
     switched_phase_former,
     trace_to_jsonl_per_frame,
@@ -181,8 +182,9 @@ def _at_rest(npc_x: float, frames: int) -> Trace:
 
 
 def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
-    # first contact one frame after the trigger: the switched phase's first
-    # segment holds one frame, every column spelled once into its template
+    # first contact one frame after the trigger, and the trace cut there: the
+    # switched phase's segment holds one frame, every column spelled once
+    # into its template
     found = []
     for kind in ScenarioKind:
         for trace in _random_traces(kind, 23, 400):
@@ -190,7 +192,9 @@ def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
                 found.append(trace)
     assert found
     for trace in found:
-        assert (trace.trigger_frame, trace.trigger_frame + 1) in [(a, b) for a, b, _ in _segments(trace)]
+        short = dataclasses.replace(trace, length=trace.trigger_frame + 1)
+        assert (trace.trigger_frame, trace.trigger_frame + 1) in [(a, b) for a, b, _ in _segments(short)]
+        assert_same_text(trace_to_jsonl(short), trace_to_jsonl_per_frame(short))
         assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace))
 
 
@@ -213,9 +217,12 @@ def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
 
 @pytest.mark.parametrize("cut", [1, 2, 250, 1499, 1500])
 def test_trace_jsonl_cut_at_any_frame_matches_the_per_frame_encoder(cut):
-    # a first contact moved to an arbitrary frame only moves a segment cut
+    # a trace cut at an arbitrary frame ends its last segment there, with a
+    # budget or without
     trace = next(t for t in _random_traces(ScenarioKind.FLB, 5, 50) if t.first_contact is None)
-    assert_same_text(trace_to_jsonl(dataclasses.replace(trace, first_contact=cut)), trace_to_jsonl_per_frame(trace))
+    short = dataclasses.replace(trace, length=cut)
+    for budget in (None, TextBudget()):
+        assert_same_text(trace_to_jsonl(short, budget), trace_to_jsonl_per_frame(short), budget)
 
 
 def test_trace_jsonl_times_follow_each_dt_in_turn():
@@ -241,9 +248,9 @@ def _rows_used(monkeypatch) -> list[str]:
 
 
 def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_frame_encoder(monkeypatch):
-    # a moving NPC met after the trigger: up to contact the frames are apart,
-    # and each row is its EV side and the kind's kept NPC row; from contact on
-    # gt_overlap and penetration vary, so that segment is spelled whole
+    # a moving NPC met after the trigger: gt_overlap and penetration vary over
+    # the switched phase, so its one segment is spelled whole, as the cruise
+    # stage's is, and no NPC rows are spelled
     used, budget, found = _rows_used(monkeypatch), TextBudget(), 0
     for kind in (ScenarioKind.InC, ScenarioKind.FLV):
         for trace in _random_traces(kind, 31, 200):
@@ -255,11 +262,56 @@ def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_fra
                 continue
             del used[:]
             assert_same_text(trace_to_jsonl(trace, budget), trace_to_jsonl_per_frame(trace), kind)
-            assert used == ["whole", "ev side", "whole"]
+            assert used == ["whole", "whole"]
             found += 1
     assert found >= 20
-    # one kept row per frame for each kind's NPC
-    assert sorted(len(holder.text[None]) for holder in budget.npc.values()) == [1501, 1501]
+    assert not budget.npc
+
+
+def test_budgeted_trace_jsonl_of_a_long_run_before_contact_spells_one_segment_per_phase(monkeypatch):
+    # at least 100 apart frames between the trigger and first contact still
+    # belong to the switched phase's one segment; the second encoding reads
+    # the cruise stage's kept text and spells only that segment
+    trace = next(
+        t
+        for t in _random_traces(ScenarioKind.PCF, 31, 200)
+        if t.trigger_frame is not None and t.first_contact is not None and t.first_contact - t.trigger_frame >= 100
+    )
+    assert trace.trigger_frame > 0
+    used, budget, want = _rows_used(monkeypatch), TextBudget(), trace_to_jsonl_per_frame(trace)
+    for spelled in (2, 1):
+        del used[:]
+        assert_same_text(trace_to_jsonl(trace, budget), want, spelled)
+        assert used == ["whole"] * spelled
+    assert list(trace.cruise.text) == [(0, trace.trigger_frame)] and not budget.npc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    d=st.floats(min_value=2.0, max_value=7.0),
+    v_hat=st.floats(min_value=0.5, max_value=50.0),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    cfg=st.sampled_from((SimConfig(), SimConfig(dt=0.005, settle_frames=0), SimConfig(dt=0.02, horizon=9.0))),
+    scale=st.sampled_from((1.0, 2.0**-40, 2.0**1019, 2.0**1023)),
+    cuts=st.tuples(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=3000)),
+)
+# the switched phase's window is None, the cruise phase's not; both are None
+@example(kind=ScenarioKind.PSF, d=2.0, v_hat=20.0, a=0.0, cfg=SimConfig(), scale=2.0**1019, cuts=(100, 250))
+@example(kind=ScenarioKind.FLV, d=3.0, v_hat=20.0, a=0.5, cfg=SimConfig(), scale=2.0**1023, cuts=(0, 3000))
+def test_frame_block_of_any_frames_is_the_whole_blocks_columns(kind, d, v_hat, a, cfg, scale, cuts):
+    """frame_block(range(lo, hi)) is columns lo..hi-1 of the whole trace's block, bit for bit.
+
+    The trace is scaled as test_oracle._scaled scales it, so at the largest
+    scales the contact windows are None and values are infinite or NaN.
+    """
+    trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
+    lo, hi = sorted(cut % (trace.length + 1) for cut in cuts)
+    with np.errstate(all="ignore"):
+        whole = trace.frame_block(range(trace.length))
+        part = trace.frame_block(range(lo, hi))
+    assert part.shape == (7, hi - lo) and part.flags.c_contiguous
+    assert part.tobytes() == np.ascontiguousarray(whole[:, lo:hi]).tobytes()
 
 
 def test_budgeted_trace_jsonl_of_boxes_touching_at_zero_overlap_matches_the_per_frame_encoder():
@@ -350,7 +402,7 @@ def test_scalar_frame_evaluator_matches_the_array_kernel(kind, d, v_hat, a, cfg,
     i = pick.draw(st.integers(min_value=phase.first, max_value=phase.last))
     wrapped = _face_normals(normalize_yaw(phase.ev_yaw), trace.ev_half, normalize_yaw(trace.npc_yaw), trace.npc_half)
     with np.errstate(all="ignore"):
-        ev, npc, low, closing = phase.frame_values(np.array([i]))
+        ev, npc, low, closing = frame_values_former(phase, np.array([i]))
         wrapped_low = _min_overlap(npc - ev, *wrapped)
         turned = phase._replace(axes=wrapped[0], radii=wrapped[1])
         for along, want in ((phase, low[0]), (turned, wrapped_low[0])):
@@ -414,7 +466,7 @@ def test_trace_overlap_columns_are_the_kernels_over_every_frame(kind, d, v_hat, 
     trace = _scaled(simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg), scale)
     trace = dataclasses.replace(trace, length=trace.phases[-1].last + 1)
     with np.errstate(all="ignore"):
-        raw = np.concatenate([p.frame_values(np.arange(p.first, p.last + 1))[2] for p in trace.phases])
+        raw = np.concatenate([frame_values_former(p, np.arange(p.first, p.last + 1))[2] for p in trace.phases])
         assert trace.gt_overlap.tobytes() == (raw >= 0.0).tobytes()
         assert trace.penetration.tobytes() == np.maximum(raw, 0.0).tobytes()
 
@@ -434,7 +486,7 @@ def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
     assert trace.overlap_frames() == ([], [])
     assert max_iou(trace) == 0.0
     with np.errstate(all="ignore"):
-        assert math.isnan(phase.frame_values(np.array([0]))[2][0])
+        assert math.isnan(frame_values_former(phase, np.array([0]))[2][0])
         assert silenced_by(trace, PERFECT_DETECTOR) == "sampling"
 
 
