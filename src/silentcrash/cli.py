@@ -198,7 +198,7 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
         return None
 
 
-def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
+def _read_record_at(path: str | Path, ordinal: int) -> OutcomeRecord:
     """Parse only the requested record: through the log's index, or else by streaming the log.
 
     When the index cannot be trusted, the log is read no further than the
@@ -207,11 +207,13 @@ def _read_record_at(path: Path, ordinal: int) -> OutcomeRecord:
     messages: the log is read again up to the record's line when the record
     is damaged or carries another ordinal (two records merged onto one line
     shift every later one), and in full when the ordinal is out of range.
-    Every error comes from this streaming path.
+    Every error comes from this streaming path, and spells path as
+    str(Path(path)) does.
     """
     record = _indexed_record(path, ordinal)
     if record is not None:
         return record
+    path = Path(path)
     with path.open("rb") as fh:
         if 0 <= ordinal <= sys.maxsize:  # the range islice accepts
             line = next(itertools.islice(filter(bytes.strip, fh), ordinal, None), None)
@@ -399,27 +401,59 @@ def _write_in_place(path: Path, text: str) -> None:
         os.close(fd)
 
 
-def cmd_replay(args) -> int:
-    log_path = Path(args.log)
-    manifest_path = log_path.parent / "manifest.json"
+def _read_file(name: str) -> bytes:
+    """The bytes of the file at name, as Path.read_bytes gives them, without a file object.
+
+    An OSError from os.read (EISDIR for a directory) carries no filename.
+    """
+    fd = os.open(name, os.O_RDONLY)
     try:
-        record = _read_record_at(log_path, args.ordinal)
-        raw = manifest_path.read_bytes()
-    except FileNotFoundError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"missing file: {exc.filename}")
+        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # + 1: a file that grew is read on
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _manifest_path(log: str) -> Path:
+    """The manifest beside a log, spelled as messages spell it."""
+    return Path(log).parent / "manifest.json"
+
+
+def _read_error(exc: OSError, name) -> int:
+    if isinstance(exc, FileNotFoundError):
+        return _fail(ExitStatus.IO_ERROR, f"missing file: {name}")
+    return _fail(ExitStatus.IO_ERROR, f"cannot read {name}: {exc.strerror}")
+
+
+def cmd_replay(args) -> int:
+    # The log and the manifest are opened by path string; a Path is built
+    # only where a message or the default --out spells a path. Path reads
+    # records.jsonl/ and records.jsonl/. as records.jsonl, which
+    # os.path.dirname would take for a directory, so they are normalized first.
+    log = args.log
+    if os.path.basename(log) in ("", "."):
+        log = str(Path(log))
+    try:
+        record = _read_record_at(log, args.ordinal)
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot read {exc.filename}: {exc.strerror}")
+        return _read_error(exc, exc.filename)
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
+    try:
+        raw = _read_file(os.path.join(os.path.dirname(log), "manifest.json"))
+    except OSError as exc:
+        return _read_error(exc, _manifest_path(log))
 
     try:
         replays = _manifest_config(raw)
     except json.JSONDecodeError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"{manifest_path} line {exc.lineno}: invalid JSON: {exc.msg}")
+        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)} line {exc.lineno}: invalid JSON: {exc.msg}")
     except UnicodeDecodeError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
+        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
     except _NotAnObject:
-        return _fail(ExitStatus.IO_ERROR, f"{manifest_path}: not a JSON object")
+        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not a JSON object")
     except (KeyError, ConfigError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
     config = replays.config
@@ -443,7 +477,7 @@ def cmd_replay(args) -> int:
         stages[key] = trace.cruise
     verdict = check_ic(trace, defect, config.oracle)
 
-    out = Path(args.out) if args.out else log_path.parent / f"trace_{args.ordinal}.jsonl"
+    out = Path(args.out) if args.out else Path(log).parent / f"trace_{args.ordinal}.jsonl"
     try:
         _write_in_place(out, trace_to_jsonl(trace, replays.text))
     except OSError as exc:
@@ -618,9 +652,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv[1:] of a command goes straight to that command's parser.
+
+    The top-level parser would only match each argument against its -h and
+    then pass argv[1:] on to the same subparser, so the result, the messages
+    and the exits are those of parser.parse_args(argv). Anything else (no
+    command, an unknown one, an option first) takes parser.parse_args.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                parser.error("unrecognized arguments: %s" % " ".join(rest))
+            args.command = argv[0]
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map them onto the config-error code
         return int(ExitStatus.CONFIG_ERROR) if exc.code else int(ExitStatus.OK)

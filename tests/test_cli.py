@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -565,6 +566,46 @@ class TestReplay:
         assert main(["replay", "--log", log, "--ordinal", "0"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot read {Path(log)}: Is a directory\n" and "Traceback" not in err
+
+    @pytest.mark.parametrize("log", ["{d}/records.jsonl", "{d}//records.jsonl", "./records.jsonl"], ids=["plain", "double-slash", "dot"])
+    @pytest.mark.parametrize("manifest", ["missing", "directory"])
+    def test_a_manifest_that_cannot_be_read_is_one_error_line(self, campaign, tmp_path, monkeypatch, capsys, log, manifest):
+        # the log is read first, so it is whole; the manifest beside it is not a file
+        d = tmp_path / "log"
+        d.mkdir()
+        shutil.copy(campaign / "records.jsonl", d)
+        if manifest == "directory":
+            (d / "manifest.json").mkdir()
+        monkeypatch.chdir(d)
+        log = log.format(d=d)
+        assert main(["replay", "--log", log, "--ordinal", "0", "--out", str(tmp_path / "t.jsonl")]) == 2
+        name = Path(log).parent / "manifest.json"
+        want = f"error: missing file: {name}\n" if manifest == "missing" else f"error: cannot read {name}: Is a directory\n"
+        assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize(
+        "log",
+        ["records.jsonl", "./records.jsonl", "{d}//records.jsonl", "{d}/./records.jsonl", "{d}/records.jsonl/", "{d}/records.jsonl/."],
+        ids=["bare", "dot", "double-slash", "dot-segment", "trailing-slash", "trailing-dot"],
+    )
+    def test_replay_spells_its_paths_as_path_does(self, campaign, tmp_path, monkeypatch, capsys, log):
+        monkeypatch.chdir(campaign)
+        log = log.format(d=campaign)
+        ordinal = 3
+        assert main(["replay", "--log", str(campaign / "records.jsonl"), "--ordinal", str(ordinal), "--out", str(tmp_path / "want.jsonl")]) == 0
+        want = (tmp_path / "want.jsonl").read_bytes()
+        capsys.readouterr()
+        default = Path(log).parent / f"trace_{ordinal}.jsonl"
+        for out in (None, f"{tmp_path}//./t.jsonl", "./t.jsonl"):
+            argv = ["replay", "--log", log, "--ordinal", str(ordinal)] + ([] if out is None else ["--out", out])
+            assert main(argv) == 0
+            trace = default if out is None else Path(out)
+            assert capsys.readouterr().out.splitlines()[0].endswith(f" trace={trace}")
+            assert trace.read_bytes() == want
+            trace.unlink()
+        (campaign / "manifest.json").write_text("{")
+        assert main(["replay", "--log", log, "--ordinal", str(ordinal)]) == 2
+        assert_one_error_line(capsys, f"error: {Path(log).parent / 'manifest.json'} line 1: invalid JSON")
 
     def test_blank_lines_do_not_count_as_ordinals(self, campaign, tmp_path, capsys):
         lines = (campaign / "records.jsonl").read_text().splitlines()
@@ -1316,6 +1357,54 @@ def test_usage_errors_map_to_config_error_code(capsys):
     assert main([]) == 1
 
 
+_REPLAY = ["replay", "--log", "x.jsonl", "--ordinal", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in ("run", "replay", "report", "sweep-step", "sweep-threshold")),
+        [],
+        ["bogus"],
+        ["--log", "x.jsonl", "replay"],
+        ["replay", "--log", "x.jsonl"],
+        ["replay", "--log", "x.jsonl", "--ordinal", "x"],
+        [*_REPLAY, "--bogus"],
+        [*_REPLAY, "extra"],
+        [*_REPLAY, "--", "extra"],
+        _REPLAY,
+        ["replay", "--log", "x.jsonl", "--ord", "0"],
+        ["replay", "--log=x.jsonl", "--ordinal", "-1", "--out", "t.jsonl", "--min-penetration", "0.5"],
+        ["replay", "--ordinal", "0", "--log", "--", "x.jsonl"],
+        ["report", "--log", "x.jsonl", "--format", "pdf", "--out", "r"],
+        ["sweep-step", "--kind", "FLB", "--axis", "speed", "--steps", "1,2", "--out", "s.csv"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, argv):
+    # each command's function records the namespace it was given instead of running
+    parser = cli.build_parser()
+    given = []
+    for command in next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices.values():
+        monkeypatch.setitem(command._defaults, "func", lambda args: given.append(vars(args)) or 0)
+
+    def full(argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return 1 if exc.code else 0
+
+    want = full(argv)
+    want_printed = capsys.readouterr()
+    code = main(argv)
+    assert capsys.readouterr() == want_printed
+    if isinstance(want, dict):
+        assert (code, given) == (0, [want])
+    else:
+        assert (code, given) == (want, [])
+
+
 # Run in a fresh interpreter: imports the CLI, loads every config that
 # perfbench's set-up loads, then runs commands that never evaluate a frame
 # and prints their exit codes and whether numpy was imported.
@@ -1332,6 +1421,8 @@ commands = [
     ["replay", "--log", log, "--ordinal", "999"],
     ["run", "--config", bad, "--out", out + "/run"],
     ["--help"],
+    ["replay", "--help"],
+    ["replay", "--log", log],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.main(command) for command in commands]
@@ -1346,5 +1437,5 @@ def test_set_up_reports_and_error_exits_never_import_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH="src")
     done = subprocess.run(argv, cwd=CONFIG_DIR.parent, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 2, 1, 0] False\n"
+    assert done.stdout == "[0, 0, 2, 1, 0, 0, 1] False\n"
     assert (tmp_path / "r" / "report.csv").exists() and (tmp_path / "r" / "report.svg").exists()
