@@ -98,23 +98,23 @@ def _json_number(value) -> str:
     return "null" if value is None else json.dumps(value)  # NaN, Infinity, true, subclasses
 
 
-def _write_records(records, path: Path, buckets=None) -> None:
+def _write_records(records, path: Path, buckets) -> None:
     """Write the log line by line, then its index; a write that stops in between leaves no index.
 
-    `buckets` are the records' report buckets, in order, when the caller
-    derived them already. Each line fills _LINE, so its bytes are those of
-    json.dumps(..., sort_keys=True) of the record. The labels fragment is
-    spelled once per distinct (buckets, category) pair.
+    `buckets` are the records' report buckets, in order. Each line fills
+    _LINE, so its bytes are those of json.dumps(..., sort_keys=True) of the
+    record. The labels fragment is spelled once per distinct (buckets,
+    category) pair.
     """
     index = _index_path(path)
     index.unlink(missing_ok=True)
     offsets = [0]
     fragments = {}
     with path.open("w") as fh:
-        for rec, labels in zip(records, buckets or itertools.repeat(None)):
+        for rec, labels in zip(records, buckets):
             p = rec.params
             a = p.a  # an atan2 on each read
-            pair = (labels or report_mod.bucket(p), report_mod.categorize(p, a))
+            pair = (labels, report_mod.categorize(p, a))
             fragment = fragments.get(pair) or fragments.setdefault(pair, _labels_fragment(*pair))
             numbers = (a, rec.clock_seconds, p.d, rec.first_contact_time, rec.ordinal)
             numbers += (rec.sim_seconds, p.theta_lat, p.theta_long, p.v_hat)
@@ -349,16 +349,14 @@ _STAGES_KEPT = 1024
 
 
 class _Replays(NamedTuple):
-    """What the replays of one manifest share: its config, and the seed specs and cruise stages built for them.
+    """What the replays of one manifest share: its config, the cruise stages built for it, and the text kept.
 
-    specs holds one seed spec per kind, stages a cruise stage per (kind, d),
-    and text the budget of the stages' text. Every stage of a kind is built
-    from the kind's one spec, so what is keyed on the spec's identity is
-    shared by all of them.
+    stages holds a cruise stage per (kind, d), each built from the kind's
+    seed spec, and text the one budget that keeps the stages' segment text
+    and each kind's NPC rows, giving up the oldest first.
     """
 
     config: CampaignConfig
-    specs: dict
     stages: dict
     text: TextBudget
 
@@ -374,7 +372,7 @@ def _manifest_config(raw: bytes) -> _Replays:
     manifest = json.loads(raw)
     if not isinstance(manifest, dict):
         raise _NotAnObject
-    return _Replays(parse_config(manifest["config"]), {}, {}, TextBudget())
+    return _Replays(parse_config(manifest["config"]), {}, TextBudget())
 
 
 def _write_in_place(path: Path, text: str) -> None:
@@ -462,11 +460,9 @@ def cmd_replay(args) -> int:
         defect, overridden = _defect_override(args, config.defect)
     except ValueError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
-    stages, specs, key = replays.stages, replays.specs, (record.kind, record.params.d)
+    stages, key = replays.stages, (record.kind, record.params.d)
     stage = stages.get(key)
-    spec = specs.get(record.kind) if stage is None else stage.spec
-    if spec is None:
-        spec = specs[record.kind] = config.seed_for(record.kind)[0]
+    spec = config.seed_for(record.kind)[0] if stage is None else stage.spec
     try:
         trace = simulate(spec, record.params, config.sim, stage)
     except SimulationError as exc:

@@ -28,8 +28,8 @@ when there was none before. simulate composes the two and takes a cruise
 stage from an earlier trace, which it uses when it was built for the same
 spec and sim config objects and an equal d; a campaign that sweeps v_hat and
 a at a fixed d locates its trigger once, and replays of one manifest share
-each stage and the text of its frames, and each kind's NPC side of the rows
-from the trigger on. A stage that touches before its
+each stage and, in one TextBudget, the text of its frames and each kind's
+NPC side of the rows from the trigger on. A stage that touches before its
 trigger also keeps, in its memo, what every trace built on it derives from
 the frames between first contact and the trigger: their overlap walk, their
 peak IoU and how far the built-in detector got through them. Each trace
@@ -687,9 +687,6 @@ class CruiseStage:
     trigger: int | None  # first frame of path within d
     phases: tuple[_Phase, ...]  # path before the trigger frame; () when the trigger is frame 0
     first_contact: int | None  # first contact in phases
-    # trace_to_jsonl's text of the one segment of phases, keyed by (start, stop), under a TextBudget: one key
-    # per trace length that ends inside phases, and one for every trace that runs past them
-    text: dict = field(default_factory=dict, repr=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def fits(self, spec: ScenarioSpec, d: float, cfg: SimConfig) -> bool:
@@ -779,38 +776,35 @@ def simulate(
     )
 
 
-# The most bytes of text (ASCII, so one byte per character) that the holders
-# under one TextBudget keep. The 22 stages of the reference log take 1.12 MB
-# and the NPC rows of its 6 kinds 1.50 MB; one cruise of MAX_STEPS frames
-# alone would take about 28 MB.
+# The most bytes of text (ASCII, so one byte per character) that one
+# TextBudget keeps. The 22 stages of the reference log take 1.12 MB and the
+# NPC rows of its 6 kinds 1.50 MB; one cruise of MAX_STEPS frames alone would
+# take about 28 MB.
 CRUISE_TEXT_BUDGET = 8 << 20
 
 
 class TextBudget:
-    """The text that trace_to_jsonl keeps, and the bytes each of its holders keeps.
+    """The text that trace_to_jsonl keeps, oldest first, and its total bytes.
 
-    Two kinds of holder keep text in their `text` dict: a cruise stage keeps
-    its own segments' text, and an _NpcRows the NPC side of a scenario kind's
-    rows from the trigger on (npc_rows). When new text would take the total
-    above CRUISE_TEXT_BUDGET, the holders that were given text longest ago
-    give up theirs until it fits; text longer than the budget is not kept.
+    `kept` maps a key to (text, bytes): a cruise stage's segment under
+    (stage, start, stop), and a scenario kind's NPC side of its rows from the
+    trigger on under what they are spelled from (npc_rows). When new text
+    would take the total above CRUISE_TEXT_BUDGET, the oldest entries are
+    given up until it fits; text longer than the budget is not kept.
     """
 
     def __init__(self) -> None:
-        self.holders: dict[CruiseStage | _NpcRows, int] = {}  # least recently given text first
+        self.kept: dict = {}
         self.bytes = 0
-        self.npc: dict[tuple[str, ...], _NpcRows] = {}  # by what its rows are spelled from (npc_rows)
+        self.too_long: set = set()  # the keys of NPC rows found longer than the budget
 
-    def keep(self, holder: CruiseStage | _NpcRows, key, text, size: int) -> None:
+    def keep(self, key, text, size: int) -> None:
         if size > CRUISE_TEXT_BUDGET:
             return
-        holder.text[key] = text
-        self.holders[holder] = self.holders.pop(holder, 0) + size
+        self.kept[key] = text, size
         self.bytes += size
         while self.bytes > CRUISE_TEXT_BUDGET:
-            oldest = next(iter(self.holders))
-            self.bytes -= self.holders.pop(oldest)
-            oldest.text.clear()
+            self.bytes -= self.kept.pop(next(iter(self.kept)))[1]
 
     def npc_rows(self, phase: _Phase, fixed: dict) -> tuple[str, ...] | None:
         """The NPC side of the rows of frames 0..phase.last when triggered and apart; None if longer than the budget.
@@ -822,32 +816,24 @@ class TextBudget:
         its NPC origin and velocity and its dt, and the NPC never reacts, so
         every switched phase of a scenario kind copies them from the kind's
         cruise path: the rows are spelled once per kind and sim config and
-        kept within the budget, keyed by what they are spelled from. Only a
+        kept within the budget, keyed by what they are spelled from. Rows
+        longer than the budget are spelled once and never kept. Only a
         switched phase whose frames are all apart reads them, as in a
         non-collision trace, or after a contact before the trigger.
         """
         motion = repr((phase.npc_origin, phase.npc_velocity, phase.dt, phase.last))  # tells -0.0 from 0.0
         key = (motion, fixed["npc_hl"], fixed["npc_hw"], fixed["npc_yaw"])
-        holder = self.npc.get(key)
-        if holder is None:
-            holder = self.npc[key] = _NpcRows()
-        if holder.size is not None and holder.size > CRUISE_TEXT_BUDGET:
+        if key in self.too_long:
             return None
-        rows = holder.text.get(None)
-        if rows is None:
-            rows = _spell_npc_rows(phase, fixed)
-            holder.size = sum(map(len, rows))
-            self.keep(holder, None, rows, holder.size)
+        kept = self.kept.get(key)
+        if kept is not None:
+            return kept[0]
+        rows = _spell_npc_rows(phase, fixed)
+        size = sum(map(len, rows))
+        if size > CRUISE_TEXT_BUDGET:
+            self.too_long.add(key)
+        self.keep(key, rows, size)
         return rows
-
-
-class _NpcRows:
-    """A TextBudget's holder of a kind's NPC rows: text[None] is the rows while kept, size their bytes once spelled."""
-
-    __slots__ = ("text", "size")
-
-    def __init__(self) -> None:
-        self.text, self.size = {}, None
 
 
 # One frame of trace_to_jsonl, keys sorted as json.dumps(..., sort_keys=True)
@@ -891,7 +877,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
 
     - A segment of the cruise stage's own phases has the same text in every
       trace that shares the stage and the segment's (start, stop). That text
-      is read from the stage's `text` memo under that key, or written and
+      is read from the budget under (stage, start, stop), or written and
       kept there.
     - From the trigger on only the EV's maneuver differs between the traces
       of a scenario kind. A segment there whose every frame is apart, with a
@@ -924,9 +910,9 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         fixed["ev_yaw"] = _json_scalar(float(phase.ev_yaw))
         fixed["triggered"] = _json_scalar(trigger is not None and start >= trigger)
         shared = budget is not None and any(phase is own for own in stage.phases)
-        text = stage.text.get((start, stop)) if shared else None
-        if text is not None:
-            parts.append(text)
+        kept = budget.kept.get((stage, start, stop)) if shared else None
+        if kept is not None:
+            parts.append(kept[0])
             continue
         if block is None:
             first = start
@@ -948,7 +934,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         segment = _segment_text(block, lo, hi, fixed, times[start:stop])
         if shared:
             text = "".join(segment)
-            budget.keep(stage, (start, stop), text, len(text))
+            budget.keep((stage, start, stop), text, len(text))
             parts.append(text)
         else:
             parts += segment

@@ -365,7 +365,7 @@ def test_reference_variant_records_are_pinned(variant, request, reference_config
         records = run_campaign(dataclasses.replace(reference_config, plans=plans)).records
     else:
         records = request.getfixturevalue(f"{variant}_result").records
-    cli._write_records(records, tmp_path / "records.jsonl")
+    cli._write_records(records, tmp_path / "records.jsonl", [rec.buckets for rec in records])
     digest = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
     assert (digest, len(records)) == VARIANT_DIGESTS[variant]
 
@@ -919,7 +919,7 @@ def log_records(draw):
 
 def assert_log_matches_reference(path, records, buckets):
     cli._write_records(records, path, buckets)
-    lines = [record_line(rec, labels) for rec, labels in zip(records, buckets or itertools.repeat(None))]
+    lines = [record_line(rec, labels) for rec, labels in zip(records, buckets)]
     assert path.read_text() == "".join(lines)
     raw = cli._index_path(path).read_bytes()
     size, count, *offsets = struct.unpack(f"<{(len(raw) - len(cli._INDEX_MAGIC)) // 8}Q", raw[len(cli._INDEX_MAGIC) :])
@@ -931,10 +931,10 @@ class TestLogWriter:
     """`_write_records` spells each line from a template, with the bytes of json.dumps(..., sort_keys=True)."""
 
     @settings(max_examples=200, deadline=None)
-    @given(drawn=st.lists(log_records(), min_size=1, max_size=6), with_buckets=st.booleans())
-    def test_lines_are_those_of_json_dumps(self, tmp_path_factory, drawn, with_buckets):
+    @given(drawn=st.lists(log_records(), min_size=1, max_size=6))
+    def test_lines_are_those_of_json_dumps(self, tmp_path_factory, drawn):
         records = [rec for rec, _ in drawn]
-        buckets = [labels or report.bucket(rec.params) for rec, labels in drawn] if with_buckets else None
+        buckets = [labels or rec.buckets for rec, labels in drawn]
         assert_log_matches_reference(tmp_path_factory.getbasetemp() / "records.jsonl", records, buckets)
 
     def test_every_kind_and_verdict(self, tmp_path):
@@ -943,7 +943,7 @@ class TestLogWriter:
             OutcomeRecord(kind, params, verdict, t, i, 1.25, 2.5)
             for i, (kind, verdict, t) in enumerate(itertools.product(ScenarioKind, ScenarioType, (None, 0.5)))
         ]
-        assert_log_matches_reference(tmp_path / "records.jsonl", records, None)
+        assert_log_matches_reference(tmp_path / "records.jsonl", records, [rec.buckets for rec in records])
 
 
 class TestRecordIndex:
@@ -1035,7 +1035,7 @@ class TestRecordIndex:
             raise OSError(28, "No space left on device")
 
         with pytest.raises(OSError):
-            cli._write_records(stopping(), log)
+            cli._write_records(stopping(), log, [rec.buckets for rec in records])
         assert not index.exists() and len(cli._read_records(log)) == 10
 
     def test_index_bytes_are_deterministic_and_a_rerun_replaces_them(self, tmp_path):

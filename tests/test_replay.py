@@ -1,10 +1,10 @@
 """`silentcrash replay`: the cruise stages and their text kept across replays, and how --out is written.
 
-A replay keeps the seed specs and cruise stages of its manifest, each stage
-keeps the text of its own trace segments, and each kind keeps the NPC side
-of its rows from the trigger on. These tests hold every replayed trace to
-the bytes of the same replay with nothing kept, and to the per-frame encoder
-of tests/sim_oracle.py.
+A replay keeps the cruise stages of its manifest, and one text budget keeps
+each stage's trace segments and each kind's NPC side of its rows from the
+trigger on, giving up the oldest first. These tests hold every replayed
+trace to the bytes of the same replay with nothing kept, and to the
+per-frame encoder of tests/sim_oracle.py.
 """
 
 import contextlib
@@ -93,15 +93,19 @@ def contact_in_cruise(log: Path) -> list[int]:
     return [rec.ordinal for rec in records(log) if rec.kind is ScenarioKind.InC and rec.params.d == 2.0]
 
 
+def is_stage_key(key) -> bool:
+    """Whether a key of a TextBudget is a cruise stage's segment, (stage, start, stop), rather than a kind's NPC rows."""
+    return isinstance(key[0], simulator.CruiseStage)
+
+
 def kept_text(log: Path) -> list[str]:
-    """The segment text that the cruise stages under the budget of the log's replays keep."""
-    holders = kept(log).text.holders
-    return [text for stage in holders if isinstance(stage, simulator.CruiseStage) for text in stage.text.values()]
+    """The cruise stages' segment text that the budget of the log's replays keeps."""
+    return [text for key, (text, _) in kept(log).text.kept.items() if is_stage_key(key)]
 
 
 def kept_npc_rows(log: Path) -> list[tuple[str, ...]]:
-    """The NPC rows that the replays of the log's manifest keep, one tuple per kind."""
-    return [rows for holder in kept(log).text.npc.values() for rows in holder.text.values()]
+    """The NPC rows that the budget of the log's replays keeps, one tuple per kind."""
+    return [rows for key, (rows, _) in kept(log).text.kept.items() if not is_stage_key(key)]
 
 
 def one_per_kind(log: Path) -> list[int]:
@@ -161,8 +165,8 @@ def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
             assert_same_text(out.read_text(), trace_to_jsonl_per_frame(trace), (name, ordinal))
 
 
-def test_the_stages_of_a_kind_share_its_one_seed_spec(logs, tmp_path):
-    """Replays of one kind at two distances build two cruise stages from the same spec object."""
+def test_two_stages_of_each_kind_keep_their_bytes(logs, tmp_path):
+    """Replays of each kind at two distances build two cruise stages, and each replay keeps its bytes."""
     log = logs["reference"]
     every = records(log)
     config = kept(log).config
@@ -180,8 +184,8 @@ def test_the_stages_of_a_kind_share_its_one_seed_spec(logs, tmp_path):
             trace = simulate(config.seed_for(rec.kind)[0], rec.params, config.sim)
             assert_same_text(out.read_text(), trace_to_jsonl_per_frame(trace), ordinal)
         first, second = (kept(log).stages[kind, every[ordinal].params.d] for ordinal in ordinals)
-        assert first is not second and first.spec is second.spec is kept(log).specs[kind]
-    assert len(kept(log).stages) == 12 and len(kept(log).specs) == 6
+        assert first is not second
+    assert len(kept(log).stages) == 12
 
 
 def test_stage_text_is_kept_per_segment_start_and_stop(logs):
@@ -201,7 +205,8 @@ def test_stage_text_is_kept_per_segment_start_and_stop(logs):
         want = trace_to_jsonl_per_frame(short)
         assert_same_text(trace_to_jsonl(short, budget), want, length)
         assert_same_text(trace_to_jsonl(short), want, length)
-    assert len(stage.text) > 2 and budget.bytes == sum(map(len, stage.text.values()))
+    texts = [text for (owner, *_), (text, _) in budget.kept.items() if owner is stage]
+    assert len(texts) > 2 and budget.bytes == sum(map(len, texts))
 
 
 def test_a_rewritten_manifest_drops_the_stages_of_the_old_one(logs, tmp_path, monkeypatch):
@@ -258,7 +263,8 @@ def test_kept_text_stays_within_its_budget_and_replays_past_it_keep_their_bytes(
         assert all(len(text) <= budget for text in texts)
         stages.update(replays.stages.values())
     # more text than fits: some stages gave theirs up
-    assert len(stages) > 10 and any(not stage.text for stage in stages) and texts
+    holding = {key[0] for key in kept(log).text.kept}
+    assert len(stages) > 10 and any(stage not in holding for stage in stages) and texts
     for ordinal, result in seen.items():
         assert_same_replay(cold(log, ordinal, out), result, ordinal)
 
@@ -355,7 +361,7 @@ def test_a_budget_smaller_than_a_kinds_npc_rows_keeps_none_of_them_and_replays_k
     out = tmp_path / "trace.jsonl"
     forget()
     seen = {ordinal: replay(log, ordinal, out) for ordinal in ordinals}
-    smallest = min(holder.size for holder in kept(log).text.npc.values())
+    smallest = min(size for key, (_, size) in kept(log).text.kept.items() if not is_stage_key(key))
     monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", smallest - 1)
     spelled, spell = [], simulator._spell_npc_rows
     monkeypatch.setattr(simulator, "_spell_npc_rows", lambda *args: spelled.append(args) or spell(*args))
@@ -366,7 +372,7 @@ def test_a_budget_smaller_than_a_kinds_npc_rows_keeps_none_of_them_and_replays_k
     assert not kept_npc_rows(log) and kept_text(log)
     assert budget.bytes == sum(map(len, kept_text(log))) <= smallest - 1
     # each kind's rows were spelled once, found too long, and not spelled again
-    assert len(spelled) == len(budget.npc) == 6
+    assert len(spelled) == len(budget.too_long) == 6
 
 
 def test_a_rewritten_manifest_drops_the_npc_rows_of_the_old_one(logs, tmp_path):

@@ -265,7 +265,7 @@ def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_fra
             assert used == ["whole", "whole"]
             found += 1
     assert found >= 20
-    assert not budget.npc
+    assert all(isinstance(key[0], simulator.CruiseStage) for key in budget.kept) and not budget.too_long
 
 
 def test_budgeted_trace_jsonl_of_a_long_run_before_contact_spells_one_segment_per_phase(monkeypatch):
@@ -283,7 +283,41 @@ def test_budgeted_trace_jsonl_of_a_long_run_before_contact_spells_one_segment_pe
         del used[:]
         assert_same_text(trace_to_jsonl(trace, budget), want, spelled)
         assert used == ["whole"] * spelled
-    assert list(trace.cruise.text) == [(0, trace.trigger_frame)] and not budget.npc
+    assert list(budget.kept) == [(trace.cruise, 0, trace.trigger_frame)] and not budget.too_long
+
+
+class TestTextBudget:
+    """One TextBudget keeps every text trace_to_jsonl keeps, oldest first, within CRUISE_TEXT_BUDGET (patched small)."""
+
+    def test_the_oldest_entries_go_first_and_bytes_is_the_sum_kept(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", 10)
+        budget = TextBudget()
+        steps = [("a", 4, "a"), ("b", 3, "ab"), ("c", 2, "abc"), ("d", 5, "bcd"), ("e", 10, "e"), ("f", 1, "f")]
+        for key, size, left in steps:
+            budget.keep(key, key * size, size)
+            assert list(budget.kept) == list(left) and all(budget.kept[k] == (k * n, n) for k, n, _ in steps if k in left)
+            assert budget.bytes == sum(n for _, n in budget.kept.values()) <= 10
+
+    def test_an_entry_larger_than_the_budget_is_not_kept_and_evicts_nothing(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", 10)
+        budget = TextBudget()
+        budget.keep("a", "aaaa", 4)
+        budget.keep("big", "x" * 11, 11)
+        assert budget.kept == {"a": ("aaaa", 4)} and budget.bytes == 4
+
+    def test_npc_rows_larger_than_the_budget_are_spelled_once_per_key(self, monkeypatch):
+        spelled, spell = [], simulator._spell_npc_rows
+        monkeypatch.setattr(simulator, "_spell_npc_rows", lambda *args: spelled.append(args) or spell(*args))
+        fixed = {"npc_hl": "2.4", "npc_hw": "1.0", "npc_yaw": "0.0"}
+        paths = [cruise_stage(make_seed(kind)[0], 5.0).path for kind in (ScenarioKind.FLB, ScenarioKind.PSF)]
+        rows = [spell(path, fixed) for path in paths]
+        assert rows[0] != rows[1]
+        monkeypatch.setattr(simulator, "CRUISE_TEXT_BUDGET", min(sum(map(len, r)) for r in rows) - 1)
+        budget = TextBudget()
+        for path, want in zip(paths, rows):
+            assert budget.npc_rows(path, fixed) == want  # spelled, used once and not kept
+            assert budget.npc_rows(path, fixed) is None and budget.npc_rows(path, fixed) is None
+        assert len(spelled) == len(budget.too_long) == 2 and not budget.kept and budget.bytes == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,7 +403,7 @@ def test_budgeted_trace_jsonl_of_scaled_traces_matches_the_per_frame_encoder(kin
     trace = simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg)
     scaled = _scaled(trace, scale)
     own = tuple(new for old, new in zip(trace.phases, scaled.phases) if any(old is p for p in trace.cruise.phases))
-    scaled = dataclasses.replace(scaled, cruise=dataclasses.replace(trace.cruise, phases=own, text={}))
+    scaled = dataclasses.replace(scaled, cruise=dataclasses.replace(trace.cruise, phases=own))
     budget = TextBudget()
     with np.errstate(all="ignore"):
         want = trace_to_jsonl_per_frame(scaled)
