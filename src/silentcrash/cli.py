@@ -18,7 +18,6 @@ import dataclasses
 import enum
 import errno
 import functools
-import itertools
 import json
 import math
 import os
@@ -132,17 +131,13 @@ class LogError(Exception):
 
 
 def _parse_record(line: bytes, path: Path, lineno: int) -> OutcomeRecord:
+    """The record of one log line; a LogError of one line when json.loads or from_json_dict rejects it."""
     try:
         return OutcomeRecord.from_json_dict(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}") from None
     except (KeyError, TypeError, ValueError) as exc:
-        raise _record_error(exc, path, lineno) from None
-
-
-def _record_error(exc: Exception, path: Path, lineno: int) -> LogError:
-    """The one-line error for a log line that json.loads or from_json_dict rejected with exc."""
-    if isinstance(exc, json.JSONDecodeError):
-        return LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}")
-    return LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}")
+        raise LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}") from None
 
 
 def _numbered_records(fh):
@@ -201,38 +196,27 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
 def _read_record_at(path: str | Path, ordinal: int) -> OutcomeRecord:
     """Parse only the requested record: through the log's index, or else by streaming the log.
 
-    When the index cannot be trusted, the log is read no further than the
-    record's line. Ordinals count non-blank lines, which are skipped without
-    a Python-level loop. Line numbers are counted only for the error
-    messages: the log is read again up to the record's line when the record
-    is damaged or carries another ordinal (two records merged onto one line
-    shift every later one), and in full when the ordinal is out of range.
-    Every error comes from this streaming path, and spells path as
-    str(Path(path)) does.
+    When the index cannot be trusted, one pass over the log counts its
+    non-blank lines and parses only the ordinal's, with the parser that
+    `report` runs on every line, reading no further than that line. A
+    record that carries another ordinal (two records merged onto one line
+    shift every later one) is an error, and an ordinal out of range reads
+    the whole log to name the range. Every error comes from this streaming
+    path, and spells path as str(Path(path)) does.
     """
     record = _indexed_record(path, ordinal)
     if record is not None:
         return record
     path = Path(path)
+    count = 0
     with path.open("rb") as fh:
-        if 0 <= ordinal <= sys.maxsize:  # the range islice accepts
-            line = next(itertools.islice(filter(bytes.strip, fh), ordinal, None), None)
-            if line is not None:
-                try:
-                    record = OutcomeRecord.from_json_dict(json.loads(line))
-                except (KeyError, TypeError, ValueError) as exc:
-                    error = exc
-                else:
-                    if record.ordinal == ordinal:
-                        return record
-                    error = None
-                fh.seek(0)
-                lineno, _ = next(itertools.islice(_numbered_records(fh), ordinal, None))
-                if error is None:
+        for lineno, line in _numbered_records(fh):
+            if count == ordinal:
+                record = _parse_record(line, path, lineno)
+                if record.ordinal != ordinal:
                     raise LogError(f"{path} line {lineno}: record carries ordinal {record.ordinal}, not {ordinal}")
-                raise _record_error(error, path, lineno) from None
-        fh.seek(0)
-        count = sum(1 for _ in filter(bytes.strip, fh))
+                return record
+            count += 1
     raise LogError(f"ordinal {ordinal} outside log (0..{count - 1})")
 
 

@@ -86,17 +86,17 @@ def _inspect(trace: Trace, defect: DefectModel) -> int:
 
     Frames before the first contact have no overlap, so only the inspected
     frames from there on are evaluated, and the first one that fires ends
-    the scan. A trace that reads its cruise stage's memo (Trace.stage_memo)
-    inspects the stage's frames before the trigger as every trace of the
-    stage does, so their count is kept there per defect model: _FIRED ends
-    the scan, and any other count carries into the scan of the inspected
-    frames from the trigger on.
+    the scan. A trace that simulate gave its cruise stage's memo
+    (Trace.stage_memo) inspects the stage's frames before the trigger as
+    every trace of the stage does, so their count is kept there per defect
+    model: _FIRED ends the scan, and any other count carries into the scan
+    of the inspected frames from the trigger on.
     """
     if trace.first_contact is None:
         return 0
     k = defect.sample_period
     start, reached = -(-trace.first_contact // k) * k, 0
-    memo = trace.stage_memo()
+    memo = trace.stage_memo
     if memo is not None:
         end = trace.phases[0].last + 1
         reached = memo.get(defect)

@@ -61,14 +61,14 @@ class _PeakCursor:
     Each clip builds both boxes' corners and runs geometry.corners_iou on
     them, as geometry.iou would on the two boxes.
 
-    A trace that reads its cruise stage's memo (Trace.stage_memo) shares its
-    overlap frames before the trigger with every trace of the stage. Their
-    exact peak is clipped once per stage, in time order, and kept in the
-    stage's memo; the cursor starts from that peak and keeps only the later
-    frames whose bound is at least it. The peak is a max, so it has the bits
-    of a clip of every frame in any order. The shared frames come first in
-    time, so a clip of them that raises raises the error a clip of every
-    frame in time order would; the stage then keeps no peak.
+    A trace that simulate gave its cruise stage's memo (Trace.stage_memo)
+    shares its overlap frames before the trigger with every trace of the
+    stage. Their exact peak is clipped once per stage, in time order, and
+    kept in the stage's memo; the cursor starts from that peak and keeps
+    only the later frames whose bound is at least it. The peak is a max, so
+    it has the bits of a clip of every frame in any order. The shared frames
+    come first in time, so a clip of them that raises raises the error a
+    clip of every frame in time order would; the stage then keeps no peak.
     """
 
     __slots__ = ("bounds", "frames", "peak", "_halves", "_areas", "_npc_heading")
@@ -84,7 +84,7 @@ class _PeakCursor:
         self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
         self._npc_heading = heading(trace.npc_yaw)
         if shared is not None:  # the trace reads its stage's memo
-            memo = trace.cruise.memo
+            memo = trace.stage_memo
             peak = memo.get(_PeakCursor)
             if peak is None:
                 peak = 0.0

@@ -32,21 +32,23 @@ each stage and, in one TextBudget, the text of its frames and each kind's
 NPC side of the rows from the trigger on. A stage that touches before its
 trigger also keeps, in its memo, what every trace built on it derives from
 the frames between first contact and the trigger: their overlap walk, their
-peak IoU and how far the built-in detector got through them. Each trace
-scores only its frames from the trigger on.
+peak IoU and how far the built-in detector got through them. simulate hands
+that memo to each trace it builds on the stage (Trace.stage_memo), and each
+such trace scores only its frames from the trigger on.
 
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
 _Phase owns these expressions in two forms that round alike: a numpy kernel
 over an array of frames (the confirm windows, and Trace.frame_block, which
-writes them out into one array for a Trace's per-frame values and the
-replayed text, with overlaps only inside each phase's contact window) and
-one scalar evaluator in Python floats, _Phase.frames, which the built-in
-detector calls for the few frames it reads. The peak IoU's walk of a
-phase's overlap frames (_walk) writes the scalar evaluator's expressions
-out in its own loop, in the same order, so its values round alike too. A
-center distance is sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its
-operations correctly, so numpy and Python give the same bits. The overlap
+writes them out into one array, with overlaps only inside each phase's
+contact window: a Trace's per-frame attributes view its rows, and
+trace_to_jsonl spells the replayed text from it alone) and one scalar
+evaluator in Python floats, _Phase.frames, which the built-in detector
+calls for the few frames it reads. The peak IoU's walk of a phase's overlap
+frames (_walk) writes the scalar evaluator's expressions out in its own
+loop, in the same order, so its values round alike too. A center distance
+is sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its operations
+correctly, so numpy and Python give the same bits. The overlap
 and penetration values use the same face-normal projections as the scalar
 geometry module; frame invariants are cross-checked against it in tests.
 numpy is imported inside the functions that build arrays, so importing this
@@ -410,6 +412,11 @@ class Trace:
     arrays are built on first access, covering frames 0..len-1. `memo` holds
     what the oracle and the detector derive from the trace (the peak IoU, the
     built-in verdict per defect model), so scoring it again is a lookup.
+
+    `stage_memo` is the cruise stage's memo when this trace touched before
+    its trigger on the stage's own frames, else None. Only simulate sets it:
+    a trace made by dataclasses.replace or by Trace(...), whose phases,
+    halves or frames may differ from the stage's, reads no stage memo.
     """
 
     first_contact: int | None
@@ -422,6 +429,7 @@ class Trace:
     phases: tuple[_Phase, ...]
     cruise: CruiseStage = field(repr=False)
     memo: dict = field(default_factory=dict, repr=False)
+    stage_memo: dict | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.length
@@ -499,33 +507,6 @@ class Trace:
             np.maximum(overlap, 0.0, out=pen[near])
         return block
 
-    def stage_memo(self) -> dict | None:
-        """The cruise stage's memo, if this trace touched before its trigger on the stage's own frames; else None.
-
-        The memo holds what the overlap walk, the peak IoU and the built-in
-        detector derive from the stage's first phase, from first contact to
-        the end of that phase or of the trace, with the stage's halves and
-        NPC yaw. So only a trace whose first phase is the stage's (the same
-        object), and whose halves, NPC yaw (the same objects), first contact
-        and length are the stage's, reads it. A trace derived from a
-        simulated one with other phases, halves or frames, or one without a
-        stage, reads nothing, and neither does a trace whose stage has no
-        contact before the trigger.
-        """
-        stage = self.cruise
-        if stage is None or stage.first_contact is None:
-            return None
-        if (
-            self.phases[0] is stage.phases[0]
-            and self.ev_half is stage.ev_half
-            and self.npc_half is stage.npc_half
-            and self.npc_yaw is stage.spec.npc.yaw
-            and self.first_contact == stage.first_contact
-            and self.length == min(stage.first_contact + stage.cfg.settle_frames, stage.path.last) + 1
-        ):
-            return stage.memo
-        return None
-
     def overlap_walk(self) -> tuple[_Walk | None, list, list, float]:
         """overlap_frames' walk, before the bounds: (shared, overlaps, frames, reach).
 
@@ -539,7 +520,7 @@ class Trace:
         (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
         shared, overlaps, frames, reach = None, [], [], 0.0
         if self.first_contact is not None:
-            start, memo = self.first_contact, self.stage_memo()
+            start, memo = self.first_contact, self.stage_memo
             if memo is not None:
                 first = self.phases[0]
                 shared = memo.get(_Walk)
@@ -670,12 +651,12 @@ class CruiseStage:
 
     When the stage touches before the trigger, every trace built on it also
     scores the same frames from first contact to the trigger the same way.
-    `memo` keeps those results, filled by the first trace that asks
-    (Trace.stage_memo says which traces read it): the overlap walk of the
-    stage's phase under _Walk, its peak IoU under oracle._PeakCursor, and
-    per defect model how many of the built-in's gates its inspected frames
-    passed. memo is not an init field, so a stage made by dataclasses.replace
-    starts with an empty one.
+    `memo` keeps those results, filled by the first trace that asks (simulate
+    hands it to each trace it builds on the stage, as Trace.stage_memo): the
+    overlap walk of the stage's phase under _Walk, its peak IoU under
+    oracle._PeakCursor, and per defect model how many of the built-in's
+    gates its inspected frames passed. memo is not an init field, so a stage
+    made by dataclasses.replace starts with an empty one.
     """
 
     spec: ScenarioSpec
@@ -763,7 +744,7 @@ def simulate(
 
     n = cruise.path.last
     stop = n if first_contact is None else min(first_contact + cfg.settle_frames, n)
-    return Trace(
+    trace = Trace(
         first_contact=first_contact,
         trigger_frame=trigger if trigger is not None and trigger <= stop else None,
         ev_half=cruise.ev_half,
@@ -774,6 +755,10 @@ def simulate(
         phases=phases,
         cruise=cruise,
     )
+    if cruise.first_contact is not None:
+        # the trace's first phase, halves, NPC yaw, first contact and length are the stage's
+        trace.stage_memo = cruise.memo
+    return trace
 
 
 # The most bytes of text (ASCII, so one byte per character) that one
@@ -870,10 +855,9 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
     gt_overlap, penetration, closing_speed and triggered. Each phase's frames
-    are one segment (_segments), written by _segment_text from one frame
-    block per trace. Without a budget the block holds the trace's own
-    per-frame attributes (_frame_block). Given a budget, two kinds of text
-    are kept within it and read again:
+    (Trace.phase_frames) are one segment, written by _segment_text from one
+    frame block per trace. Given a budget, two kinds of text are kept within
+    it and read again:
 
     - A segment of the cruise stage's own phases has the same text in every
       trace that shares the stage and the segment's (start, stop). That text
@@ -886,12 +870,13 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
       TextBudget.npc_rows keeps once per kind and sim config. Any other
       segment is spelled whole.
 
-    The block is then Trace.frame_block of the frames from the first segment
-    that is spelled on: each value is an elementwise expression of its
-    frame, so the bits are those of the whole trace's arrays. A switched
-    phase with a contact is spelled whole, apart frames before the contact
-    included: any segment has the same bytes on either path, and one call
-    costs less than two on a short run of apart frames.
+    The block is Trace.frame_block of the frames from the first segment that
+    is spelled on (every frame, without a budget): each value is an
+    elementwise expression of its frame, so the bits are those of the whole
+    trace's arrays. A switched phase with a contact is spelled whole, apart
+    frames before the contact included: any segment has the same bytes on
+    either path, and one call costs less than two on a short run of apart
+    frames.
     """
     import numpy as np
 
@@ -901,12 +886,10 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
     # every phase ends at the horizon frame or before it
     times = _frame_times(trace.dt, trace.phases[-1].last + 1)
     stage, trigger = trace.cruise, trace.trigger_frame
-    # the per-frame values, whose first column is frame `first`
-    first, block = 0, None
-    if budget is None:
-        block = _frame_block(trace.closing_speed, trace.ev_centers, trace.gt_overlap, trace.npc_centers, trace.penetration)
+    block = None  # the per-frame values, whose first column is frame `first`
     parts = []
-    for start, stop, phase in _segments(trace):
+    for phase, part in trace.phase_frames(range(trace.length)):
+        start, stop = part.start, part.stop
         fixed["ev_yaw"] = _json_scalar(float(phase.ev_yaw))
         fixed["triggered"] = _json_scalar(trigger is not None and start >= trigger)
         shared = budget is not None and any(phase is own for own in stage.phases)
@@ -943,19 +926,6 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
 
 # The rows of a frame block, in _ROW's key order
 _BLOCK_ROWS = ("closing_speed", "ev_x", "ev_y", "gt_overlap", "npc_x", "npc_y", "penetration")
-
-
-def _frame_block(closing_speed, ev_centers, gt_overlap, npc_centers, penetration) -> np.ndarray:
-    """Trace.frame_block's array, shape (7, n), copied from the given per-frame values; every float keeps its bits."""
-    import numpy as np
-
-    block = np.empty((7, len(closing_speed)))
-    block[0] = closing_speed
-    block[1:3] = ev_centers.T
-    block[3] = gt_overlap
-    block[4:6] = npc_centers.T
-    block[6] = penetration
-    return block
 
 
 def _segment_text(block: np.ndarray, lo: int, hi: int, fixed: dict, last, row: str = _ROW) -> list[str]:
@@ -1004,14 +974,6 @@ def _segment_text(block: np.ndarray, lo: int, hi: int, fixed: dict, last, row: s
     for j, tail in enumerate(tails[:-1]):
         segment[2 * j + 2 :: 2 * k] = [tail] * n
     return segment
-
-
-def _segments(trace: Trace) -> Iterator[tuple[int, int, _Phase]]:
-    """(start, stop, phase) covering frames 0..len-1, one segment per phase."""
-    for phase in trace.phases:
-        stop = min(phase.last + 1, trace.length)
-        if phase.first < stop:
-            yield phase.first, stop, phase
 
 
 def _json_times(times: Iterable[float]) -> list[str]:

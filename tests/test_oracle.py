@@ -260,12 +260,12 @@ def test_traces_of_one_cruise_stage_score_as_their_whole_trace_references(kind, 
     if cruise.first_contact is None:
         assert cruise.memo == {}
     else:
-        assert all(trace.stage_memo() is cruise.memo for trace in traces)
+        assert all(trace.stage_memo is cruise.memo for trace in traces)
         assert cruise.memo.keys() == {_Walk, oracle._PeakCursor, defect}
 
 
 def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
-    """Other phases (_scaled, _turned), other halves, a cut length or no stage: the trace reads no stage memo.
+    """Other phases (_scaled, _turned), other halves, a cut length, no stage or no change: the trace reads no stage memo.
 
     Each derived trace is scored before the simulated one fills its stage's
     memo and again after, with the same answers, and leaves the memo empty.
@@ -285,23 +285,24 @@ def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
         dataclasses.replace(trace, npc_half=(trace.npc_half[0], 2.0), memo={}),
         dataclasses.replace(trace, length=trace.length - 1, memo={}),
         dataclasses.replace(trace, cruise=None, memo={}),
+        dataclasses.replace(trace, memo={}),
     ]
 
     def scores(trace):
         verdicts = [check_ic(trace, defect, OracleConfig(t)) for t in SWEEP for defect in (DefectModel(), TUNNELING)]
         return max_iou(trace).hex(), verdicts, silenced_by(trace, DefectModel()), silenced_by(trace, TUNNELING)
 
-    assert all(other.stage_memo() is None for other in derived)
+    assert all(other.stage_memo is None for other in derived)
     before = [scores(other) for other in derived]
     assert stage.memo == {}
     scores(trace)
-    assert trace.stage_memo() is stage.memo
+    assert trace.stage_memo is stage.memo
     assert stage.memo.keys() == {_Walk, oracle._PeakCursor, DefectModel(), TUNNELING}
     assert [scores(dataclasses.replace(other, memo={})) for other in derived] == before
 
     widened = dataclasses.replace(stage, npc_half=(math.inf, stage.npc_half[1]))
     raising = simulate(spec, params, stage.cfg, widened)
-    assert raising.cruise is widened and widened.memo == {} and raising.stage_memo() is widened.memo
+    assert raising.cruise is widened and widened.memo == {} and raising.stage_memo is widened.memo
     with pytest.raises(ValueError) as want:
         max_iou(dataclasses.replace(raising, cruise=None, memo={}))
     assert str(want.value).startswith("non-finite point")

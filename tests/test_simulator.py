@@ -23,7 +23,6 @@ from silentcrash.simulator import (
     _face_normals,
     _min_overlap,
     _Phase,
-    _segments,
     cruise_stage,
     simulate,
     trace_to_jsonl,
@@ -193,7 +192,8 @@ def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
     assert found
     for trace in found:
         short = dataclasses.replace(trace, length=trace.trigger_frame + 1)
-        assert (trace.trigger_frame, trace.trigger_frame + 1) in [(a, b) for a, b, _ in _segments(short)]
+        segments = [part for _, part in short.phase_frames(range(len(short)))]
+        assert range(trace.trigger_frame, trace.trigger_frame + 1) in segments
         assert_same_text(trace_to_jsonl(short), trace_to_jsonl_per_frame(short))
         assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace))
 
@@ -209,7 +209,7 @@ def test_trace_jsonl_of_a_trigger_at_frame_0():
 @pytest.mark.parametrize("npc_x", [3.0, 10.0], ids=["overlapping", "apart"])
 def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
     trace = _at_rest(npc_x, 50)
-    assert len(list(_segments(trace))) == 1
+    assert len(list(trace.phase_frames(range(len(trace))))) == 1
     text = trace_to_jsonl(trace)
     assert_same_text(text, trace_to_jsonl_per_frame(trace))
     assert len(set(line.split('"t": ')[0] for line in text.splitlines())) == 1

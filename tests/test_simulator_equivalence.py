@@ -256,11 +256,12 @@ def test_trace_jsonl_matches_per_frame_encoder(kind):
 
 def test_trace_jsonl_spells_non_finite_and_signed_zero_like_json_dumps():
     trace = simulate(*make_seed(ScenarioKind.FLV))
-    # per-frame arrays are cached on the instance; overwrite two of them
-    trace.closing_speed = trace.closing_speed.copy()
-    trace.closing_speed[:4] = [np.nan, np.inf, -np.inf, -0.0]
-    trace.penetration = trace.penetration.copy()
-    trace.penetration[-1] = np.inf
+    # the encoder and the per-frame attributes read trace.frame_block; write
+    # into two rows of its block and have frame_block give that block
+    block = trace.frame_block(range(len(trace)))
+    block[0, :4] = [np.nan, np.inf, -np.inf, -0.0]  # closing_speed
+    block[6, -1] = np.inf  # penetration
+    trace.frame_block = lambda frames: block[:, frames.start : frames.stop]
     assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), "non-finite")
     text = trace_to_jsonl(trace)
     assert '"closing_speed": NaN' in text and '"closing_speed": -Infinity' in text
@@ -386,15 +387,15 @@ def _runs(draw, column, marks):
 def test_trace_jsonl_spells_runs_like_per_frame_encoder(data, label):
     trace = simulate(*RUN_CASES[label])
     marks = _cuts(trace)
-    # per-frame arrays are cached on the instance; overwrite the ones the
-    # encoder reads, with runs that start and end on, next to and away from
-    # the segment cuts
-    trace.closing_speed = data.draw(_runs(trace.closing_speed, marks))
-    trace.penetration = data.draw(_runs(trace.penetration, marks))
-    trace.ev_centers = np.column_stack([data.draw(_runs(c, marks)) for c in trace.ev_centers.T])
-    trace.npc_centers = np.column_stack([data.draw(_runs(c, marks)) for c in trace.npc_centers.T])
-    gt = data.draw(_runs(trace.gt_overlap.astype(float), marks))
-    trace.gt_overlap = np.where(np.isnan(gt), False, gt != 0.0)
+    # the encoder and the per-frame attributes read trace.frame_block; fill
+    # the rows of its block with runs that start and end on, next to and
+    # away from the segment cuts, and have frame_block give that block
+    block = trace.frame_block(range(len(trace)))
+    for row in (0, 6, 1, 2, 4, 5):  # closing_speed, penetration, the EV and NPC centers
+        block[row] = data.draw(_runs(block[row], marks))
+    gt = data.draw(_runs(block[3], marks))
+    block[3] = np.where(np.isnan(gt), False, gt != 0.0)  # gt_overlap
+    trace.frame_block = lambda frames: block[:, frames.start : frames.stop]
     assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), label)
 
 
