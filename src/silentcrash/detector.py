@@ -62,13 +62,14 @@ def builtin_cd(trace: Trace, defect: DefectModel) -> bool:
     True iff some inspected frame (every sample_period-th) has overlapping
     boxes with penetration >= min_penetration and, when the speed gate is
     enabled (min_impact_speed > 0), closing speed >= min_impact_speed.
-    The verdict is kept in trace.memo under the (frozen, hashable) defect
-    model, so asking again for the same trace and model is a lookup.
+    _inspect's gate count is kept in trace.memo under the (frozen, hashable)
+    defect model, so asking again for the same trace and model, or asking
+    silenced_by, is a lookup.
     """
-    verdict = trace.memo.get(defect)
-    if verdict is None:
-        verdict = trace.memo[defect] = _inspect(trace, defect) == _FIRED
-    return verdict
+    reached = trace.memo.get(defect)
+    if reached is None:
+        reached = trace.memo[defect] = _inspect(trace, defect)
+    return reached == _FIRED
 
 
 def silenced_by(trace: Trace, defect: DefectModel) -> str | None:
@@ -77,8 +78,7 @@ def silenced_by(trace: Trace, defect: DefectModel) -> str | None:
     "sampling" when no inspected frame overlaps, "penetration" when none
     that overlaps is deep enough, "closing_speed" otherwise.
     """
-    reached = _inspect(trace, defect)
-    return None if reached == _FIRED else _GATES[reached]
+    return None if builtin_cd(trace, defect) else _GATES[trace.memo[defect]]
 
 
 def _inspect(trace: Trace, defect: DefectModel) -> int:

@@ -170,11 +170,6 @@ class OutcomeRecord:
         """The report buckets of the parameters, derived on each access."""
         return report_mod.bucket(self.params)
 
-    @property
-    def category(self) -> report_mod.CategoryLabel:
-        """The IC category of the parameters, derived on each access."""
-        return report_mod.categorize(self.params)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeRecord":
         params = ControlParameters(

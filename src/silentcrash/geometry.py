@@ -28,13 +28,18 @@ _TWO_PI = 2.0 * math.pi
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap an angle into [-pi, pi), as (yaw + pi) % 2pi - pi.
+    """Wrap an angle into [-pi, pi): a yaw already in range keeps its bits, any other is (yaw + pi) % 2pi - pi.
 
-    yaw + pi rounds, so an angle that is already in range can come back
-    moved: by up to half an ulp of yaw + pi (at most 4.4e-16 rad for
-    |yaw| <= pi/2), which is many ulps of a small angle.
+    The formula rounds yaw + pi, so applied to an in-range angle it could
+    move it by up to half an ulp of yaw + pi, many ulps of a small angle.
+    Just below -pi the sum is a tiny negative number whose remainder rounds
+    up to 2pi, and the formula gives pi; that is wrapped to -pi. A NaN stays
+    NaN.
     """
-    return (yaw + math.pi) % _TWO_PI - math.pi
+    if -math.pi <= yaw < math.pi:
+        return yaw
+    wrapped = (yaw + math.pi) % _TWO_PI - math.pi
+    return -math.pi if wrapped == math.pi else wrapped
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def max_iou(trace: Trace) -> float:
 
     Only frames from first contact on can overlap. Each frame's value is
     geometry.iou of its two boxes, bit for bit. The frames are clipped in
-    descending order of an upper bound on their IoU (Trace.overlap_frames),
+    descending order of an upper bound on their IoU (Trace.overlap_walk),
     ties in time order, and the walk stops at the first frame whose bound is
     below the peak so far: no frame from there on can raise it, so the peak
     is the max over every overlap frame. The walk is the trace's peak cursor,

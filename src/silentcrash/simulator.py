@@ -40,19 +40,17 @@ Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
 _Phase owns these expressions in two forms that round alike: a numpy kernel
 over an array of frames (the confirm windows, and Trace.frame_block, which
-writes them out into one array, with overlaps only inside each phase's
-contact window: a Trace's per-frame attributes view its rows, and
-trace_to_jsonl spells the replayed text from it alone) and one scalar
-evaluator in Python floats, _Phase.frames, which the built-in detector
-calls for the few frames it reads. The peak IoU's walk of a phase's overlap
-frames (_walk) writes the scalar evaluator's expressions out in its own
-loop, in the same order, so its values round alike too. A center distance
-is sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its operations
-correctly, so numpy and Python give the same bits. The overlap
-and penetration values use the same face-normal projections as the scalar
-geometry module; frame invariants are cross-checked against it in tests.
-numpy is imported inside the functions that build arrays, so importing this
-module, and the CLI with it, does not load numpy.
+writes them into one array, with overlaps only inside each phase's contact
+window, and from which alone trace_to_jsonl spells the replayed text) and
+one scalar evaluator in Python floats, _Phase.frames, which the built-in
+detector calls for the few frames it reads; the peak IoU's walk (_walk)
+writes its expressions out in the same order. A center distance is
+sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its operations
+correctly, so numpy and Python give the same bits. The overlaps use the
+face-normal projections of the scalar geometry module; tests cross-check
+frame invariants against it. numpy is imported inside the functions that
+build arrays, so importing this module, and the CLI with it, does not load
+numpy.
 """
 
 from __future__ import annotations
@@ -61,10 +59,10 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .geometry import heading, iou_bounds, normalize_yaw
+from .geometry import heading, normalize_yaw
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -335,12 +333,7 @@ class _Phase(NamedTuple):
 
 
 class _Walk(NamedTuple):
-    """Overlap frames in time order, as Trace.overlap_frames lists them before the bounds.
-
-    overlaps holds each frame's four overlaps along the wrapped yaws' normals,
-    frames its inputs, and reach the largest center coordinate magnitude of
-    the frames, as max folds them from 0.0.
-    """
+    """Overlap frames as Trace.overlap_walk lists them; reach is their largest center coordinate magnitude."""
 
     overlaps: list[tuple[float, float, float, float]]
     frames: list[tuple[float, float, float, float, float, float]]
@@ -348,7 +341,15 @@ class _Walk(NamedTuple):
 
 
 def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list, reach: float) -> float:
-    """Append the overlap frames of the phase's frames span to overlaps and frames; return reach raised by them."""
+    """Append the overlap frames of the phase's frames span to overlaps and frames; return reach raised by them.
+
+    One written-out loop computes each frame's centers once and drops it at
+    its first overlap that is negative or NaN: a filter over _Phase.frames
+    and a second pass along the wrapped normals took about 30 % more (27-28
+    against 19-20 us a trace over the default sweep, 2-vCPU host). The span
+    is not cut to the contact_window, whose slab solve costs more than the
+    few frames a trace keeps after first contact.
+    """
     ev_half, npc_half = trace.ev_half, trace.npc_half
     npc_yaw = normalize_yaw(trace.npc_yaw)
     (px, py), (ux, uy) = phase.npc_origin, phase.npc_velocity
@@ -358,9 +359,9 @@ def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list
     dt, t0 = phase.dt, phase.t0
     ev_yaw = normalize_yaw(phase.ev_yaw)
     # where both wrapped yaws equal the phase's own (a zero's sign aside,
-    # which abs absorbs), the wrapped normals are the phase's. normalize_yaw
-    # can move an in-range yaw by an ulp of yaw + pi, so this fails for many
-    # in-range yaws too, and those phases take the wrapped normals' overlaps
+    # which abs absorbs), the wrapped normals are the phase's: normalize_yaw
+    # keeps a yaw in [-pi, pi) as it is, so only a phase with a yaw outside
+    # that range takes the wrapped normals' overlaps
     own = ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw
     if not own:
         wrapped, (s0, s1, s2, s3) = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
@@ -408,10 +409,10 @@ def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list
 class Trace:
     """Frame-by-frame record of one execution.
 
-    The located frames and the length are set up front. The per-frame
-    arrays are built on first access, covering frames 0..len-1. `memo` holds
+    The located frames and the length are set up front; frame_block
+    evaluates any frames of frames 0..len-1 from the phases. `memo` holds
     what the oracle and the detector derive from the trace (the peak IoU, the
-    built-in verdict per defect model), so scoring it again is a lookup.
+    built-in's gate count per defect model), so scoring it again is a lookup.
 
     `stage_memo` is the cruise stage's memo when this trace touched before
     its trigger on the stage's own frames, else None. Only simulate sets it:
@@ -508,14 +509,24 @@ class Trace:
         return block
 
     def overlap_walk(self) -> tuple[_Walk | None, list, list, float]:
-        """overlap_frames' walk, before the bounds: (shared, overlaps, frames, reach).
+        """Each overlap frame from first contact on, in time order: (shared, overlaps, frames, reach).
+
+        A frame is listed iff its four overlaps along the phase's own normals
+        are >= 0 (a NaN counts as apart), so iff its _min_overlap is. frames
+        holds its (ex, ey, ec, es, nx, ny): the centers, with frame_block's
+        bits, and the EV heading. overlaps holds its overlaps along the
+        normals of the wrapped yaws, which are its corners', so
+        geometry.iou_bounds of them bounds corners_iou. reach is the largest
+        center coordinate magnitude plus the largest half length and width:
+        it bounds every corner coordinate, and where it is not finite every
+        bound is +inf, so oracle._PeakCursor clips those frames first, in
+        time order, and raises the first non-finite corner's error.
 
         For a trace that reads its stage's memo (stage_memo), shared is the
         walk of the stage's first phase, kept in the memo by the first such
         trace to ask, and overlaps and frames are those of the later phases,
-        walked from the trigger on with the running reach carried in.
-        Otherwise shared is None, and overlaps and frames are every phase's.
-        reach is that of every listed frame, as overlap_frames describes it.
+        walked with the running reach carried in, so reach has the bits of a
+        walk of every phase. Otherwise shared is None.
         """
         (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
         shared, overlaps, frames, reach = None, [], [], 0.0
@@ -532,106 +543,6 @@ class Trace:
             for phase, span in self.phase_frames(range(start, self.length)):
                 reach = _walk(self, phase, span, overlaps, frames, reach)
         return shared, overlaps, frames, (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
-
-    def overlap_frames(self) -> tuple[list[float], list[tuple[float, float, float, float, float, float]]]:
-        """Each overlap frame, in time order: an upper bound on its IoU, and its inputs.
-
-        The inputs are (ex, ey, ec, es, nx, ny): the EV center, cos and sin of
-        the EV yaw as geometry.heading gives them, and the NPC center. Only
-        frames from first contact on can overlap. A frame is listed iff its
-        four overlaps along the phase's own normals are >= 0 (a NaN counts as
-        apart), that is iff its _min_overlap is >= 0, and its centers are the
-        floats of the whole-trace arrays: each value is computed as
-        _Phase.frames computes it, with the same operations in the same order.
-        (Cutting a phase's frames to its contact_window walks fewer of them,
-        but the slab solve costs more than the few frames a trace keeps after
-        first contact.)
-
-        The bounds are geometry.iou_bounds, from the boxes' overlaps along the
-        face normals of the frame's corners, that is along the wrapped yaws,
-        so each bounds geometry.corners_iou of its frame's corners. Where the
-        wrapped yaws are the phase's own, those are the overlaps already
-        taken; elsewhere they are taken from the same centers along the
-        normals of the wrapped yaws. reach is the largest center coordinate
-        magnitude of the listed frames plus the largest half length and half
-        width. It bounds every corner coordinate, and while it is finite
-        every corner is finite. When it is not, every bound is +inf, which
-        oracle.max_iou and the peak cursor clip in time order before anything
-        else, so they raise the first non-finite corner's error as a clip of
-        every frame would; a non-finite heading makes its phase's bounds NaN,
-        which iou_bounds also reads as +inf.
-
-        The walk (_walk) is one written-out loop per phase, rather than a
-        filter over _Phase.frames and a second pass over the hits along the
-        wrapped normals: it computes each frame's centers once and drops a
-        frame at its first overlap that is negative or NaN. A threshold sweep
-        calls it once per trace, and the generator's per-frame tuples and the
-        second pass took about 30 % of it (27-28 against 19-20 us a trace over
-        the default sweep's 600 traces, best of 60 passes, 2-vCPU host).
-        Every trace that touches before its trigger walks the same frames of
-        the cruise stage's phase, so that part of the walk is kept in the
-        stage's memo (overlap_walk); the lists, the reach and so the bounds
-        have the bits of a walk of every phase.
-        """
-        shared, overlaps, frames, reach = self.overlap_walk()
-        if shared is not None:
-            overlaps, frames = shared.overlaps + overlaps, shared.frames + frames
-        return iou_bounds(overlaps, self.ev_half, self.npc_half, reach), frames
-
-    @cached_property
-    def _arrays(self) -> np.ndarray:
-        """frame_block of frames 0..len-1, whose rows the per-frame attributes view."""
-        return self.frame_block(range(self.length))
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        import numpy as np
-
-        return np.arange(self.length) * self.dt
-
-    @cached_property
-    def ev_centers(self) -> np.ndarray:
-        return self._arrays[1:3].T
-
-    @cached_property
-    def npc_centers(self) -> np.ndarray:
-        return self._arrays[4:6].T
-
-    @cached_property
-    def gt_overlap(self) -> np.ndarray:
-        return self._arrays[3] == 1.0
-
-    @cached_property
-    def penetration(self) -> np.ndarray:
-        return self._arrays[6]
-
-    @cached_property
-    def closing_speed(self) -> np.ndarray:
-        return self._arrays[0]
-
-    @cached_property
-    def ev_yaws(self) -> np.ndarray:
-        import numpy as np
-
-        yaws = np.empty(self.length)
-        for phase in self.phases:
-            yaws[phase.first : phase.last + 1] = phase.ev_yaw
-        return yaws
-
-    @cached_property
-    def npc_yaws(self) -> np.ndarray:
-        import numpy as np
-
-        return np.full(self.length, self.npc_yaw)
-
-    @cached_property
-    def triggered(self) -> np.ndarray:
-        import numpy as np
-
-        triggered = np.zeros(self.length, dtype=bool)
-        if self.trigger_frame is not None:
-            triggered[self.trigger_frame :] = True
-        return triggered
 
 
 def _behavior_velocity(actor) -> tuple[float, float]:
@@ -849,15 +760,15 @@ def _spell_npc_rows(phase: _Phase, fixed: dict) -> tuple[str, ...]:
     return tuple(f"{head}{x}{mid}{y}{tail}{t}{end}" for x, y, t in zip(xs, ys, times))
 
 
-def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
+def trace_to_jsonl(trace: Trace, budget: TextBudget) -> str:
     """Serialize a trace as JSONL, one frame per line.
 
     Each line holds the bytes json.dumps(..., sort_keys=True) writes for the
     frame: t, the ev and npc boxes (x, y, yaw, half_length, half_width),
     gt_overlap, penetration, closing_speed and triggered. Each phase's frames
     (Trace.phase_frames) are one segment, written by _segment_text from one
-    frame block per trace. Given a budget, two kinds of text are kept within
-    it and read again:
+    frame block per trace. Two kinds of text are kept within the budget and
+    read again:
 
     - A segment of the cruise stage's own phases has the same text in every
       trace that shares the stage and the segment's (start, stop). That text
@@ -871,12 +782,11 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
       segment is spelled whole.
 
     The block is Trace.frame_block of the frames from the first segment that
-    is spelled on (every frame, without a budget): each value is an
-    elementwise expression of its frame, so the bits are those of the whole
-    trace's arrays. A switched phase with a contact is spelled whole, apart
-    frames before the contact included: any segment has the same bytes on
-    either path, and one call costs less than two on a short run of apart
-    frames.
+    is spelled on: each value is an elementwise expression of its frame, so
+    the bits are those of a block of every frame. A switched phase with a
+    contact is spelled whole, apart frames before the contact included: any
+    segment has the same bytes on either path, and one call costs less than
+    two on a short run of apart frames.
     """
     import numpy as np
 
@@ -892,7 +802,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         start, stop = part.start, part.stop
         fixed["ev_yaw"] = _json_scalar(float(phase.ev_yaw))
         fixed["triggered"] = _json_scalar(trigger is not None and start >= trigger)
-        shared = budget is not None and any(phase is own for own in stage.phases)
+        shared = any(phase is own for own in stage.phases)
         kept = budget.kept.get((stage, start, stop)) if shared else None
         if kept is not None:
             parts.append(kept[0])
@@ -903,8 +813,7 @@ def trace_to_jsonl(trace: Trace, budget: TextBudget | None = None) -> str:
         lo, hi = start - first, stop - first
         # the stage's phases end before the trigger, so a segment from it on is never shared
         if (
-            budget is not None
-            and trigger is not None
+            trigger is not None
             and start >= trigger
             # gt_overlap and penetration: 0.0 and +0.0 are the only values whose bits are all zero
             and not block[3::3, lo:hi].view(np.int64).any()

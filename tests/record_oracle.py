@@ -40,7 +40,7 @@ def record_json_dict(rec, buckets=None) -> dict:
         "sim_seconds": rec.sim_seconds,
         "clock_seconds": rec.clock_seconds,
         "buckets": vars(buckets or rec.buckets),
-        "category": vars(rec.category),
+        "category": vars(categorize_reference(rec.params)),
     }
 
 

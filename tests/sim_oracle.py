@@ -14,32 +14,40 @@ by `_replace` on the cruise path with the EV velocity from its own cos and
 sin, the bounds through `_Phase.frames`, and the slab edges folded with
 max and min. The switched phase is returned unchecked.
 
-`overlap_frames_former` is Trace.overlap_frames as the simulator wrote it
-before it walked each phase in one written-out loop: the phase's frames
-through `_Phase.frames`, filtered to the hits, and the hits walked again
-through `_Phase.frames` of the phase with the wrapped yaws' normals
-wherever those differ from the phase's own. `face_normals_former` is `_face_normals` as a
+`overlap_frames_former` is the overlap frames of Trace.overlap_walk and
+their geometry.iou_bounds as the simulator listed them before it walked
+each phase in one written-out loop: the phase's frames through
+`_Phase.frames`, filtered to the hits, and the hits walked again through
+`_Phase.frames` of the phase with the wrapped yaws' normals wherever those
+differ from the phase's own. `face_normals_former` is `_face_normals` as a
 list comprehension over the four normals.
 
 `frame_values_former` is `_Phase.frame_values` and `_closing_speed` the
 closing-speed kernel as the simulator wrote them before Trace.frame_block
 filled each phase's rows of one array in place: the (n, 2) EV and NPC
 centers of `_Phase.centers`, their offsets, the minimum overlap and the
-closing speed, each a new array.
+closing speed, each a new array. `_min_overlap` is the minimum-overlap
+kernel, written as the simulator writes it, so its values have the same
+bits.
+
+`trace_arrays` presents a Trace in simulate_full's shape: its per-frame
+arrays are the rows of `Trace.frame_block` over every frame, and its yaws
+and trigger flags come from the phases. Every helper below that reads
+per-frame arrays takes that shape.
 
 `trace_to_jsonl_per_frame` is the reference trace encoder: one json.dumps
-call per frame dict. `assert_same_text` compares two encoded traces and, when
-they differ, names the first line that does and shows both versions of it;
-a bare `assert got == want` on two traces of some 100 KB each makes pytest
-diff them for minutes.
+call per frame dict of a Trace's `trace_arrays`. `assert_same_text`
+compares two encoded traces and, when they differ, names the first line
+that does and shows both versions of it; a bare `assert got == want` on two
+traces of some 100 KB each makes pytest diff them for minutes.
 
 `silenced_by_full` names the detector gate no inspected frame passed, over
 every inspected frame of the whole-trace arrays.
 
 `ev_box` and `npc_box` build a frame's OrientedBox from the whole-trace
 centers and yaws, and `center_distance` is the distance between two boxes'
-centers. `overlap_corners` builds the corners oracle.max_iou clips from
-each frame of Trace.overlap_frames.
+centers. `overlap_corners` builds the corners oracle.max_iou clips at each
+overlap frame from first contact on, in time order.
 
 `iou_reference` is the box IoU built the object way: each box's corners as
 Point2 values, clipped with Sutherland-Hodgman and measured with the
@@ -66,7 +74,6 @@ from silentcrash.simulator import (
     _behavior_velocity,
     _face_normals,
     _frame_span,
-    _min_overlap,
     _Phase,
 )
 
@@ -132,7 +139,46 @@ def simulate_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig 
         trigger_frame=trigger_frame,
         length=end,
         duration=float(times[stop]),
+        ev_half=ev_half,
+        npc_half=npc_half,
+        npc_yaw=spec.npc.yaw,
     )
+
+
+def trace_arrays(trace) -> SimpleNamespace:
+    """The Trace in simulate_full's shape, from its frame_block of every frame and its phases."""
+    n = trace.length
+    block = trace.frame_block(range(n))
+    ev_yaws = np.empty(n)
+    for phase in trace.phases:
+        ev_yaws[phase.first : phase.last + 1] = phase.ev_yaw
+    triggered = np.zeros(n, dtype=bool)
+    if trace.trigger_frame is not None:
+        triggered[trace.trigger_frame :] = True
+    return SimpleNamespace(
+        times=np.arange(n) * trace.dt,
+        ev_centers=block[1:3].T,
+        ev_yaws=ev_yaws,
+        npc_centers=block[4:6].T,
+        npc_yaws=np.full(n, trace.npc_yaw),
+        gt_overlap=block[3] == 1.0,
+        penetration=block[6],
+        closing_speed=block[0],
+        triggered=triggered,
+        first_contact=trace.first_contact,
+        trigger_frame=trace.trigger_frame,
+        length=n,
+        duration=trace.duration,
+        ev_half=trace.ev_half,
+        npc_half=trace.npc_half,
+        npc_yaw=trace.npc_yaw,
+    )
+
+
+def _min_overlap(delta: np.ndarray, axes, radii) -> np.ndarray:
+    """radii[k] - |delta . axes[k]|, minimized over the four axes, for each center offset in delta (k, 2)."""
+    ax, ay = zip(*axes)
+    return (radii - np.abs(delta[:, :1] * ax + delta[:, 1:] * ay)).min(axis=1)
 
 
 def _closing_speed(delta: np.ndarray, rel_v) -> np.ndarray:
@@ -315,14 +361,15 @@ def center_distance(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def overlap_corners(trace) -> list:
-    """(EV corners, NPC corners) at each overlap frame of trace.overlap_frames, in time order."""
+    """(EV corners, NPC corners) at each overlap frame from first contact on, in time order, as max_iou clips them."""
     (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
     nc, ns = heading(trace.npc_yaw)
-    _, frames = trace.overlap_frames()
-    return [
-        (rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns))
-        for ex, ey, ec, es, nx, ny in frames
-    ]
+    start, pairs = trace.first_contact, []
+    for i in [] if start is None else (np.flatnonzero(trace.gt_overlap[start:]) + start).tolist():
+        (ex, ey), (nx, ny) = trace.ev_centers[i].tolist(), trace.npc_centers[i].tolist()
+        ec, es = heading(float(trace.ev_yaws[i]))
+        pairs.append((rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns)))
+    return pairs
 
 
 def iou_reference(a: OrientedBox, b: OrientedBox) -> float:
@@ -341,9 +388,9 @@ def max_iou_whole_trace(trace) -> float:
 
 
 def trace_to_jsonl_per_frame(trace) -> str:
-    """Serialize a trace as JSONL by calling json.dumps once per frame."""
-    lines = []
-    for i in range(len(trace)):
+    """Serialize a Trace as JSONL by calling json.dumps once per frame of its trace_arrays."""
+    trace, lines = trace_arrays(trace), []
+    for i in range(trace.length):
         lines.append(
             json.dumps(
                 {

@@ -4,6 +4,7 @@ import pytest
 from silentcrash.detector import PERFECT_DETECTOR, DefectModel, builtin_cd, ground_truth
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import SimConfig, simulate
+from sim_oracle import trace_arrays
 
 # grazing corner contact found by a fine parameter scan: ground truth present
 # with max penetration well under the default detector's depth gate
@@ -34,7 +35,7 @@ def test_ground_truth_matches_derived_contact_frame():
     trace = simulate(spec, params)
     idx = ground_truth(trace)
     assert idx == trace.first_contact
-    assert float(trace.times[idx]) == pytest.approx(2.54, abs=0.011)
+    assert trace.time(idx) == pytest.approx(2.54, abs=0.011)
 
 
 def test_ground_truth_on_final_frame_only():
@@ -51,7 +52,7 @@ def test_perfect_detector_equals_ground_truth_presence():
 def test_deep_slow_contact_is_detected():
     spec, params = make_seed(ScenarioKind.FLV)
     trace = simulate(spec, params)
-    assert float(trace.penetration.max()) > DefectModel().min_penetration
+    assert float(trace_arrays(trace).penetration.max()) > DefectModel().min_penetration
     assert builtin_cd(trace, DefectModel())
 
 
@@ -59,7 +60,7 @@ def test_grazing_contact_slips_through_depth_gate():
     spec, _ = make_seed(ScenarioKind.PSF)
     trace = simulate(spec, PSF_GRAZE)
     assert ground_truth(trace) is not None
-    assert float(trace.penetration.max()) < DefectModel().min_penetration
+    assert float(trace_arrays(trace).penetration.max()) < DefectModel().min_penetration
     assert not builtin_cd(trace, DefectModel())
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mc_oracles import mc_intersection_area, random_box, rigid_transform
@@ -17,6 +17,7 @@ from silentcrash.geometry import (
     intersection_area,
     iou,
     iou_bounds,
+    normalize_yaw,
     overlaps,
     penetration_depth,
     rect_corners,
@@ -190,6 +191,24 @@ def test_yaw_normalized_into_range():
     assert b.yaw == pytest.approx(math.pi, abs=1e-9) or b.yaw == pytest.approx(-math.pi)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    in_range=st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True),
+    other=st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(min_value=-4.0, max_value=-math.pi, exclude_max=True)
+    | st.floats(min_value=math.pi, max_value=4.0),
+)
+# just below -pi the formula's remainder rounds up to 2pi and gives pi, which is wrapped to -pi
+@example(in_range=-0.0, other=math.nextafter(-math.pi, -4.0))
+@example(in_range=-math.pi, other=math.pi)
+@example(in_range=math.nextafter(math.pi, 0.0), other=-3 * math.pi - 1e-15)
+def test_normalize_yaw_keeps_an_in_range_yaw_and_wraps_any_other_finite_one_into_range(in_range, other):
+    """A yaw in [-pi, pi) keeps its bits, -0.0 included; any other finite yaw lands in [-pi, pi); NaN stays NaN."""
+    assert normalize_yaw(in_range).hex() == in_range.hex()
+    assert -math.pi <= normalize_yaw(other) < math.pi
+    assert math.isnan(normalize_yaw(math.nan))
+
+
 wide_yaw = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
@@ -237,7 +256,7 @@ def test_iou_matches_object_reference_bit_for_bit(pair):
 
 
 def _reach(a, b):
-    """Largest center coordinate magnitude plus the largest half length and half width, as in Trace.overlap_frames."""
+    """Largest center coordinate magnitude plus the largest half length and half width, as in Trace.overlap_walk."""
     centers = max(abs(a.center.x), abs(a.center.y), abs(b.center.x), abs(b.center.y))
     return (centers + max(a.half_length, b.half_length)) + max(a.half_width, b.half_width)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFIG_DIR
-from silentcrash import cli, simulator
+from silentcrash import cli, detector, simulator
 from silentcrash.cli import main
 from silentcrash.fuzzer import OutcomeRecord
 from silentcrash.oracle import ScenarioType
@@ -152,6 +152,19 @@ def test_a_trace_that_ends_inside_its_cruise_stage_keeps_its_bytes(logs, tmp_pat
         assert_same_text(text.decode(), trace_to_jsonl_per_frame(trace), ordinal)
 
 
+def test_an_ic_replay_scans_its_inspected_frames_once(logs, tmp_path, monkeypatch):
+    """check_ic keeps the built-in's gate count in the trace's memo and silenced_by reads it: one scan per replay."""
+    log = logs["reference"]
+    ordinals = [rec.ordinal for rec in records(log) if rec.verdict is ScenarioType.IC]
+    scans, inspect = [], detector._inspect
+    monkeypatch.setattr(detector, "_inspect", lambda trace, defect: scans.append(defect) or inspect(trace, defect))
+    for ordinal in (ordinals[0], ordinals[-1]):
+        del scans[:]
+        code, printed, _ = cold(log, ordinal, tmp_path / "trace.jsonl")
+        assert code == 0 and "verdict=IC" in printed and "silenced_by=" in printed, printed
+        assert scans == [kept(log).config.defect], ordinal
+
+
 def test_some_replays_match_the_per_frame_encoder(logs, tmp_path):
     out = tmp_path / "trace.jsonl"
     forget()
@@ -204,7 +217,7 @@ def test_stage_text_is_kept_per_segment_start_and_stop(logs):
         short = dataclasses.replace(trace, length=length, trigger_frame=trigger if trigger < length else None, memo={})
         want = trace_to_jsonl_per_frame(short)
         assert_same_text(trace_to_jsonl(short, budget), want, length)
-        assert_same_text(trace_to_jsonl(short), want, length)
+        assert_same_text(trace_to_jsonl(short, simulator.TextBudget()), want, length)
     texts = [text for (owner, *_), (text, _) in budget.kept.items() if owner is stage]
     assert len(texts) > 2 and budget.bytes == sum(map(len, texts))
 

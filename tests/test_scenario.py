@@ -13,6 +13,7 @@ from silentcrash.scenario import (
     validate_seed,
 )
 from silentcrash.simulator import simulate
+from sim_oracle import trace_arrays
 
 ALL_KINDS = list(ScenarioKind)
 
@@ -49,7 +50,7 @@ def test_psf_seed_hits_head_center():
     i = trace.first_contact
     assert i is not None
     # straight-ahead seed: the EV center line passes through the pedestrian
-    assert abs(float(trace.ev_centers[i, 1]) - spec.npc.position.y) < 1e-9
+    assert abs(float(trace_arrays(trace).ev_centers[i, 1]) - spec.npc.position.y) < 1e-9
 
 
 def test_inc_seed_timed_for_simultaneous_arrival():

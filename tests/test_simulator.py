@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,13 +23,13 @@ from silentcrash.simulator import (
     TextBudget,
     Trace,
     _face_normals,
-    _min_overlap,
     _Phase,
     cruise_stage,
     simulate,
     trace_to_jsonl,
 )
 from sim_oracle import (
+    _min_overlap,
     assert_same_text,
     bounded_former,
     center_distance,
@@ -37,9 +39,10 @@ from sim_oracle import (
     frame_values_former,
     npc_box,
     switched_phase_former,
+    trace_arrays,
     trace_to_jsonl_per_frame,
 )
-from test_oracle import _scaled
+from test_oracle import _scaled, _walked
 
 
 def test_flv_first_contact_matches_closed_form():
@@ -47,7 +50,7 @@ def test_flv_first_contact_matches_closed_form():
     spec, params = make_seed(ScenarioKind.FLV)
     trace = simulate(spec, params)
     assert trace.first_contact is not None
-    assert float(trace.times[trace.first_contact]) == pytest.approx(2.54, abs=0.011)
+    assert trace.time(trace.first_contact) == pytest.approx(2.54, abs=0.011)
 
 
 def test_psf_full_veer_at_far_trigger_misses():
@@ -71,10 +74,8 @@ def test_identical_inputs_give_bit_identical_traces():
     spec, params = make_seed(ScenarioKind.InC)
     t1 = simulate(spec, params)
     t2 = simulate(spec, params)
-    assert np.array_equal(t1.ev_centers, t2.ev_centers)
-    assert np.array_equal(t1.penetration, t2.penetration)
-    assert np.array_equal(t1.closing_speed, t2.closing_speed)
-    assert_same_text(trace_to_jsonl(t1), trace_to_jsonl(t2))
+    assert t1.frame_block(range(len(t1))).tobytes() == t2.frame_block(range(len(t2))).tobytes()
+    assert_same_text(trace_to_jsonl(t1, TextBudget()), trace_to_jsonl(t2, TextBudget()))
 
 
 def test_halving_dt_shifts_first_contact_by_at_most_two_steps():
@@ -82,8 +83,8 @@ def test_halving_dt_shifts_first_contact_by_at_most_two_steps():
         spec, params = make_seed(kind)
         coarse = simulate(spec, params, SimConfig(dt=0.01))
         fine = simulate(spec, params, SimConfig(dt=0.005))
-        t_coarse = float(coarse.times[coarse.first_contact])
-        t_fine = float(fine.times[fine.first_contact])
+        t_coarse = coarse.time(coarse.first_contact)
+        t_fine = fine.time(fine.first_contact)
         assert abs(t_coarse - t_fine) <= 2 * 0.01, kind
 
 
@@ -105,8 +106,8 @@ def test_frame_invariants_hold_on_samples():
         params = ControlParameters.from_angle(
             d=float(rng.uniform(2, 7)), v_hat=float(rng.uniform(1, 50)), a=float(rng.uniform(-1, 1))
         )
-        trace = simulate(spec, params)
-        for i in rng.integers(0, len(trace), size=25).tolist():
+        trace = trace_arrays(simulate(spec, params))
+        for i in rng.integers(0, trace.length, size=25).tolist():
             ev, npc = ev_box(trace, i), npc_box(trace, i)
             assert trace.gt_overlap[i] == overlaps(ev, npc)
             assert trace.penetration[i] == pytest.approx(penetration_depth(ev, npc), abs=1e-9)
@@ -129,7 +130,7 @@ def test_trace_stops_at_contact_plus_settle_window():
     assert len(trace) == trace.first_contact + cfg.settle_frames + 1
     bare = simulate(spec, params, SimConfig(settle_frames=0))
     assert len(bare) == bare.first_contact + 1
-    assert bare.gt_overlap[-1]
+    assert trace_arrays(bare).gt_overlap[-1]
 
 
 def test_non_finite_state_is_rejected():
@@ -153,7 +154,7 @@ def test_sim_config_validation():
 def test_trace_jsonl_export_shape():
     spec, params = make_seed(ScenarioKind.PSF)
     trace = simulate(spec, params)
-    lines = trace_to_jsonl(trace).splitlines()
+    lines = trace_to_jsonl(trace, TextBudget()).splitlines()
     assert len(lines) == len(trace)
     first = json.loads(lines[0])
     assert set(first) == {"t", "ev", "npc", "gt_overlap", "penetration", "closing_speed", "triggered"}
@@ -172,12 +173,16 @@ def _random_traces(kind, seed, count, cfg=SimConfig()):
 
 
 def _at_rest(npc_x: float, frames: int) -> Trace:
-    """Both boxes standing still for `frames` frames, NPC center at (npc_x, 0); in contact from frame 0 if they overlap."""
+    """Both boxes standing still for `frames` frames, NPC center at (npc_x, 0); in contact from frame 0 if they overlap.
+
+    The cruise stage is another scenario's, so no segment is its.
+    """
     half = (2.0, 1.0)
     axes, radii = _face_normals(0.0, half, 0.0, half)
     phase = _Phase(0, frames - 1, 0.01, (npc_x, 0.0), (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0), 0.0, axes, radii)
     contact = 0 if npc_x < 4.0 else None
-    return Trace(contact, None, half, half, frames, 0.01, 0.0, (phase,), cruise=None)
+    stage = cruise_stage(make_seed(ScenarioKind.PSF)[0], 5.0)
+    return Trace(contact, None, half, half, frames, 0.01, 0.0, (phase,), cruise=stage)
 
 
 def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
@@ -194,8 +199,8 @@ def test_trace_jsonl_of_a_one_frame_segment_after_a_phase_start():
         short = dataclasses.replace(trace, length=trace.trigger_frame + 1)
         segments = [part for _, part in short.phase_frames(range(len(short)))]
         assert range(trace.trigger_frame, trace.trigger_frame + 1) in segments
-        assert_same_text(trace_to_jsonl(short), trace_to_jsonl_per_frame(short))
-        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace))
+        assert_same_text(trace_to_jsonl(short, TextBudget()), trace_to_jsonl_per_frame(short))
+        assert_same_text(trace_to_jsonl(trace, TextBudget()), trace_to_jsonl_per_frame(trace))
 
 
 def test_trace_jsonl_of_a_trigger_at_frame_0():
@@ -203,36 +208,38 @@ def test_trace_jsonl_of_a_trigger_at_frame_0():
     for x in (5.0, 6.0):
         trace = simulate(apply_overrides(spec, {"npc": {"x": x}}), ControlParameters.from_angle(7.0, 20.0, 0.3))
         assert trace.trigger_frame == 0 and len(trace.phases) == 1
-        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), x)
+        assert_same_text(trace_to_jsonl(trace, TextBudget()), trace_to_jsonl_per_frame(trace), x)
 
 
 @pytest.mark.parametrize("npc_x", [3.0, 10.0], ids=["overlapping", "apart"])
 def test_trace_jsonl_of_a_segment_whose_every_column_is_constant(npc_x):
     trace = _at_rest(npc_x, 50)
     assert len(list(trace.phase_frames(range(len(trace))))) == 1
-    text = trace_to_jsonl(trace)
+    text = trace_to_jsonl(trace, TextBudget())
     assert_same_text(text, trace_to_jsonl_per_frame(trace))
     assert len(set(line.split('"t": ')[0] for line in text.splitlines())) == 1
 
 
 @pytest.mark.parametrize("cut", [1, 2, 250, 1499, 1500])
 def test_trace_jsonl_cut_at_any_frame_matches_the_per_frame_encoder(cut):
-    # a trace cut at an arbitrary frame ends its last segment there, with a
-    # budget or without
+    # a trace cut at an arbitrary frame ends its last segment there, whether
+    # its cruise segment is spelled and kept or read from the budget
     trace = next(t for t in _random_traces(ScenarioKind.FLB, 5, 50) if t.first_contact is None)
     short = dataclasses.replace(trace, length=cut)
-    for budget in (None, TextBudget()):
-        assert_same_text(trace_to_jsonl(short, budget), trace_to_jsonl_per_frame(short), budget)
+    budget = TextBudget()
+    for encoding in ("spelled", "kept"):
+        assert_same_text(trace_to_jsonl(short, budget), trace_to_jsonl_per_frame(short), encoding)
 
 
 def test_trace_jsonl_times_follow_each_dt_in_turn():
     # the frame-time strings are kept per (dt, horizon frame count): each dt
     # replayed after another still spells its own times
     cfgs = [SimConfig(), SimConfig(dt=0.02), SimConfig(dt=1 / 3, horizon=20.0), SimConfig(horizon=7.5)]
+    budget = TextBudget()
     for _ in range(2):
         for i, cfg in enumerate(cfgs):
             for trace in _random_traces(ScenarioKind.LC, 7 + i, 3, cfg):
-                assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), (cfg, i))
+                assert_same_text(trace_to_jsonl(trace, budget), trace_to_jsonl_per_frame(trace), (cfg, i))
 
 
 def _rows_used(monkeypatch) -> list[str]:
@@ -257,8 +264,8 @@ def test_budgeted_trace_jsonl_of_a_contact_after_the_trigger_matches_the_per_fra
             trigger, contact = trace.trigger_frame, trace.first_contact
             if trigger is None or contact is None or not 0 < trigger < contact:
                 continue
-            after = slice(contact, trace.length)
-            if trace.gt_overlap[after].all() or len(set(trace.penetration[after].tolist())) < 2:
+            arrays, after = trace_arrays(trace), slice(contact, trace.length)
+            if arrays.gt_overlap[after].all() or len(set(arrays.penetration[after].tolist())) < 2:
                 continue
             del used[:]
             assert_same_text(trace_to_jsonl(trace, budget), trace_to_jsonl_per_frame(trace), kind)
@@ -351,9 +358,9 @@ def test_frame_block_of_any_frames_is_the_whole_blocks_columns(kind, d, v_hat, a
 def test_budgeted_trace_jsonl_of_boxes_touching_at_zero_overlap_matches_the_per_frame_encoder():
     # an overlap of exactly 0.0 is contact with a penetration of +0.0: the
     # frames are not apart, so the segment is spelled whole
-    spec, _ = make_seed(ScenarioKind.PSF)
-    trace = dataclasses.replace(_at_rest(4.0, 50), trigger_frame=0, cruise=cruise_stage(spec, 5.0))
-    assert trace.gt_overlap.all() and not trace.penetration.view(np.int64).any()
+    trace = dataclasses.replace(_at_rest(4.0, 50), trigger_frame=0)
+    arrays = trace_arrays(trace)
+    assert arrays.gt_overlap.all() and not arrays.penetration.view(np.int64).any()
     assert_same_text(trace_to_jsonl(trace, TextBudget()), trace_to_jsonl_per_frame(trace))
 
 
@@ -501,8 +508,9 @@ def test_trace_overlap_columns_are_the_kernels_over_every_frame(kind, d, v_hat, 
     trace = dataclasses.replace(trace, length=trace.phases[-1].last + 1)
     with np.errstate(all="ignore"):
         raw = np.concatenate([frame_values_former(p, np.arange(p.first, p.last + 1))[2] for p in trace.phases])
-        assert trace.gt_overlap.tobytes() == (raw >= 0.0).tobytes()
-        assert trace.penetration.tobytes() == np.maximum(raw, 0.0).tobytes()
+        arrays = trace_arrays(trace)
+        assert arrays.gt_overlap.tobytes() == (raw >= 0.0).tobytes()
+        assert arrays.penetration.tobytes() == np.maximum(raw, 0.0).tobytes()
 
 
 def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
@@ -517,7 +525,7 @@ def test_a_nan_overlap_among_non_negative_ones_counts_as_apart():
     *_, o0, o1, o2, o3 = next(phase.frames((0,)))
     assert math.isnan(o1) and min(o0, o1, o2, o3) == math.inf
     trace = Trace(0, None, (1.0, 1.0), (1.0, 1.0), 1, 0.01, 0.0, (phase,), cruise=None)
-    assert trace.overlap_frames() == ([], [])
+    assert _walked(trace) == ([], [])
     assert max_iou(trace) == 0.0
     with np.errstate(all="ignore"):
         assert math.isnan(frame_values_former(phase, np.array([0]))[2][0])
@@ -605,3 +613,28 @@ def test_switched_phase_matches_the_former_recipes(kind, d, v_hat, a, cfg, overr
     else:
         with pytest.raises(SimulationError):
             stage.switched(params)
+
+
+def test_every_public_name_that_trace_defines_is_read_in_the_package():
+    """Each public field, method and property of Trace is read as an attribute in src/silentcrash outside its own definition.
+
+    The scan goes by name, so a read of another object's attribute of the
+    same name counts too; what it catches is a name nothing in the package
+    reads, which only tests could be keeping alive.
+    """
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(simulator.__file__).parent.glob("*.py"))]
+    trace = next(node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Trace")
+    defined = {}
+    for node in trace.body:
+        name = node.target.id if isinstance(node, ast.AnnAssign) else getattr(node, "name", "_")
+        if not name.startswith("_"):
+            defined[name] = {id(inner) for inner in ast.walk(node)}
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in defined.get(node.attr, ())
+    }
+    assert len(defined) >= 10 and sorted(set(defined) - read) == []

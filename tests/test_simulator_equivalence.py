@@ -32,6 +32,7 @@ from silentcrash.oracle import max_iou
 from silentcrash.scenario import Behavior, BehaviorKind, ControlParameters, ScenarioKind, apply_overrides, make_seed
 from silentcrash.simulator import (
     SimConfig,
+    TextBudget,
     _json_bools,
     _json_floats,
     _json_scalar,
@@ -49,8 +50,10 @@ from sim_oracle import (
     overlap_corners,
     silenced_by_full,
     simulate_full,
+    trace_arrays,
     trace_to_jsonl_per_frame,
 )
+from test_oracle import _walked
 
 DEFECTS = (
     DefectModel(),
@@ -84,8 +87,9 @@ def assert_equivalent(spec, params, cfg, cruise=None):
     for defect in DEFECTS:
         assert builtin_cd(trace, defect) == builtin_cd_full(ref, defect), (case, defect)
         assert silenced_by(trace, defect) == silenced_by_full(ref, defect), (case, defect)
+    arrays = trace_arrays(trace)
     for name in ARRAYS:
-        got, want = getattr(trace, name), getattr(ref, name)
+        got, want = getattr(arrays, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, (case, name)
         assert got.tobytes() == want.tobytes(), (case, name)
     return trace
@@ -139,7 +143,7 @@ def test_lc_lateral_offset_equal_to_summed_half_widths():
             for v_hat in (15.0, 25.0, 40.0):
                 trace = assert_equivalent(shifted, ControlParameters.from_angle(d=d, v_hat=v_hat, a=0.0), SimConfig())
                 if trace.first_contact is not None and abs(y) == flush:
-                    touches += float(trace.penetration[trace.first_contact]) == 0.0
+                    touches += float(trace_arrays(trace).penetration[trace.first_contact]) == 0.0
     assert touches > 0
 
 
@@ -246,7 +250,7 @@ def test_trace_jsonl_matches_per_frame_encoder(kind):
     ]
     traces = [assert_equivalent(*case) for case in cases]
     for case, trace in zip(cases, traces):
-        assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), case)
+        assert_same_text(trace_to_jsonl(trace, TextBudget()), trace_to_jsonl_per_frame(trace), case)
     horizon = int(round(SimConfig().horizon / SimConfig().dt)) + 1
     assert any(t.trigger_frame is None for t in traces)
     assert any(t.first_contact == 0 for t in traces)
@@ -256,14 +260,14 @@ def test_trace_jsonl_matches_per_frame_encoder(kind):
 
 def test_trace_jsonl_spells_non_finite_and_signed_zero_like_json_dumps():
     trace = simulate(*make_seed(ScenarioKind.FLV))
-    # the encoder and the per-frame attributes read trace.frame_block; write
-    # into two rows of its block and have frame_block give that block
+    # the encoder and the reference's trace_arrays read trace.frame_block;
+    # write into two rows of its block and have frame_block give that block
     block = trace.frame_block(range(len(trace)))
     block[0, :4] = [np.nan, np.inf, -np.inf, -0.0]  # closing_speed
     block[6, -1] = np.inf  # penetration
     trace.frame_block = lambda frames: block[:, frames.start : frames.stop]
-    assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), "non-finite")
-    text = trace_to_jsonl(trace)
+    text = trace_to_jsonl(trace, TextBudget())
+    assert_same_text(text, trace_to_jsonl_per_frame(trace), "non-finite")
     assert '"closing_speed": NaN' in text and '"closing_speed": -Infinity' in text
     assert '"closing_speed": -0.0' in text
 
@@ -283,11 +287,16 @@ def test_max_iou_matches_whole_trace_loop(kind):
         # score first, so that max_iou cannot lean on arrays the reference builds
         trace = simulate(*case)
         peak = max_iou(trace)
-        assert peak == max_iou_whole_trace(trace), case
-        overlap = np.flatnonzero(trace.gt_overlap).tolist()
-        want = np.array([(corners(ev_box(trace, i)), corners(npc_box(trace, i))) for i in overlap])
-        got = np.array(overlap_corners(trace))
+        arrays = trace_arrays(trace)
+        assert peak == max_iou_whole_trace(arrays), case
+        overlap = np.flatnonzero(arrays.gt_overlap).tolist()
+        want = np.array([(corners(ev_box(arrays, i)), corners(npc_box(arrays, i))) for i in overlap])
+        got = np.array(overlap_corners(arrays))
         assert got.shape == want.shape and (got.view(np.int64) == want.view(np.int64)).all(), case
+        # the walk the peak is clipped from lists the same frames, with the arrays' centers
+        walked = np.array([(ex, ey, nx, ny) for ex, ey, _, _, nx, ny in _walked(trace)[1]]).reshape(-1, 4)
+        centers = np.hstack((arrays.ev_centers[overlap], arrays.npc_centers[overlap]))
+        assert walked.shape == centers.shape and (walked.view(np.int64) == centers.view(np.int64)).all(), case
         contacts += peak > 0.0
     assert contacts > 0
 
@@ -319,8 +328,10 @@ def test_shared_cruise_stage_matches_fresh_simulate(kind):
                 fresh = assert_equivalent(case_spec, params, cfg)
                 shared = assert_equivalent(case_spec, params, cfg, stage)
                 assert shared.cruise is stage and fresh.cruise is not stage
+                shared_arrays, fresh_arrays = trace_arrays(shared), trace_arrays(fresh)
                 for name in ARRAYS:
-                    assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), (label, params, name)
+                    got, want = getattr(shared_arrays, name), getattr(fresh_arrays, name)
+                    assert got.tobytes() == want.tobytes(), (label, params, name)
         assert stages["trigger"].trigger > 0
         assert stages["trigger-at-0"].trigger == 0 and stages["trigger-at-0"].phases == ()
         assert stages["no-trigger"].trigger is None
@@ -387,16 +398,20 @@ def _runs(draw, column, marks):
 def test_trace_jsonl_spells_runs_like_per_frame_encoder(data, label):
     trace = simulate(*RUN_CASES[label])
     marks = _cuts(trace)
-    # the encoder and the per-frame attributes read trace.frame_block; fill
-    # the rows of its block with runs that start and end on, next to and
-    # away from the segment cuts, and have frame_block give that block
+    # the encoder and the reference's trace_arrays read trace.frame_block;
+    # fill the rows of its block with runs that start and end on, next to
+    # and away from the segment cuts, and have frame_block give that block
     block = trace.frame_block(range(len(trace)))
     for row in (0, 6, 1, 2, 4, 5):  # closing_speed, penetration, the EV and NPC centers
         block[row] = data.draw(_runs(block[row], marks))
     gt = data.draw(_runs(block[3], marks))
     block[3] = np.where(np.isnan(gt), False, gt != 0.0)  # gt_overlap
     trace.frame_block = lambda frames: block[:, frames.start : frames.stop]
-    assert_same_text(trace_to_jsonl(trace), trace_to_jsonl_per_frame(trace), label)
+    # the budget's NPC rows are spelled from the phases, not the block, so
+    # this budget has none to give: every segment is spelled from the block
+    budget = TextBudget()
+    budget.npc_rows = lambda phase, fixed: None
+    assert_same_text(trace_to_jsonl(trace, budget), trace_to_jsonl_per_frame(trace), label)
 
 
 def test_run_cases_put_the_segment_cuts_where_they_are_named():
