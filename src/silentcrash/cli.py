@@ -359,7 +359,7 @@ def _manifest_config(raw: bytes) -> _Replays:
     return _Replays(parse_config(manifest["config"]), {}, TextBudget())
 
 
-def _write_in_place(path: Path, text: str) -> None:
+def _write_in_place(path: Path, text: str, keep: tuple) -> os.stat_result | None:
     """Write text over path from its first byte, then cut a regular file to the bytes written.
 
     Unlike opening with truncation, this lets the file system keep the blocks
@@ -367,35 +367,46 @@ def _write_in_place(path: Path, text: str) -> None:
     when it is closed). Bytes past what was written are cut even when the
     write fails, so no tail of an older trace survives. Symlinks are
     followed; a device or FIFO is written but not truncated.
+
+    keep holds the stat results of files that must keep their bytes. When
+    path opens one of them (the same st_dev and st_ino, so through any
+    spelling, symlink or hard link), nothing is written and that result is
+    returned; else None.
     """
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        opened = os.fstat(fd)
+        for seen in keep:
+            if os.path.samestat(opened, seen):
+                return seen
         written = 0
         try:
             with memoryview(data) as view:
                 while written < len(data):
                     written += os.write(fd, view[written:])
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if stat.S_ISREG(opened.st_mode):
                 os.ftruncate(fd, written)
     finally:
         os.close(fd)
+    return None
 
 
-def _read_file(name: str) -> bytes:
-    """The bytes of the file at name, as Path.read_bytes gives them, without a file object.
+def _read_file(name: str) -> tuple[bytes, os.stat_result]:
+    """The bytes of the file at name, as Path.read_bytes gives them, without a file object, and its stat result.
 
     An OSError from os.read (EISDIR for a directory) carries no filename.
     """
     fd = os.open(name, os.O_RDONLY)
     try:
-        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # + 1: a file that grew is read on
+        seen = os.fstat(fd)
+        chunks = [os.read(fd, seen.st_size + 1)]  # + 1: a file that grew is read on
         while chunks[-1]:
             chunks.append(os.read(fd, 1 << 16))
     finally:
         os.close(fd)
-    return b"".join(chunks)
+    return b"".join(chunks), seen
 
 
 def _manifest_path(log: str) -> Path:
@@ -419,12 +430,13 @@ def cmd_replay(args) -> int:
         log = str(Path(log))
     try:
         record = _read_record_at(log, args.ordinal)
+        log_seen = os.stat(log)
     except OSError as exc:
         return _read_error(exc, exc.filename)
     except LogError as exc:
         return _fail(ExitStatus.IO_ERROR, str(exc))
     try:
-        raw = _read_file(os.path.join(os.path.dirname(log), "manifest.json"))
+        raw, manifest_seen = _read_file(os.path.join(os.path.dirname(log), "manifest.json"))
     except OSError as exc:
         return _read_error(exc, _manifest_path(log))
 
@@ -459,9 +471,12 @@ def cmd_replay(args) -> int:
 
     out = Path(args.out) if args.out else Path(log).parent / f"trace_{args.ordinal}.jsonl"
     try:
-        _write_in_place(out, trace_to_jsonl(trace, replays.text))
+        kept = _write_in_place(out, trace_to_jsonl(trace, replays.text), (log_seen, manifest_seen))
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
+    if kept is not None:
+        read = Path(log) if kept is log_seen else _manifest_path(log)
+        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: it is {read}, which replay reads; nothing written")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")
     if verdict is ScenarioType.IC:
         print(f"silenced_by={silenced_by(trace, defect)}")

@@ -39,12 +39,13 @@ such trace scores only its frames from the trigger on.
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
 _Phase owns these expressions in two forms that round alike: a numpy kernel
-over an array of frames (the confirm windows, and Trace.frame_block, which
-writes them into one array, with overlaps only inside each phase's contact
-window, and from which alone trace_to_jsonl spells the replayed text) and
-one scalar evaluator in Python floats, _Phase.frames, which the built-in
-detector calls for the few frames it reads; the peak IoU's walk (_walk)
-writes its expressions out in the same order. A center distance is
+over an array of frames (first_contact's confirm window, and
+Trace.frame_block, which writes them into one array, with overlaps only
+inside each phase's contact window, and from which alone trace_to_jsonl
+spells the replayed text) and one scalar evaluator in Python floats,
+_Phase.frames, which the trigger search walks through its located window and
+the built-in detector calls for the few frames it reads; the peak IoU's walk
+(_walk) writes its expressions out in the same order. A center distance is
 sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its operations
 correctly, so numpy and Python give the same bits. The overlaps use the
 face-normal projections of the scalar geometry module; tests cross-check
@@ -254,7 +255,7 @@ class _Phase(NamedTuple):
         return nx - ox + self.t0 * vx, ny - oy + self.t0 * vy, ux - vx, uy - vy, slack
 
     def first_within(self, d: float) -> int | None:
-        """First frame whose center distance is at most d."""
+        """First frame whose center distance is at most d: the scalar evaluator's first hit inside the located window."""
         px, py, wx, wy, slack = self._offset
         reach = d + slack
         a = wx * wx + wy * wy
@@ -270,15 +271,11 @@ class _Phase(NamedTuple):
                 return None
             h = math.sqrt(h2)
             window = _frame_span(tc - h, tc + h, self.first, self.last, self.dt)
-        if not window:
-            return None
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            ev, npc = self.centers(np.arange(window.start, window.stop))
-            delta = npc - ev
-            below = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]) <= d
-        return window.start + int(np.argmax(below)) if below.any() else None
+        for i, ex, ey, nx, ny, *_ in self.frames(window):
+            dx, dy = nx - ex, ny - ey
+            if math.sqrt(dx * dx + dy * dy) <= d:
+                return i
+        return None
 
     def contact_window(self) -> range | None:
         """The frames of first..last that can overlap: every frame whose _min_overlap is >= 0 is in it.

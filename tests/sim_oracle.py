@@ -30,6 +30,18 @@ closing speed, each a new array. `_min_overlap` is the minimum-overlap
 kernel, written as the simulator writes it, so its values have the same
 bits.
 
+`first_within_former` is `_Phase.first_within` as the simulator wrote it
+before the trigger search read the scalar evaluator: the same located
+window, then one numpy pass over its frames' center distances, with the
+overflow and invalid-value warnings ignored.
+
+`DenseExecutor` is fuzzer._Executor with `run` built on `simulate_full` and
+`builtin_cd_full`: every frame of the horizon, no cruise stage, no memo and
+no located search, the verdict from oracle.classify and the record's times
+rounded as `_Executor.run` rounds them. `validate_seed_full` is
+scenario.validate_seed on `simulate_full`. A test swaps both into
+fuzzer to run whole campaigns on the dense path.
+
 `trace_arrays` presents a Trace in simulate_full's shape: its per-frame
 arrays are the rows of `Trace.frame_block` over every frame, and its yaws
 and trigger flags come from the phases. Every helper below that reads
@@ -64,7 +76,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from silentcrash.detector import DefectModel
+from silentcrash.fuzzer import OutcomeRecord, _Executor
 from silentcrash.geometry import OrientedBox, Point2, area, heading, iou_bounds, normalize_yaw, rect_corners
+from silentcrash.oracle import classify
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
     _SLACK,
@@ -197,6 +211,31 @@ def frame_values_former(phase: _Phase, idx: np.ndarray) -> tuple[np.ndarray, np.
     return ev, npc, _min_overlap(delta, phase.axes, phase.radii), closing
 
 
+def first_within_former(phase: _Phase, d: float) -> int | None:
+    px, py, wx, wy, slack = phase._offset
+    reach = d + slack
+    a = wx * wx + wy * wy
+    if a == 0.0:
+        window = range(phase.first, phase.last + 1) if math.sqrt(px * px + py * py) <= reach else range(0)
+    elif a == math.inf:
+        window = range(phase.first, phase.last + 1)
+    else:
+        tc = -(px * wx + py * wy) / a
+        cx, cy = px + tc * wx, py + tc * wy
+        h2 = (reach * reach - (cx * cx + cy * cy)) / a
+        if h2 < 0.0:
+            return None
+        h = math.sqrt(h2)
+        window = _frame_span(tc - h, tc + h, phase.first, phase.last, phase.dt)
+    if not window:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev, npc = phase.centers(np.arange(window.start, window.stop))
+        delta = npc - ev
+        below = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]) <= d
+    return window.start + int(np.argmax(below)) if below.any() else None
+
+
 def switched_phase_former(stage: CruiseStage, params: ControlParameters) -> _Phase:
     (ox, oy), (vx, vy) = stage.path.ev_origin, stage.path.ev_velocity
     yaw1 = stage.spec.ev.yaw + params.a * (math.pi / 2.0)
@@ -281,6 +320,32 @@ def builtin_cd_full(trace: SimpleNamespace, defect: DefectModel) -> bool:
     if defect.min_impact_speed > 0.0:
         hit &= trace.closing_speed[idx] >= defect.min_impact_speed
     return bool(hit.any())
+
+
+class DenseExecutor(_Executor):
+    """An _Executor whose every execution is simulated and judged on the whole horizon's arrays (t_bbox 0 only)."""
+
+    def run(self, spec: ScenarioSpec, params: ControlParameters) -> OutcomeRecord:
+        assert self.config.oracle.t_bbox == 0.0, "the dense executor judges contact by ground truth alone"
+        trace = simulate_full(spec, params, self.config.sim)
+        verdict = classify(bool(trace.gt_overlap.any()), builtin_cd_full(trace, self.config.defect))
+        self.clock += trace.duration
+        fc = trace.first_contact
+        record = OutcomeRecord(
+            kind=spec.kind,
+            params=params,
+            verdict=verdict,
+            first_contact_time=None if fc is None else round(float(trace.times[fc]), 9),
+            ordinal=len(self.records),
+            sim_seconds=round(trace.duration, 9),
+            clock_seconds=round(self.clock, 9),
+        )
+        self.records.append(record)
+        return record
+
+
+def validate_seed_full(spec: ScenarioSpec, params: ControlParameters, cfg: SimConfig | None = None) -> bool:
+    return simulate_full(spec, params, cfg if cfg is not None else SimConfig()).first_contact is not None
 
 
 def silenced_by_full(trace: SimpleNamespace, defect: DefectModel) -> str | None:

@@ -558,6 +558,31 @@ class TestReplay:
     def test_missing_log_is_io_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.jsonl"), "--ordinal", "0"]) == 2
 
+    @pytest.mark.parametrize("target", ["records.jsonl", "manifest.json"])
+    @pytest.mark.parametrize("spelling", ["plain", "dot", "symlink", "hard link"])
+    def test_out_over_the_log_or_its_manifest_writes_nothing(self, campaign, tmp_path, capsys, target, spelling):
+        """An --out that opens the log or its manifest, however spelled, exits 2 with one line and keeps every byte."""
+        log, read = campaign / "records.jsonl", campaign / target
+        files = [log, campaign / "manifest.json", cli._index_path(log)]
+        before = [f.read_bytes() for f in files]
+        if spelling == "plain":
+            out = str(read)
+        elif spelling == "dot":
+            out = f"{campaign}/./{target}"
+        elif spelling == "symlink":
+            out = tmp_path / "link.jsonl"
+            out.symlink_to(read)
+        else:
+            out = tmp_path / "hard.jsonl"
+            os.link(read, out)
+        argv = ["replay", "--log", str(log), "--ordinal", "3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {Path(out)}: it is {read}, which replay reads; nothing written\n"
+        assert [f.read_bytes() for f in files] == before
+        assert main([*argv, "--out", str(tmp_path / "trace.jsonl")]) == 0
+
     @pytest.mark.parametrize("log", ["/", ".", ""], ids=["root", "dot", "empty"])
     def test_a_log_path_with_no_name_is_io_error(self, tmp_path, monkeypatch, capsys, log):
         # the index is named by appending ".idx" to the log's path string, so
@@ -1439,3 +1464,23 @@ def test_set_up_reports_and_error_exits_never_import_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 2, 1, 0, 0, 1] False\n"
     assert (tmp_path / "r" / "report.csv").exists() and (tmp_path / "r" / "report.svg").exists()
+
+
+# Run in a fresh interpreter: builds the cruise stage of every shipped kind
+# at d = 7, where the EV comes within d before any contact: the trigger
+# search reads its window's frames and first_contact's window is empty.
+# Prints each stage's trigger and first contact, and whether numpy was imported.
+_TRIGGER_SEARCH = """
+import sys
+from silentcrash import scenario, simulator
+stages = [simulator.cruise_stage(scenario.make_seed(kind)[0], 7.0) for kind in scenario.ScenarioKind]
+print([(stage.trigger, stage.first_contact) for stage in stages], "numpy" in sys.modules)
+"""
+
+
+def test_trigger_search_never_imports_numpy():
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "-c", _TRIGGER_SEARCH]
+    done = subprocess.run(argv, cwd=CONFIG_DIR.parent, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[(154, None), (230, None), (232, None), (119, None), (154, None), (154, None)] False\n"

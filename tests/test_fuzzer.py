@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from itertools import islice
 from types import SimpleNamespace
@@ -6,6 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from record_oracle import record_line
+from sim_oracle import DenseExecutor, assert_same_text, validate_seed_full
+from silentcrash import fuzzer
 from silentcrash.detector import PERFECT_DETECTOR
 from silentcrash.fuzzer import (
     AngleMode,
@@ -26,6 +29,7 @@ from silentcrash.oracle import ScenarioType, check_ic
 from silentcrash.report import empty_report
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
+from test_cli import SHIPPED_DIGESTS
 
 PLAN = SearchPlan.from_steps(
     distance_step=1.0, speed_step=1.0, angle_step_long=0.04, angle_step_lat=0.02
@@ -404,3 +408,21 @@ def test_search_plan_validation():
 def test_campaign_config_requires_plan_per_kind():
     with pytest.raises(ValueError):
         CampaignConfig(kinds=(ScenarioKind.FLV,), budget=1, plans={})
+
+
+@pytest.mark.parametrize("name", ["reference", "tunneling", "graze"])
+def test_dense_campaign_spells_the_fast_paths_records(name, request, monkeypatch):
+    """run_campaign through the dense executor writes the fast path's records byte for byte, and the pinned log.
+
+    The dense side simulates every frame of the horizon for every execution
+    and seed check (sim_oracle.simulate_full), with no cruise stage, memo or
+    located search, and judges it with builtin_cd_full and oracle.classify;
+    the fast side is the session-scoped fixture's campaign of the same config.
+    """
+    fast = request.getfixturevalue(f"{name}_result")
+    monkeypatch.setattr(fuzzer, "_Executor", DenseExecutor)
+    monkeypatch.setattr(fuzzer, "validate_seed", validate_seed_full)
+    dense = run_campaign(fast.config)
+    want = "".join(map(record_line, fast.records))
+    assert_same_text("".join(map(record_line, dense.records)), want, name)
+    assert hashlib.sha256(want.encode()).hexdigest() == SHIPPED_DIGESTS[name][0]

@@ -36,6 +36,7 @@ from sim_oracle import (
     contact_window_former,
     ev_box,
     face_normals_former,
+    first_within_former,
     frame_values_former,
     npc_box,
     switched_phase_former,
@@ -613,6 +614,72 @@ def test_switched_phase_matches_the_former_recipes(kind, d, v_hat, a, cfg, overr
     else:
         with pytest.raises(SimulationError):
             stage.switched(params)
+
+
+# a coordinate or velocity component: a plausible one, any finite float, or an edge value
+_ANY_COORD = st.one_of(
+    st.floats(min_value=-100.0, max_value=100.0), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_COORDS),
+)
+_ANY_SPEED = st.one_of(
+    st.floats(min_value=-60.0, max_value=60.0), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_SPEEDS),
+)
+
+
+def _search_phase(first=0, last=600, dt=0.01, npc=(30.0, 0.0), npc_v=(0.0, 0.0), t0=0.0, ev=(0.0, 0.0), ev_v=(10.0, 0.0)):
+    axes, radii = _face_normals(0.3, (2.4, 1.0), -0.2, (2.2, 0.9))
+    return _Phase(first, last, dt, npc, npc_v, t0, ev, ev_v, 0.3, axes, radii)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    span=st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=600)),
+    dt=st.sampled_from((0.01, 0.005, 0.02, 1.0, 1e-300)),
+    points=st.tuples(*[_ANY_COORD] * 4),
+    velocities=st.tuples(*[_ANY_SPEED] * 4),
+    t0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=15.0)),
+    d=st.one_of(st.floats(min_value=0.0, max_value=10.0), st.floats()),
+    same_velocity=st.booleans(),
+)
+# a == 0: equal velocities, within d at every frame, or never
+@example(span=(0, 600), dt=0.01, points=(5.0, 0.0, 0.0, 0.0), velocities=(10.0, 0.0, 10.0, 0.0), t0=0.0, d=7.0,
+         same_velocity=False)
+@example(span=(0, 600), dt=0.01, points=(30.0, 0.0, 0.0, 0.0), velocities=(3.0, 1.0, 3.0, 1.0), t0=1.0, d=7.0,
+         same_velocity=True)
+# a center distance of exactly d, where math.hypot would round one ulp above it
+@example(span=(0, 600), dt=0.01, points=(6.85, 2.16, 0.0, 0.0), velocities=(0.0, 0.0, 0.0, 0.0), t0=0.0,
+         d=7.182485642171517, same_velocity=False)
+# a == inf: every frame is read, and from frame 1 on the squares overflow
+@example(span=(0, 600), dt=0.01, points=(5.0, 0.0, 0.0, 0.0), velocities=(1e200, 0.0, -1e200, 0.0), t0=0.0, d=7.0,
+         same_velocity=False)
+@example(span=(3, 600), dt=0.01, points=(5.0, 0.0, 0.0, 0.0), velocities=(1e200, 0.0, -1e200, 0.0), t0=0.0, d=7.0,
+         same_velocity=False)
+# NaN offsets: inf - inf
+@example(span=(0, 600), dt=0.01, points=(1e300, 0.0, -1e300, 0.0), velocities=(math.inf, 0.0, math.inf, 0.0), t0=0.0,
+         d=7.0, same_velocity=False)
+# the located crossing lies past the last frame: an empty window
+@example(span=(0, 100), dt=0.01, points=(100.0, 0.0, 0.0, 0.0), velocities=(0.0, 0.0, 10.0, 0.0), t0=0.0, d=7.0,
+         same_velocity=False)
+# the path never comes within d: h2 < 0
+@example(span=(0, 600), dt=0.01, points=(30.0, 20.0, 0.0, 0.0), velocities=(0.0, 0.0, 10.0, 0.0), t0=0.0, d=7.0,
+         same_velocity=False)
+def test_trigger_search_matches_the_former_numpy_pass(span, dt, points, velocities, t0, d, same_velocity):
+    """first_within reads its window through the scalar evaluator and finds the former numpy pass's frame.
+
+    The phases take centers and velocities up to the float range and beyond
+    MAX_COORD, so offsets, squares and distances overflow to inf or give NaN;
+    equal velocities give a == 0 and huge ones a == inf. The scalar search
+    raises and warns about none of it.
+    """
+    (first, extra), (nx, ny, ex, ey), (ux, uy, vx, vy) = span, points, velocities
+    if same_velocity:
+        vx, vy = ux, uy
+    phase = _search_phase(first, first + extra, dt, (nx, ny), (ux, uy), t0, (ex, ey), (vx, vy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phase.first_within(d)
+    assert got == first_within_former(phase, d), phase
 
 
 def test_every_public_name_that_trace_defines_is_read_in_the_package():
