@@ -19,7 +19,6 @@ import enum
 import errno
 import functools
 import json
-import math
 import os
 import shutil
 import stat
@@ -41,7 +40,7 @@ from .fuzzer import (
 )
 from .oracle import ScenarioType, check_ic, recall_sweep
 from .scenario import ScenarioKind
-from .simulator import SimulationError, TextBudget, simulate, trace_to_jsonl
+from .simulator import SimulationError, TextBudget, _json_scalar, simulate, trace_to_jsonl
 
 
 class ExitStatus(enum.IntEnum):
@@ -89,14 +88,6 @@ def _labels_fragment(labels, category) -> str:
     return '"buckets": %s, "category": %s' % spelled
 
 
-def _json_number(value) -> str:
-    """A numeric field of a log line as json.dumps spells it."""
-    kind = type(value)
-    if kind is float and math.isfinite(value) or kind is int:
-        return repr(value)  # float.__repr__ or int.__repr__
-    return "null" if value is None else json.dumps(value)  # NaN, Infinity, true, subclasses
-
-
 def _write_records(records, path: Path, buckets) -> None:
     """Write the log line by line, then its index; a write that stops in between leaves no index.
 
@@ -117,7 +108,7 @@ def _write_records(records, path: Path, buckets) -> None:
             fragment = fragments.get(pair) or fragments.setdefault(pair, _labels_fragment(*pair))
             numbers = (a, rec.clock_seconds, p.d, rec.first_contact_time, rec.ordinal)
             numbers += (rec.sim_seconds, p.theta_lat, p.theta_long, p.v_hat)
-            angle, clock, d, t, ordinal, sim, lat, lon, v = map(_json_number, numbers)
+            angle, clock, d, t, ordinal, sim, lat, lon, v = map(_json_scalar, numbers)
             kind, verdict = _KIND_JSON[rec.kind], _VERDICT_JSON[rec.verdict]
             line = _LINE % (angle, fragment, clock, d, t, kind, ordinal, sim, lat, lon, v, verdict)
             fh.write(line)
@@ -201,8 +192,9 @@ def _read_record_at(path: str | Path, ordinal: int) -> OutcomeRecord:
     `report` runs on every line, reading no further than that line. A
     record that carries another ordinal (two records merged onto one line
     shift every later one) is an error, and an ordinal out of range reads
-    the whole log to name the range. Every error comes from this streaming
-    path, and spells path as str(Path(path)) does.
+    the whole log to name the range, or to say that it holds no records.
+    Every error comes from this streaming path, and spells path as
+    str(Path(path)) does.
     """
     record = _indexed_record(path, ordinal)
     if record is not None:
@@ -217,6 +209,8 @@ def _read_record_at(path: str | Path, ordinal: int) -> OutcomeRecord:
                     raise LogError(f"{path} line {lineno}: record carries ordinal {record.ordinal}, not {ordinal}")
                 return record
             count += 1
+    if not count:
+        raise LogError(f"{path} holds no records")
     raise LogError(f"ordinal {ordinal} outside log (0..{count - 1})")
 
 
@@ -359,7 +353,7 @@ def _manifest_config(raw: bytes) -> _Replays:
     return _Replays(parse_config(manifest["config"]), {}, TextBudget())
 
 
-def _write_in_place(path: Path, text: str, keep: tuple) -> os.stat_result | None:
+def _write_in_place(path: Path, text: str, keep: list) -> os.stat_result | None:
     """Write text over path from its first byte, then cut a regular file to the bytes written.
 
     Unlike opening with truncation, this lets the file system keep the blocks
@@ -470,12 +464,17 @@ def cmd_replay(args) -> int:
     verdict = check_ic(trace, defect, config.oracle)
 
     out = Path(args.out) if args.out else Path(log).parent / f"trace_{args.ordinal}.jsonl"
+    keep = [log_seen, manifest_seen]
     try:
-        kept = _write_in_place(out, trace_to_jsonl(trace, replays.text), (log_seen, manifest_seen))
+        keep.append(os.stat(log + ".idx"))  # _index_path's name
+    except OSError:
+        pass  # a renamed or copied log has no index
+    try:
+        kept = _write_in_place(out, trace_to_jsonl(trace, replays.text), keep)
     except OSError as exc:
         return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     if kept is not None:
-        read = Path(log) if kept is log_seen else _manifest_path(log)
+        read = Path(log) if kept is log_seen else _manifest_path(log) if kept is manifest_seen else _index_path(log)
         return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: it is {read}, which replay reads; nothing written")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")
     if verdict is ScenarioType.IC:

@@ -85,12 +85,6 @@ def _body_axes(box: OrientedBox) -> tuple[tuple[float, float], tuple[float, floa
     return (c, s), (-s, c)
 
 
-def heading(yaw: float) -> tuple[float, float]:
-    """cos and sin of the yaw wrapped into [-pi, pi), the one an OrientedBox keeps."""
-    yaw = normalize_yaw(yaw)
-    return math.cos(yaw), math.sin(yaw)
-
-
 def rect_corners(cx: float, cy: float, half_length: float, half_width: float, c: float, s: float) -> Corners:
     """Corner points (x, y), counter-clockwise, of the box with body axes (c, s) and (-s, c).
 

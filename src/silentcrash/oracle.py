@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import DefectModel, builtin_cd, ground_truth
-from .geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
+from .geometry import corners_iou, iou_bounds, rect_area, rect_corners
 from .simulator import Trace
 
 
@@ -58,8 +58,10 @@ class _PeakCursor:
     is bounded by nothing, so every such frame is clipped when the cursor is
     built: a trace whose reach overflows (every bound +inf) raises the first
     non-finite corner's error in time order, as a clip of every frame would.
-    Each clip builds both boxes' corners and runs geometry.corners_iou on
-    them, as geometry.iou would on the two boxes.
+    Each clip builds both boxes' corners from the headings the ground truth
+    tested, the frame's EV heading (its phase's axes[0]) and the NPC heading
+    axes[2], and runs geometry.corners_iou on them. For yaws in [-pi, pi)
+    that is geometry.iou of the two OrientedBoxes, bit for bit.
 
     A trace that simulate gave its cruise stage's memo (Trace.stage_memo)
     shares its overlap frames before the trigger with every trace of the
@@ -82,7 +84,7 @@ class _PeakCursor:
         self.peak = 0.0
         self._halves = (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
         self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
-        self._npc_heading = heading(trace.npc_yaw)
+        self._npc_heading = trace.phases[0].axes[2]  # every phase's, the cos and sin of the NPC yaw
         if shared is not None:  # the trace reads its stage's memo
             memo = trace.stage_memo
             peak = memo.get(_PeakCursor)
@@ -138,7 +140,11 @@ def max_iou(trace: Trace) -> float:
     """Largest per-frame IoU over the trace; 0 without any overlap frame.
 
     Only frames from first contact on can overlap. Each frame's value is
-    geometry.iou of its two boxes, bit for bit. The frames are clipped in
+    geometry.corners_iou of the two boxes the ground truth tested: the
+    corners built from each phase's face normals axes[0] (the EV heading)
+    and axes[2] (the NPC's), the cos and sin of its yaws as given. For yaws
+    in [-pi, pi) that is geometry.iou of the two OrientedBoxes, which wrap
+    any other yaw first, bit for bit. The frames are clipped in
     descending order of an upper bound on their IoU (Trace.overlap_walk),
     ties in time order, and the walk stops at the first frame whose bound is
     below the peak so far: no frame from there on can raise it, so the peak

@@ -242,8 +242,9 @@ def _override_actor(actor: ActorSpec, fields: dict, label: str) -> ActorSpec:
             raise ValueError(f"{label} override {key!r} must be a finite number")
         value = float(value)
         if key == "yaw" and not -math.pi <= value <= math.pi:
-            # the simulator takes cos/sin of the yaw as given, the IoU corners of
-            # the yaw wrapped into [-pi, pi): far outside, the two differ
+            # the simulator and the IoU corners take cos/sin of the yaw as given;
+            # geometry.OrientedBox, the cross-check route, wraps it into [-pi, pi),
+            # and within this range turns the box alike to within rounding
             raise ValueError(f"{label} override 'yaw' must lie in [-pi, pi], got {value!r}")
         if key == "speed":
             behavior = Behavior(behavior.kind, value)

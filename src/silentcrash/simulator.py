@@ -49,7 +49,10 @@ the built-in detector calls for the few frames it reads; the peak IoU's walk
 sqrt(dx*dx + dy*dy) in both: IEEE 754 rounds each of its operations
 correctly, so numpy and Python give the same bits. The overlaps use the
 face-normal projections of the scalar geometry module; tests cross-check
-frame invariants against it. numpy is imported inside the functions that
+frame invariants against it. The IoU corners take the box headings from a
+phase's face normals, axes[0] for the EV and axes[2] for the NPC (cos and
+sin of each yaw as given), so the clip measures the boxes the
+separating-axis test judged. numpy is imported inside the functions that
 build arrays, so importing this module, and the CLI with it, does not load
 numpy.
 """
@@ -63,7 +66,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .geometry import heading, normalize_yaw
 from .scenario import BehaviorKind, ControlParameters, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -337,33 +339,23 @@ class _Walk(NamedTuple):
     reach: float
 
 
-def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list, reach: float) -> float:
+def _walk(phase: _Phase, span: range, overlaps: list, frames: list, reach: float) -> float:
     """Append the overlap frames of the phase's frames span to overlaps and frames; return reach raised by them.
 
     One written-out loop computes each frame's centers once and drops it at
-    its first overlap that is negative or NaN: a filter over _Phase.frames
-    and a second pass along the wrapped normals took about 30 % more (27-28
-    against 19-20 us a trace over the default sweep, 2-vCPU host). The span
-    is not cut to the contact_window, whose slab solve costs more than the
-    few frames a trace keeps after first contact.
+    its first overlap that is negative or NaN; a hit keeps its overlaps along
+    the phase's face normals and takes its EV heading from axes[0]. A filter
+    over _Phase.frames in its place is about 50 lines shorter, but the
+    threshold sweep's median op took 4.8 % longer (0.0586 against 0.0559 ms,
+    4 of 4 alternating 20 s pairs, 2-vCPU host). The span is not cut to the
+    contact_window, whose slab solve costs more than the few frames a trace
+    keeps after first contact.
     """
-    ev_half, npc_half = trace.ev_half, trace.npc_half
-    npc_yaw = normalize_yaw(trace.npc_yaw)
     (px, py), (ux, uy) = phase.npc_origin, phase.npc_velocity
     (ox, oy), (vx, vy) = phase.ev_origin, phase.ev_velocity
     (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = phase.axes
     r0, r1, r2, r3 = phase.radii
     dt, t0 = phase.dt, phase.t0
-    ev_yaw = normalize_yaw(phase.ev_yaw)
-    # where both wrapped yaws equal the phase's own (a zero's sign aside,
-    # which abs absorbs), the wrapped normals are the phase's: normalize_yaw
-    # keeps a yaw in [-pi, pi) as it is, so only a phase with a yaw outside
-    # that range takes the wrapped normals' overlaps
-    own = ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw
-    if not own:
-        wrapped, (s0, s1, s2, s3) = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
-        (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = wrapped
-    ec, es = heading(phase.ev_yaw)
     start = len(frames)
     for i in span:
         t = i * dt
@@ -383,16 +375,8 @@ def _walk(trace: Trace, phase: _Phase, span: range, overlaps: list, frames: list
         o3 = r3 - abs(dx * a3x + dy * a3y)
         if not o3 >= 0.0:
             continue
-        if own:
-            overlaps.append((o0, o1, o2, o3))
-        else:
-            overlaps.append((
-                s0 - abs(dx * b0x + dy * b0y),
-                s1 - abs(dx * b1x + dy * b1y),
-                s2 - abs(dx * b2x + dy * b2y),
-                s3 - abs(dx * b3x + dy * b3y),
-            ))
-        frames.append((ex, ey, ec, es, nx, ny))
+        overlaps.append((o0, o1, o2, o3))
+        frames.append((ex, ey, a0x, a0y, nx, ny))
     if len(frames) > start:
         # each center coordinate is monotonic over a phase's frames, so its
         # first and last hit hold the largest magnitudes; max keeps the first
@@ -508,16 +492,18 @@ class Trace:
     def overlap_walk(self) -> tuple[_Walk | None, list, list, float]:
         """Each overlap frame from first contact on, in time order: (shared, overlaps, frames, reach).
 
-        A frame is listed iff its four overlaps along the phase's own normals
+        A frame is listed iff its four overlaps along the phase's face normals
         are >= 0 (a NaN counts as apart), so iff its _min_overlap is. frames
         holds its (ex, ey, ec, es, nx, ny): the centers, with frame_block's
-        bits, and the EV heading. overlaps holds its overlaps along the
-        normals of the wrapped yaws, which are its corners', so
-        geometry.iou_bounds of them bounds corners_iou. reach is the largest
-        center coordinate magnitude plus the largest half length and width:
-        it bounds every corner coordinate, and where it is not finite every
-        bound is +inf, so oracle._PeakCursor clips those frames first, in
-        time order, and raises the first non-finite corner's error.
+        bits, and the EV heading (ec, es), the phase's axes[0]. overlaps
+        holds those four overlaps. They are taken along the face normals of
+        the boxes whose corners oracle._PeakCursor builds from (ec, es) and
+        the NPC heading axes[2], so geometry.iou_bounds of them bounds
+        corners_iou. reach is the largest center coordinate magnitude plus
+        the largest half length and width: it bounds every corner
+        coordinate, and where it is not finite every bound is +inf, so
+        oracle._PeakCursor clips those frames first, in time order, and
+        raises the first non-finite corner's error.
 
         For a trace that reads its stage's memo (stage_memo), shared is the
         walk of the stage's first phase, kept in the memo by the first such
@@ -534,11 +520,11 @@ class Trace:
                 shared = memo.get(_Walk)
                 if shared is None:
                     pre_overlaps, pre_frames, span = [], [], range(start, min(first.last + 1, self.length))
-                    pre_reach = _walk(self, first, span, pre_overlaps, pre_frames, 0.0)
+                    pre_reach = _walk(first, span, pre_overlaps, pre_frames, 0.0)
                     shared = memo[_Walk] = _Walk(pre_overlaps, pre_frames, pre_reach)
                 start, reach = first.last + 1, shared.reach
             for phase, span in self.phase_frames(range(start, self.length)):
-                reach = _walk(self, phase, span, overlaps, frames, reach)
+                reach = _walk(phase, span, overlaps, frames, reach)
         return shared, overlaps, frames, (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
 
 
@@ -941,18 +927,15 @@ def _json_floats(column: np.ndarray) -> list[str]:
 
 
 def _json_scalar(value) -> str:
-    """json.dumps's spelling of one value: a float's repr, or NaN/Infinity/-Infinity, and a bool's true/false.
-
-    Any value that is not exactly a float or a bool is spelled by json.dumps.
-    """
+    """json.dumps's spelling of one value; an exact float, int, bool or None is spelled without calling it."""
     kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)  # float.__repr__ or int.__repr__
     if kind is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
         return "NaN" if value != value else ("Infinity" if value > 0.0 else "-Infinity")
     if kind is bool:
         return "true" if value else "false"
-    return json.dumps(value)
+    return "null" if value is None else json.dumps(value)
 
 
 def _json_bools(column: np.ndarray) -> list[str]:

@@ -17,9 +17,8 @@ max and min. The switched phase is returned unchecked.
 `overlap_frames_former` is the overlap frames of Trace.overlap_walk and
 their geometry.iou_bounds as the simulator listed them before it walked
 each phase in one written-out loop: the phase's frames through
-`_Phase.frames`, filtered to the hits, and the hits walked again through
-`_Phase.frames` of the phase with the wrapped yaws' normals wherever those
-differ from the phase's own. `face_normals_former` is `_face_normals` as a
+`_Phase.frames`, filtered to the hits, each with the cos and sin of the
+phase's EV yaw as given. `face_normals_former` is `_face_normals` as a
 list comprehension over the four normals.
 
 `frame_values_former` is `_Phase.frame_values` and `_closing_speed` the
@@ -59,7 +58,8 @@ every inspected frame of the whole-trace arrays.
 `ev_box` and `npc_box` build a frame's OrientedBox from the whole-trace
 centers and yaws, and `center_distance` is the distance between two boxes'
 centers. `overlap_corners` builds the corners oracle.max_iou clips at each
-overlap frame from first contact on, in time order.
+overlap frame from first contact on, in time order, from the cos and sin of
+each yaw as given.
 
 `iou_reference` is the box IoU built the object way: each box's corners as
 Point2 values, clipped with Sutherland-Hodgman and measured with the
@@ -77,7 +77,7 @@ import numpy as np
 
 from silentcrash.detector import DefectModel
 from silentcrash.fuzzer import OutcomeRecord, _Executor
-from silentcrash.geometry import OrientedBox, Point2, area, heading, iou_bounds, normalize_yaw, rect_corners
+from silentcrash.geometry import OrientedBox, Point2, area, iou_bounds, rect_corners
 from silentcrash.oracle import classify
 from silentcrash.scenario import ControlParameters, ScenarioSpec
 from silentcrash.simulator import (
@@ -280,22 +280,15 @@ def overlap_frames_former(trace) -> tuple[list[float], list[tuple[float, float, 
         return [], []
     ev_half, npc_half = trace.ev_half, trace.npc_half
     (ev_hl, ev_hw), (npc_hl, npc_hw) = ev_half, npc_half
-    npc_yaw = normalize_yaw(trace.npc_yaw)
     overlaps, frames, reach = [], [], 0.0
     for phase, span in trace.phase_frames(range(trace.first_contact, trace.length)):
         hits = [f for f in phase.frames(span) if f[5] >= 0.0 and f[6] >= 0.0 and f[7] >= 0.0 and f[8] >= 0.0]
         if not hits:
             continue
-        ev_yaw = normalize_yaw(phase.ev_yaw)
-        ec, es = heading(phase.ev_yaw)
+        ec, es = math.cos(phase.ev_yaw), math.sin(phase.ev_yaw)
         frames += [(ex, ey, ec, es, nx, ny) for _, ex, ey, nx, ny, _, _, _, _ in hits]
         reach = max(reach, *map(abs, hits[0][1:5]), *map(abs, hits[-1][1:5]))
-        if ev_yaw == phase.ev_yaw and npc_yaw == trace.npc_yaw:
-            along = hits
-        else:
-            axes, radii = _face_normals(ev_yaw, ev_half, npc_yaw, npc_half)
-            along = phase._replace(axes=axes, radii=radii).frames([f[0] for f in hits])
-        overlaps += [f[5:] for f in along]
+        overlaps += [f[5:] for f in hits]
     reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
     return iou_bounds(overlaps, ev_half, npc_half, reach), frames
 
@@ -428,11 +421,12 @@ def center_distance(a: OrientedBox, b: OrientedBox) -> float:
 def overlap_corners(trace) -> list:
     """(EV corners, NPC corners) at each overlap frame from first contact on, in time order, as max_iou clips them."""
     (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
-    nc, ns = heading(trace.npc_yaw)
+    nc, ns = math.cos(trace.npc_yaw), math.sin(trace.npc_yaw)
     start, pairs = trace.first_contact, []
     for i in [] if start is None else (np.flatnonzero(trace.gt_overlap[start:]) + start).tolist():
         (ex, ey), (nx, ny) = trace.ev_centers[i].tolist(), trace.npc_centers[i].tolist()
-        ec, es = heading(float(trace.ev_yaws[i]))
+        yaw = float(trace.ev_yaws[i])
+        ec, es = math.cos(yaw), math.sin(yaw)
         pairs.append((rect_corners(ex, ey, ev_hl, ev_hw, ec, es), rect_corners(nx, ny, npc_hl, npc_hw, nc, ns)))
     return pairs
 

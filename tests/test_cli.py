@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from record_oracle import record_line
-from silentcrash import cli, report
+from sim_oracle import DenseExecutor, builtin_cd_full, max_iou_whole_trace, simulate_full, validate_seed_full
+from silentcrash import cli, fuzzer, report
 from silentcrash.cli import main
 from silentcrash.config import parse_config
 from silentcrash.fuzzer import AngleMode, OutcomeRecord, run_campaign
@@ -558,10 +559,10 @@ class TestReplay:
     def test_missing_log_is_io_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.jsonl"), "--ordinal", "0"]) == 2
 
-    @pytest.mark.parametrize("target", ["records.jsonl", "manifest.json"])
+    @pytest.mark.parametrize("target", ["records.jsonl", "manifest.json", "records.jsonl.idx"])
     @pytest.mark.parametrize("spelling", ["plain", "dot", "symlink", "hard link"])
     def test_out_over_the_log_or_its_manifest_writes_nothing(self, campaign, tmp_path, capsys, target, spelling):
-        """An --out that opens the log or its manifest, however spelled, exits 2 with one line and keeps every byte."""
+        """An --out that opens the log, its manifest or its index, however spelled, exits 2 with one line and keeps every byte."""
         log, read = campaign / "records.jsonl", campaign / target
         files = [log, campaign / "manifest.json", cli._index_path(log)]
         before = [f.read_bytes() for f in files]
@@ -582,6 +583,26 @@ class TestReplay:
         assert captured.err == f"error: cannot write {Path(out)}: it is {read}, which replay reads; nothing written\n"
         assert [f.read_bytes() for f in files] == before
         assert main([*argv, "--out", str(tmp_path / "trace.jsonl")]) == 0
+
+    def test_out_at_the_index_name_of_a_log_with_no_index_is_written(self, campaign, tmp_path, capsys):
+        # a copied log has no index, so that name is nothing replay reads
+        log = copy_log(campaign, tmp_path / "copy", (campaign / "records.jsonl").read_text())
+        out = cli._index_path(log)
+        assert not out.exists()
+        assert main(["replay", "--log", str(log), "--ordinal", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f" trace={out}")
+        assert out.read_bytes().startswith(b'{"closing_speed": ')
+
+    @pytest.mark.parametrize("ordinal", ["0", "3", "-1"])
+    def test_a_log_with_no_records_says_so(self, tmp_path, capsys, ordinal):
+        code, out_dir = run_mini(tmp_path, budget=0)
+        assert code == 0
+        capsys.readouterr()
+        log = out_dir / "records.jsonl"
+        assert log.read_bytes() == b""
+        assert main(["replay", "--log", str(log), "--ordinal", ordinal, "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert capsys.readouterr() == ("", f"error: {log} holds no records\n")
+        assert not (tmp_path / "t.jsonl").exists()
 
     @pytest.mark.parametrize("log", ["/", ".", ""], ids=["root", "dot", "empty"])
     def test_a_log_path_with_no_name_is_io_error(self, tmp_path, monkeypatch, capsys, log):
@@ -1322,6 +1343,38 @@ class TestSweepThreshold:
         assert recalls[0] == 1.0
         assert all(recalls[i] >= recalls[i + 1] for i in range(len(recalls) - 1))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_DIGEST
+
+    def test_the_dense_path_writes_the_pinned_csv(self, monkeypatch):
+        """The default sweep judged on whole-horizon arrays and OrientedBox IoUs gives the pinned CSV bytes.
+
+        The campaign runs through sim_oracle.DenseExecutor and
+        validate_seed_full. Each execution is labeled from simulate_full's
+        arrays: an ignored collision when some frame overlaps and
+        builtin_cd_full stays silent. At threshold 0 contact is any overlap
+        frame, above it max_iou_whole_trace >= t, the peak over every overlap
+        frame's OrientedBox pair with no bound, cursor or stage memo.
+        """
+        config = parse_config(cli._SWEEP_THRESHOLD_DEFAULT)
+        monkeypatch.setattr(fuzzer, "_Executor", DenseExecutor)
+        monkeypatch.setattr(fuzzer, "validate_seed", validate_seed_full)
+        records = run_campaign(config).records
+        specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
+        judged = []  # (touched, peak, fired) per execution
+        for rec in records:
+            arrays = simulate_full(specs[rec.kind], rec.params, config.sim)
+            touched = bool(arrays.gt_overlap.any())
+            judged.append((touched, max_iou_whole_trace(arrays), builtin_cd_full(arrays, config.defect)))
+        lines = ["threshold,tp,fp,fn,precision,recall"]
+        for t in (0.0, 0.05, 0.1, 0.15, 0.2):
+            tp = fp = fn = 0
+            for touched, peak, fired in judged:
+                label, predicted = touched and not fired, (touched if t == 0.0 else peak >= t) and not fired
+                tp, fp, fn = tp + (predicted and label), fp + (predicted and not label), fn + (label and not predicted)
+            precision = f"{tp / (tp + fp):.6f}" if tp + fp else ""
+            recall = f"{tp / (tp + fn):.6f}" if tp + fn else ""
+            lines.append(f"{t:g},{tp},{fp},{fn},{precision},{recall}")
+        assert len(records) == 600
+        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == SWEEP_CSV_DIGEST
 
     @pytest.mark.parametrize("how", ["missing-dir", "directory"])
     def test_unwritable_out_is_io_error(self, tmp_path, capsys, how):

@@ -19,7 +19,7 @@ from silentcrash.oracle import (
     recall_sweep,
 )
 from silentcrash.fuzzer import run_campaign
-from silentcrash.geometry import corners_iou, heading, iou_bounds, rect_area, rect_corners
+from silentcrash.geometry import corners_iou, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, _Walk, simulate
 from sim_oracle import (
@@ -324,15 +324,13 @@ def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
 
 
 def test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws():
-    """The IoU bounds come from the overlaps along the corners' face normals, not along the phase's own.
+    """The IoU bounds come from the overlaps along the phase's own face normals, which are the corners' too.
 
     1e16 rad added to the EV yaw wraps to another heading than the phase's
-    own cos and sin give (the wrap rounds at that magnitude), so the ground
-    truth and the corners see differently turned EV boxes. Every listed
-    frame's bound still covers its clipped IoU; a bound from the phase's own
-    normals would not.
+    own cos and sin give (the wrap rounds at that magnitude); the corners
+    take the phase's own, so the ground truth and the clip see the same
+    boxes, and every listed frame's bound covers the IoU of those boxes.
     """
-    beaten = 0
     for trace in _default_sweep_traces()[:200]:
         if trace.first_contact is None:
             continue
@@ -345,16 +343,41 @@ def test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws():
         bounds, _ = _walked(turned)
         areas = rect_area(*turned.ev_half), rect_area(*turned.npc_half)
         ious = [corners_iou(ev, npc, *areas) for ev, npc in overlap_corners(trace_arrays(turned))]
+        assert len(bounds) == len(ious)
         assert all(bound >= iou for bound, iou in zip(bounds, ious))
-        # the bounds from the overlaps along the phase's own normals, with the same reach
-        spans = turned.phase_frames(range(turned.first_contact, turned.length))
-        hits = [f for phase, span in spans for f in phase.frames(span) if all(o >= 0.0 for o in f[5:])]
-        reach = max(abs(v) for f in hits for v in f[1:5]) + max(turned.ev_half[0], turned.npc_half[0])
-        reach += max(turned.ev_half[1], turned.npc_half[1])
-        own = iou_bounds([f[5:] for f in hits], turned.ev_half, turned.npc_half, reach)
-        assert len(own) == len(ious)
-        beaten += sum(iou > bound for bound, iou in zip(own, ious))
-    assert beaten > 0
+
+
+def test_peak_iou_clips_the_boxes_the_ground_truth_tested_at_an_npc_yaw_of_pi():
+    """At an NPC yaw of pi, which a config may give, max_iou clips the corners of each phase's face normals.
+
+    pi lies outside [-pi, pi), so wrapping it turns the NPC box to -pi, whose
+    sine has the other sign: clipping those corners moves the last bits of
+    many peaks. The peak is the largest corners_iou of the corners built
+    from each phase's axes[0] (the EV heading) and axes[2] (the NPC's), bit
+    for bit, and every frame's IoU bound covers that frame's IoU.
+    """
+    config = parse_config(
+        {"kinds": ["FLB"], "budget": 60, "oracle": {"t_bbox": 0.1}, "scenario_overrides": {"FLB": {"npc": {"yaw": math.pi}}}}
+    )
+    spec, cruise = config.seed_for(ScenarioKind.FLB)[0], None
+    assert spec.npc.yaw == math.pi
+    touched = 0
+    for rec in run_campaign(config).records:
+        trace = simulate(spec, rec.params, config.sim, cruise)
+        cruise = trace.cruise
+        areas, ious = (rect_area(*trace.ev_half), rect_area(*trace.npc_half)), []
+        if trace.first_contact is not None:
+            for phase, span in trace.phase_frames(range(trace.first_contact, trace.length)):
+                for _, ex, ey, nx, ny, *overlaps in phase.frames(span):
+                    if all(o >= 0.0 for o in overlaps):
+                        ev = rect_corners(ex, ey, *trace.ev_half, *phase.axes[0])
+                        npc = rect_corners(nx, ny, *trace.npc_half, *phase.axes[2])
+                        ious.append(corners_iou(ev, npc, *areas))
+        touched += bool(ious)
+        assert max_iou(trace).hex() == max(ious, default=0.0).hex(), rec.ordinal
+        bounds, _ = _walked(trace)
+        assert len(bounds) == len(ious) and all(bound >= iou for bound, iou in zip(bounds, ious)), rec.ordinal
+    assert touched > 0
 
 
 def _scaled(trace, scale):
@@ -389,13 +412,13 @@ def _turned(trace, turn):
     turn=st.sampled_from((0.0, 1e16)),
 )
 def test_overlap_frames_match_the_former_walk(kind, d, v_hat, a, cfg, scale, turn):
-    """overlap_walk gives the bounds and frames of the former filter-then-rewalk recipe, bit for bit.
+    """overlap_walk gives the bounds and frames of the former filter recipe, bit for bit.
 
     The trace is turned by 0 or 1e16 rad, as in
     test_overlap_bounds_are_taken_along_the_normals_of_the_wrapped_yaws, so
-    its wrapped yaws differ from the phases' own, and then scaled as _scaled
-    scales it, so large scales overflow centers, overlaps and reach into
-    inf and NaN.
+    its yaws lie outside [-pi, pi) and the walk must still take the phases'
+    own normals and headings, and then scaled as _scaled scales it, so large
+    scales overflow centers, overlaps and reach into inf and NaN.
     """
     trace = simulate(make_seed(kind)[0], ControlParameters.from_angle(d=d, v_hat=v_hat, a=a), cfg)
     trace = _scaled(_turned(trace, turn) if turn else trace, scale)
@@ -428,7 +451,7 @@ def _corner_error(trace, frame) -> str | None:
     ex, ey, ec, es, nx, ny = frame
     try:
         rect_corners(ex, ey, *trace.ev_half, ec, es)
-        rect_corners(nx, ny, *trace.npc_half, *heading(trace.npc_yaw))
+        rect_corners(nx, ny, *trace.npc_half, math.cos(trace.npc_yaw), math.sin(trace.npc_yaw))
     except ValueError as exc:
         return str(exc)
     return None

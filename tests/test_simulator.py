@@ -682,17 +682,18 @@ def test_trigger_search_matches_the_former_numpy_pass(span, dt, points, velociti
     assert got == first_within_former(phase, d), phase
 
 
-def test_every_public_name_that_trace_defines_is_read_in_the_package():
-    """Each public field, method and property of Trace is read as an attribute in src/silentcrash outside its own definition.
+@pytest.mark.parametrize("owner", ["Trace", "_Phase", "CruiseStage"])
+def test_every_public_name_that_trace_defines_is_read_in_the_package(owner):
+    """Each public field, method and property of Trace and its phase types is read as an attribute in src/silentcrash outside its own definition.
 
     The scan goes by name, so a read of another object's attribute of the
     same name counts too; what it catches is a name nothing in the package
     reads, which only tests could be keeping alive.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(Path(simulator.__file__).parent.glob("*.py"))]
-    trace = next(node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Trace")
+    cls = next(node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name == owner)
     defined = {}
-    for node in trace.body:
+    for node in cls.body:
         name = node.target.id if isinstance(node, ast.AnnAssign) else getattr(node, "name", "_")
         if not name.startswith("_"):
             defined[name] = {id(inner) for inner in ast.walk(node)}
