@@ -62,13 +62,18 @@ _INDEX_MAGIC = b"silentcrash record index 1\n"
 _INDEX_HEAD = len(_INDEX_MAGIC) + 16
 
 
-def _index_path(log: Path) -> Path:
+def _index_name(log: str | Path) -> str:
     """The index of a log is named after the log, so a renamed or copied log has none.
 
-    The name is the log's path string plus ".idx", as _indexed_record spells
-    it: a path with no name, such as / or ., still names one.
+    The name is the log's path string plus ".idx": a path with no name, such
+    as / or ., still names one.
     """
-    return Path(os.fspath(log) + ".idx")
+    return os.fspath(log) + ".idx"
+
+
+def _index_path(log: Path) -> Path:
+    """_index_name as a Path, to write the index and to name it in messages."""
+    return Path(_index_name(log))
 
 
 # A log line as json.dumps(..., sort_keys=True) spells a record, with a %s
@@ -149,10 +154,9 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
     points at exactly one line whose record parses and carries this ordinal.
     """
     log = idx = -1  # the descriptors opened so far
-    name = os.fspath(path)
     try:
-        log = os.open(name, os.O_RDONLY)
-        idx = os.open(name + ".idx", os.O_RDONLY)  # _index_path's name
+        log = os.open(path, os.O_RDONLY)
+        idx = os.open(_index_name(path), os.O_RDONLY)
         log_stat, idx_stat = os.fstat(log), os.fstat(idx)
         head = os.pread(idx, _INDEX_HEAD, 0)
         if not head.startswith(_INDEX_MAGIC) or log_stat.st_mtime_ns > idx_stat.st_mtime_ns:
@@ -176,12 +180,10 @@ def _indexed_record(path: Path, ordinal: int) -> OutcomeRecord | None:
     if chunk[:before] != b"\n" * before or line.find(b"\n") != len(line) - 1:  # one whole line
         return None
     try:
-        data = json.loads(line)
-        if type(data) is not dict or data.get("ordinal") != ordinal:
-            return None
-        return OutcomeRecord.from_json_dict(data)
-    except (KeyError, TypeError, ValueError):
+        record = _parse_record(line, path, 0)  # the line number only goes into the message
+    except LogError:
         return None
+    return record if record.ordinal == ordinal else None
 
 
 def _read_record_at(path: str | Path, ordinal: int) -> OutcomeRecord:
@@ -466,7 +468,7 @@ def cmd_replay(args) -> int:
     out = Path(args.out) if args.out else Path(log).parent / f"trace_{args.ordinal}.jsonl"
     keep = [log_seen, manifest_seen]
     try:
-        keep.append(os.stat(log + ".idx"))  # _index_path's name
+        keep.append(os.stat(_index_name(log)))
     except OSError:
         pass  # a renamed or copied log has no index
     try:

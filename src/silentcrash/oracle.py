@@ -54,46 +54,52 @@ class _PeakCursor:
     frames). A frame not yet clipped has an IoU at or below its bound, and so
     at or below the last bound. Once the peak exceeds a frame's bound, that
     frame can raise no answer and is dropped; so the cursor only ever keeps
-    the frames whose bound is at least its peak. A frame whose bound is +inf
-    is bounded by nothing, so every such frame is clipped when the cursor is
-    built: a trace whose reach overflows (every bound +inf) raises the first
-    non-finite corner's error in time order, as a clip of every frame would.
+    the frames whose bound is at least its peak. The bounds take the walk's
+    reach plus the largest half length and width, which bounds every corner
+    coordinate. A frame whose bound is +inf is bounded by nothing and is
+    clipped when the cursor is built: where that reach is not finite every
+    bound is +inf, so every frame is clipped in time order and the first
+    non-finite corner's error is raised, as a clip of every frame would.
     Each clip builds both boxes' corners from the headings the ground truth
     tested, the frame's EV heading (its phase's axes[0]) and the NPC heading
     axes[2], and runs geometry.corners_iou on them. For yaws in [-pi, pi)
     that is geometry.iou of the two OrientedBoxes, bit for bit.
 
     A trace that simulate gave its cruise stage's memo (Trace.stage_memo)
-    shares its overlap frames before the trigger with every trace of the
-    stage. Their exact peak is clipped once per stage, in time order, and
-    kept in the stage's memo; the cursor starts from that peak and keeps
-    only the later frames whose bound is at least it. The peak is a max, so
-    it has the bits of a clip of every frame in any order. The shared frames
-    come first in time, so a clip of them that raises raises the error a
-    clip of every frame in time order would; the stage then keeps no peak.
+    shares its frames before the trigger with every trace of the stage. The
+    first cursor to ask walks them, clips their overlap frames in time order
+    and keeps (peak, reach) in the memo; each cursor starts from that peak
+    and walks the later frames on from that reach. The peak is a max, so it
+    has the bits of a clip of every frame in any order, and the continued
+    reach those of one walk of every frame. The shared frames come first in
+    time, so a clip of them that raises raises the error a clip of every
+    frame in time order would; the stage then keeps nothing.
     """
 
     __slots__ = ("bounds", "frames", "peak", "_halves", "_areas", "_npc_heading")
 
     def __init__(self, trace: Trace):
-        shared, overlaps, frames, reach = trace.overlap_walk()
-        bounds = iou_bounds(overlaps, trace.ev_half, trace.npc_half, reach)
-        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)[::-1]
-        self.bounds = [bounds[i] for i in order]
-        self.frames = [frames[i] for i in order]
-        self.peak = 0.0
+        self.peak, reach, memo = 0.0, 0.0, trace.stage_memo
         self._halves = (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
         self._areas = rect_area(ev_hl, ev_hw), rect_area(npc_hl, npc_hw)
         self._npc_heading = trace.phases[0].axes[2]  # every phase's, the cos and sin of the NPC yaw
-        if shared is not None:  # the trace reads its stage's memo
-            memo = trace.stage_memo
-            peak = memo.get(_PeakCursor)
-            if peak is None:
-                peak = 0.0
-                for frame in shared.frames:
-                    peak = max(peak, self._iou(frame))
-                memo[_PeakCursor] = peak
-            self.peak = peak
+        start = trace.length if trace.first_contact is None else trace.first_contact
+        if memo is not None:  # the trace touched in the stage's phase, which ends before the trigger
+            end = trace.phases[0].last + 1
+            kept = memo.get(_PeakCursor)
+            if kept is None:
+                _, shared, reach = trace.overlap_walk(range(start, min(end, trace.length)))
+                for frame in shared:
+                    self.peak = max(self.peak, self._iou(frame))
+                kept = memo[_PeakCursor] = self.peak, reach
+            self.peak, reach = kept
+            start = end
+        overlaps, frames, reach = trace.overlap_walk(range(start, trace.length), reach)
+        bounds = iou_bounds(overlaps, trace.ev_half, trace.npc_half, (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw))
+        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)[::-1]
+        self.bounds = [bounds[i] for i in order]
+        self.frames = [frames[i] for i in order]
+        if memo is not None:
             self._drop()
         while self.bounds and self.bounds[-1] == math.inf:
             self._clip()
@@ -192,7 +198,9 @@ def recall_sweep(
     Labels come from the dual run: ground truth present while the built-in
     detector (under `defect`) stayed silent. Raising the overlap threshold
     can only shrink the predicted-IC set, so recall is non-increasing and
-    equals 1.0 at threshold 0.
+    equals 1.0 at threshold 0. Under these labels a false positive cannot
+    occur: a predicted IC has contact and a silent built-in, so fp is 0 and
+    precision is 1.0, or None where tp is 0.
     """
     if not labeled_traces:
         raise ValueError("labeled trace set must not be empty")

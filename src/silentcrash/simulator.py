@@ -30,11 +30,11 @@ spec and sim config objects and an equal d; a campaign that sweeps v_hat and
 a at a fixed d locates its trigger once, and replays of one manifest share
 each stage and, in one TextBudget, the text of its frames and each kind's
 NPC side of the rows from the trigger on. A stage that touches before its
-trigger also keeps, in its memo, what every trace built on it derives from
-the frames between first contact and the trigger: their overlap walk, their
-peak IoU and how far the built-in detector got through them. simulate hands
-that memo to each trace it builds on the stage (Trace.stage_memo), and each
-such trace scores only its frames from the trigger on.
+trigger also keeps, in its memo, each reader's result of the frames from
+first contact to the trigger, which every trace built on it shares: their
+peak IoU with their walk's reach, and how far the built-in detector got
+through them. simulate hands the memo to each trace it builds on the stage
+(Trace.stage_memo); the trace scores only its frames from the trigger on.
 
 Each per-frame value is an elementwise expression of the frame index, so it
 has the same bits whether it is evaluated alone or inside the whole trace.
@@ -331,14 +331,6 @@ class _Phase(NamedTuple):
         return window.start + int(np.argmax(hit)) if hit.any() else None
 
 
-class _Walk(NamedTuple):
-    """Overlap frames as Trace.overlap_walk lists them; reach is their largest center coordinate magnitude."""
-
-    overlaps: list[tuple[float, float, float, float]]
-    frames: list[tuple[float, float, float, float, float, float]]
-    reach: float
-
-
 def _walk(phase: _Phase, span: range, overlaps: list, frames: list, reach: float) -> float:
     """Append the overlap frames of the phase's frames span to overlaps and frames; return reach raised by them.
 
@@ -489,43 +481,23 @@ class Trace:
             np.maximum(overlap, 0.0, out=pen[near])
         return block
 
-    def overlap_walk(self) -> tuple[_Walk | None, list, list, float]:
-        """Each overlap frame from first contact on, in time order: (shared, overlaps, frames, reach).
+    def overlap_walk(self, frames: range, reach: float = 0.0) -> tuple[list, list, float]:
+        """Each overlap frame of the ascending frames, in time order: (overlaps, frames, reach).
 
         A frame is listed iff its four overlaps along the phase's face normals
         are >= 0 (a NaN counts as apart), so iff its _min_overlap is. frames
         holds its (ex, ey, ec, es, nx, ny): the centers, with frame_block's
         bits, and the EV heading (ec, es), the phase's axes[0]. overlaps
-        holds those four overlaps. They are taken along the face normals of
-        the boxes whose corners oracle._PeakCursor builds from (ec, es) and
-        the NPC heading axes[2], so geometry.iou_bounds of them bounds
-        corners_iou. reach is the largest center coordinate magnitude plus
-        the largest half length and width: it bounds every corner
-        coordinate, and where it is not finite every bound is +inf, so
-        oracle._PeakCursor clips those frames first, in time order, and
-        raises the first non-finite corner's error.
-
-        For a trace that reads its stage's memo (stage_memo), shared is the
-        walk of the stage's first phase, kept in the memo by the first such
-        trace to ask, and overlaps and frames are those of the later phases,
-        walked with the running reach carried in, so reach has the bits of a
-        walk of every phase. Otherwise shared is None.
+        holds those four overlaps, along the face normals of the boxes whose
+        corners oracle._PeakCursor builds from (ec, es) and the NPC heading
+        axes[2], so geometry.iou_bounds of them bounds corners_iou. reach is
+        the given reach raised to each listed center coordinate's magnitude,
+        so a walk continued from another's reach has the bits of one of both.
         """
-        (ev_hl, ev_hw), (npc_hl, npc_hw) = self.ev_half, self.npc_half
-        shared, overlaps, frames, reach = None, [], [], 0.0
-        if self.first_contact is not None:
-            start, memo = self.first_contact, self.stage_memo
-            if memo is not None:
-                first = self.phases[0]
-                shared = memo.get(_Walk)
-                if shared is None:
-                    pre_overlaps, pre_frames, span = [], [], range(start, min(first.last + 1, self.length))
-                    pre_reach = _walk(first, span, pre_overlaps, pre_frames, 0.0)
-                    shared = memo[_Walk] = _Walk(pre_overlaps, pre_frames, pre_reach)
-                start, reach = first.last + 1, shared.reach
-            for phase, span in self.phase_frames(range(start, self.length)):
-                reach = _walk(phase, span, overlaps, frames, reach)
-        return shared, overlaps, frames, (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
+        overlaps, hits = [], []
+        for phase, span in self.phase_frames(frames):
+            reach = _walk(phase, span, overlaps, hits, reach)
+        return overlaps, hits, reach
 
 
 def _behavior_velocity(actor) -> tuple[float, float]:
@@ -545,9 +517,9 @@ class CruiseStage:
 
     When the stage touches before the trigger, every trace built on it also
     scores the same frames from first contact to the trigger the same way.
-    `memo` keeps those results, filled by the first trace that asks (simulate
-    hands it to each trace it builds on the stage, as Trace.stage_memo): the
-    overlap walk of the stage's phase under _Walk, its peak IoU under
+    `memo` keeps each reader's result of them, filled by the first trace that
+    asks (simulate hands it to each trace it builds on the stage, as
+    Trace.stage_memo): the peak IoU and the walk's reach under
     oracle._PeakCursor, and per defect model how many of the built-in's
     gates its inspected frames passed. memo is not an init field, so a stage
     made by dataclasses.replace starts with an empty one.

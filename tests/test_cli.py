@@ -72,6 +72,10 @@ SHIPPED_RUN_DIGESTS = {
 # sha256 of `sweep-threshold --thresholds 0,0.05,0.1,0.15,0.2` with the
 # default config
 SWEEP_CSV_DIGEST = "48efd22cfa844f7cc711c0cf505c17c1bf3c2476ce073c948da43a1f528107d2"
+# sweep-threshold's default config with a built-in detector that never fires
+# (no closing speed reaches 1000 m/s), and the sha256 of its CSV
+NEVER_FIRES = {"defect": {"sample_period": 1, "min_penetration": 0.0, "min_impact_speed": 1000.0}}
+SWEEP_CSV_NEVER_FIRES_DIGEST = "5ada6cfda7623cf20de9e38e1fdb6cf710b511093399ceebfa3453dc8758ac25"
 
 # sha256 of the `replay` trace JSONL of reference-log ordinals: IC (FLB),
 # DC (LC), NC (InC), IC (PSF) and the last record, NC (PCF)
@@ -1344,8 +1348,12 @@ class TestSweepThreshold:
         assert all(recalls[i] >= recalls[i + 1] for i in range(len(recalls) - 1))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_DIGEST
 
-    def test_the_dense_path_writes_the_pinned_csv(self, monkeypatch):
-        """The default sweep judged on whole-horizon arrays and OrientedBox IoUs gives the pinned CSV bytes.
+    @pytest.mark.parametrize(
+        ("overrides", "digest"), [({}, SWEEP_CSV_DIGEST), (NEVER_FIRES, SWEEP_CSV_NEVER_FIRES_DIGEST)],
+        ids=["default", "never-fires"],
+    )
+    def test_the_dense_path_writes_the_pinned_csv(self, monkeypatch, tmp_path, overrides, digest):
+        """The sweep judged on whole-horizon arrays and OrientedBox IoUs gives the CLI's CSV bytes, which are pinned.
 
         The campaign runs through sim_oracle.DenseExecutor and
         validate_seed_full. Each execution is labeled from simulate_full's
@@ -1353,8 +1361,16 @@ class TestSweepThreshold:
         builtin_cd_full stays silent. At threshold 0 contact is any overlap
         frame, above it max_iou_whole_trace >= t, the peak over every overlap
         frame's OrientedBox pair with no bound, cursor or stage memo.
+
+        On the default config no IC's peak reaches 0.05, so its rows above 0
+        read tp 0. Under NEVER_FIRES every execution that touches is an IC,
+        and some row above 0 splits them by their peak.
         """
-        config = parse_config(cli._SWEEP_THRESHOLD_DEFAULT)
+        data = {**cli._SWEEP_THRESHOLD_DEFAULT, **overrides}
+        out = tmp_path / "thr.csv"
+        argv = ["sweep-threshold", "--thresholds", "0,0.05,0.1,0.15,0.2", "--out", str(out)]
+        assert main([*argv, "--config", str(write_config(tmp_path, data))]) == 0
+        config = parse_config(data)
         monkeypatch.setattr(fuzzer, "_Executor", DenseExecutor)
         monkeypatch.setattr(fuzzer, "validate_seed", validate_seed_full)
         records = run_campaign(config).records
@@ -1364,7 +1380,7 @@ class TestSweepThreshold:
             arrays = simulate_full(specs[rec.kind], rec.params, config.sim)
             touched = bool(arrays.gt_overlap.any())
             judged.append((touched, max_iou_whole_trace(arrays), builtin_cd_full(arrays, config.defect)))
-        lines = ["threshold,tp,fp,fn,precision,recall"]
+        lines, tps = ["threshold,tp,fp,fn,precision,recall"], []
         for t in (0.0, 0.05, 0.1, 0.15, 0.2):
             tp = fp = fn = 0
             for touched, peak, fired in judged:
@@ -1373,8 +1389,11 @@ class TestSweepThreshold:
             precision = f"{tp / (tp + fp):.6f}" if tp + fp else ""
             recall = f"{tp / (tp + fn):.6f}" if tp + fn else ""
             lines.append(f"{t:g},{tp},{fp},{fn},{precision},{recall}")
+            tps.append(tp)
         assert len(records) == 600
-        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == SWEEP_CSV_DIGEST
+        assert out.read_text() == "\n".join(lines) + "\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert any(0 < tp < 600 for tp in tps[1:]) is bool(overrides)
 
     @pytest.mark.parametrize("how", ["missing-dir", "directory"])
     def test_unwritable_out_is_io_error(self, tmp_path, capsys, how):

@@ -21,7 +21,7 @@ from silentcrash.oracle import (
 from silentcrash.fuzzer import run_campaign
 from silentcrash.geometry import corners_iou, iou_bounds, rect_area, rect_corners
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
-from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, _Walk, simulate
+from silentcrash.simulator import SimConfig, Trace, _face_normals, _Phase, simulate
 from sim_oracle import (
     builtin_cd_full,
     max_iou_whole_trace,
@@ -126,10 +126,22 @@ def _default_sweep_traces():
 
 
 def _walked(trace):
-    """The bounds and frames of trace.overlap_walk, the stage's shared frames first, as _PeakCursor reads them."""
-    shared, overlaps, frames, reach = trace.overlap_walk()
-    if shared is not None:
-        overlaps, frames = shared.overlaps + overlaps, shared.frames + frames
+    """The bounds and frames of trace.overlap_walk as _PeakCursor reads them.
+
+    A trace that reads its stage's memo walks the stage's frames from first
+    contact, then the rest from that walk's reach.
+    """
+    overlaps, frames, reach = [], [], 0.0
+    if trace.first_contact is not None:
+        walks = [range(trace.first_contact, trace.length)]
+        if trace.stage_memo is not None:
+            end = trace.phases[0].last + 1
+            walks = [range(trace.first_contact, min(end, trace.length)), range(end, trace.length)]
+        for walk in walks:
+            more_overlaps, more_frames, reach = trace.overlap_walk(walk, reach)
+            overlaps, frames = overlaps + more_overlaps, frames + more_frames
+    (ev_hl, ev_hw), (npc_hl, npc_hw) = trace.ev_half, trace.npc_half
+    reach = (reach + max(ev_hl, npc_hl)) + max(ev_hw, npc_hw)
     return iou_bounds(overlaps, trace.ev_half, trace.npc_half, reach), frames
 
 
@@ -238,7 +250,7 @@ def test_traces_of_one_cruise_stage_score_as_their_whole_trace_references(kind, 
     sweep's, the exact peak and its neighbours) in a drawn order. Every
     answer has the bits of the references: the former walk of every phase
     and the whole-trace peak and detector. A stage that touches before its
-    trigger is read by every trace and keeps the walk, the peak and the
+    trigger is read by every trace and keeps the peak with its reach and the
     defect model's count.
     """
     spec, cruise = make_seed(kind)[0], None
@@ -271,7 +283,7 @@ def test_traces_of_one_cruise_stage_score_as_their_whole_trace_references(kind, 
         assert cruise.memo == {}
     else:
         assert all(trace.stage_memo is cruise.memo for trace in traces)
-        assert cruise.memo.keys() == {_Walk, oracle._PeakCursor, defect}
+        assert cruise.memo.keys() == {oracle._PeakCursor, defect}
 
 
 def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
@@ -307,7 +319,7 @@ def test_traces_derived_from_a_simulated_one_never_read_its_stages_memo():
     assert stage.memo == {}
     scores(trace)
     assert trace.stage_memo is stage.memo
-    assert stage.memo.keys() == {_Walk, oracle._PeakCursor, DefectModel(), TUNNELING}
+    assert stage.memo.keys() == {oracle._PeakCursor, DefectModel(), TUNNELING}
     assert [scores(dataclasses.replace(other, memo={})) for other in derived] == before
 
     widened = dataclasses.replace(stage, npc_half=(math.inf, stage.npc_half[1]))

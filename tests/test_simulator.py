@@ -706,3 +706,34 @@ def test_every_public_name_that_trace_defines_is_read_in_the_package(owner):
         and id(node) not in defined.get(node.attr, ())
     }
     assert len(defined) >= 10 and sorted(set(defined) - read) == []
+
+
+# Classes whose fields the package reads by name, through getattr(labels, axis) and vars
+_READ_BY_NAME = {("report", "BucketLabels"), ("report", "CategoryLabel")}
+
+
+def test_every_public_name_of_every_class_is_read_in_the_package():
+    """The scan of the test above, over every module-level class in src/silentcrash but those of _READ_BY_NAME.
+
+    Each public field, method and property must be read as an attribute
+    somewhere in the package outside its own definition.
+    """
+    paths = sorted(Path(simulator.__file__).parent.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    reads = {}  # attribute name -> the ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(id(node))
+    unread, classes = [], 0
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or (module, cls.name) in _READ_BY_NAME:
+                continue
+            classes += 1
+            for node in cls.body:
+                name = node.target.id if isinstance(node, ast.AnnAssign) else getattr(node, "name", "_")
+                own = {id(inner) for inner in ast.walk(node)}
+                if not name.startswith("_") and all(read in own for read in reads.get(name, ())):
+                    unread.append(f"{module}.{cls.name}.{name}")
+    assert classes >= 30 and unread == []
