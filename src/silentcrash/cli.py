@@ -8,7 +8,8 @@ Subcommands:
     sweep-threshold precision/recall sweep over overlap thresholds
 
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 internal invariant
-violation.
+violation. Commands raise their failures, and `main` turns each into one
+`error:` line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from typing import NamedTuple
 from .detector import DefectModel, builtin_cd, ground_truth, silenced_by
 from . import report as report_mod
 from .config import ConfigError, load_config_file, parse_config
-from .fuzzer import (
-    CampaignConfig,
-    InvalidSeedError,
-    OutcomeRecord,
-    run_campaign,
-    step_size_sweep,
-)
+from .fuzzer import CampaignConfig, OutcomeRecord, run_campaign, step_size_sweep
 from .oracle import ScenarioType, check_ic, recall_sweep
 from .scenario import ScenarioKind
 from .simulator import SimulationError, TextBudget, _json_scalar, simulate, trace_to_jsonl
@@ -50,9 +45,12 @@ class ExitStatus(enum.IntEnum):
     INTERNAL_ERROR = 3
 
 
-def _fail(status: ExitStatus, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return int(status)
+class _Failure(Exception):
+    """A failure whose message needs its command's context, with the status main exits with."""
+
+    def __init__(self, status: ExitStatus, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 # The record index beside a log: this magic line, then little-endian u64s:
@@ -132,7 +130,7 @@ def _parse_record(line: bytes, path: Path, lineno: int) -> OutcomeRecord:
         return OutcomeRecord.from_json_dict(json.loads(line))
     except json.JSONDecodeError as exc:
         raise LogError(f"{path} line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise LogError(f"{path} line {lineno}: malformed record: {type(exc).__name__}: {exc}") from None
 
 
@@ -265,29 +263,32 @@ def _write_run_outputs(out: Path, records, buckets, manifest: dict, report) -> N
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def cmd_run(args) -> int:
+def _load_config(path, fallback: CampaignConfig | None = None) -> tuple[CampaignConfig, dict | None, str | None]:
+    """load_config_file(path), or (fallback, None, None) when path is None; exit 2 when the file cannot be read."""
+    if path is None:
+        return fallback, None, None
     try:
-        config, data, digest = load_config_file(args.config)
+        return load_config_file(path)
     except FileNotFoundError:
-        return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
+        raise _Failure(ExitStatus.IO_ERROR, f"config file not found: {path}")
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
-    except ConfigError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot read {path}: {exc.strerror}")
 
+
+def cmd_run(args) -> None:
+    config, data, digest = _load_config(args.config)
     out = Path(args.out)
     try:
         created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot create output directory {out}: {exc.strerror}")
-
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot create output directory {out}: {exc.strerror}")
     try:
         result = run_campaign(config)
-    except (InvalidSeedError, ValueError) as exc:
+    except ValueError:
         for path in created:
             path.rmdir()
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
+        raise
 
     # each record's buckets, derived once for the report and the log
     buckets = [rec.buckets for rec in result.records]
@@ -298,12 +299,11 @@ def cmd_run(args) -> int:
     try:
         _write_run_outputs(out, result.records, buckets, manifest, report)
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot write {exc.filename or out}: {exc.strerror}")
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot write {exc.filename or out}: {exc.strerror}")
 
     for kind in config.kinds:
         print(_kind_summary_line(kind, result.records))
     print(f"total executions={len(result.records)} proportion={result.proportion:.4f}")
-    return int(ExitStatus.OK)
 
 
 def _defect_override(args, base: DefectModel) -> tuple[DefectModel, bool]:
@@ -410,13 +410,13 @@ def _manifest_path(log: str) -> Path:
     return Path(log).parent / "manifest.json"
 
 
-def _read_error(exc: OSError, name) -> int:
+def _read_error(exc: OSError, name) -> _Failure:
     if isinstance(exc, FileNotFoundError):
-        return _fail(ExitStatus.IO_ERROR, f"missing file: {name}")
-    return _fail(ExitStatus.IO_ERROR, f"cannot read {name}: {exc.strerror}")
+        return _Failure(ExitStatus.IO_ERROR, f"missing file: {name}")
+    return _Failure(ExitStatus.IO_ERROR, f"cannot read {name}: {exc.strerror}")
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     # The log and the manifest are opened by path string; a Path is built
     # only where a message or the default --out spells a path. Path reads
     # records.jsonl/ and records.jsonl/. as records.jsonl, which
@@ -428,37 +428,35 @@ def cmd_replay(args) -> int:
         record = _read_record_at(log, args.ordinal)
         log_seen = os.stat(log)
     except OSError as exc:
-        return _read_error(exc, exc.filename)
-    except LogError as exc:
-        return _fail(ExitStatus.IO_ERROR, str(exc))
+        raise _read_error(exc, exc.filename)
     try:
         raw, manifest_seen = _read_file(os.path.join(os.path.dirname(log), "manifest.json"))
     except OSError as exc:
-        return _read_error(exc, _manifest_path(log))
+        raise _read_error(exc, _manifest_path(log))
 
     try:
         replays = _manifest_config(raw)
     except json.JSONDecodeError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)} line {exc.lineno}: invalid JSON: {exc.msg}")
+        raise _Failure(ExitStatus.IO_ERROR, f"{_manifest_path(log)} line {exc.lineno}: invalid JSON: {exc.msg}")
     except UnicodeDecodeError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
+        raise _Failure(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not UTF-8/16/32 text: {exc.reason} at byte {exc.start}")
     except _NotAnObject:
-        return _fail(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not a JSON object")
+        raise _Failure(ExitStatus.IO_ERROR, f"{_manifest_path(log)}: not a JSON object")
     except (KeyError, ConfigError) as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
+        raise _Failure(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
     config = replays.config
 
     try:
         defect, overridden = _defect_override(args, config.defect)
     except ValueError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
+        raise _Failure(ExitStatus.CONFIG_ERROR, f"defect override invalid: {exc}")
     stages, key = replays.stages, (record.kind, record.params.d)
     stage = stages.get(key)
     spec = config.seed_for(record.kind)[0] if stage is None else stage.spec
     try:
         trace = simulate(spec, record.params, config.sim, stage)
     except SimulationError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
+        raise _Failure(ExitStatus.CONFIG_ERROR, f"manifest config invalid: {exc}")
     if stage is None:
         if len(stages) >= _STAGES_KEPT:
             del stages[next(iter(stages))]  # the stage kept longest
@@ -474,39 +472,33 @@ def cmd_replay(args) -> int:
     try:
         kept = _write_in_place(out, trace_to_jsonl(trace, replays.text), keep)
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     if kept is not None:
         read = Path(log) if kept is log_seen else _manifest_path(log) if kept is manifest_seen else _index_path(log)
-        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: it is {read}, which replay reads; nothing written")
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot write {out}: it is {read}, which replay reads; nothing written")
     print(f"ordinal={args.ordinal} kind={record.kind.value} verdict={verdict.value} trace={out}")
     if verdict is ScenarioType.IC:
         print(f"silenced_by={silenced_by(trace, defect)}")
 
     if not overridden and verdict is not record.verdict:
-        return _fail(
-            ExitStatus.INTERNAL_ERROR,
-            f"replay verdict {verdict.value} != logged {record.verdict.value} (nondeterminism bug)",
-        )
-    return int(ExitStatus.OK)
+        message = f"replay verdict {verdict.value} != logged {record.verdict.value} (nondeterminism bug)"
+        raise _Failure(ExitStatus.INTERNAL_ERROR, message)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     try:
         records = _read_records(Path(args.log))
     except FileNotFoundError:
-        return _fail(ExitStatus.IO_ERROR, f"log not found: {args.log}")
+        raise _Failure(ExitStatus.IO_ERROR, f"log not found: {args.log}")
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.log}: {exc.strerror}")
-    except LogError as exc:
-        return _fail(ExitStatus.IO_ERROR, str(exc))
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot read {args.log}: {exc.strerror}")
     report = report_mod.success_rates(records) if records else report_mod.empty_report()
     try:
         paths = report_mod.export(report, args.format, args.out)
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot write {exc.filename or args.out}: {exc.strerror}")
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot write {exc.filename or args.out}: {exc.strerror}")
     for p in paths:
         print(p)
-    return int(ExitStatus.OK)
 
 
 def _parse_float_list(raw: str, field: str) -> list[float]:
@@ -519,40 +511,23 @@ def _parse_float_list(raw: str, field: str) -> list[float]:
         raise ConfigError(f"{field}: entries must be numbers") from None
 
 
-def _write_csv(out: str, lines: list[str]) -> int:
+def _write_csv(out: str, lines: list[str]) -> None:
     """Write the CSV lines to out and print its path; exit 2 if it cannot be written."""
     try:
         Path(out).write_text("\n".join(lines) + "\n")
     except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
+        raise _Failure(ExitStatus.IO_ERROR, f"cannot write {out}: {exc.strerror}")
     print(out)
-    return int(ExitStatus.OK)
 
 
-def _load_optional_config(path, fallback: CampaignConfig) -> CampaignConfig:
-    if path is None:
-        return fallback
-    config, _, _ = load_config_file(path)
-    return config
-
-
-def cmd_sweep_step(args) -> int:
-    try:
-        steps = _parse_float_list(args.steps, "steps")
-        fallback = parse_config({"kinds": [args.kind], "budget": 1})
-        config = _load_optional_config(args.config, fallback)
-        points = step_size_sweep(args.kind, args.axis, steps, args.trials, config)
-    except FileNotFoundError:
-        return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
-    except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
-    except (ConfigError, ValueError) as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-
+def cmd_sweep_step(args) -> None:
+    steps = _parse_float_list(args.steps, "steps")
+    config, _, _ = _load_config(args.config, parse_config({"kinds": [args.kind], "budget": 1}))
+    points = step_size_sweep(args.kind, args.axis, steps, args.trials, config)
     lines = ["step,mean_ics,trial_counts"]
     for pt in points:
         lines.append(f"{pt.step:g},{pt.mean_ics:.6f},{'|'.join(str(c) for c in pt.counts)}")
-    return _write_csv(args.out, lines)
+    _write_csv(args.out, lines)
 
 
 _SWEEP_THRESHOLD_DEFAULT = {
@@ -563,24 +538,13 @@ _SWEEP_THRESHOLD_DEFAULT = {
 }
 
 
-def cmd_sweep_threshold(args) -> int:
-    try:
-        thresholds = _parse_float_list(args.thresholds, "thresholds")
-        for t in thresholds:
-            if not (0.0 <= t < 1.0):
-                raise ConfigError(f"thresholds: {t:g} outside 0..1")
-        config = _load_optional_config(args.config, parse_config(_SWEEP_THRESHOLD_DEFAULT))
-    except FileNotFoundError:
-        return _fail(ExitStatus.IO_ERROR, f"config file not found: {args.config}")
-    except OSError as exc:
-        return _fail(ExitStatus.IO_ERROR, f"cannot read {args.config}: {exc.strerror}")
-    except (ConfigError, ValueError) as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-
-    try:
-        result = run_campaign(config)
-    except (InvalidSeedError, ValueError) as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
+def cmd_sweep_threshold(args) -> None:
+    thresholds = _parse_float_list(args.thresholds, "thresholds")
+    for t in thresholds:
+        if not (0.0 <= t < 1.0):
+            raise ConfigError(f"thresholds: {t:g} outside 0..1")
+    config, _, _ = _load_config(args.config, parse_config(_SWEEP_THRESHOLD_DEFAULT))
+    result = run_campaign(config)
     labeled = []
     specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
     cruise = None
@@ -590,17 +554,13 @@ def cmd_sweep_threshold(args) -> int:
         label = ground_truth(trace) is not None and not builtin_cd(trace, config.defect)
         labeled.append((trace, label))
 
-    try:
-        points = recall_sweep(labeled, thresholds, config.defect)
-    except ValueError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-
+    points = recall_sweep(labeled, thresholds, config.defect)
     lines = ["threshold,tp,fp,fn,precision,recall"]
     for pt in points:
         precision = "" if pt.precision is None else f"{pt.precision:.6f}"
         recall = "" if pt.recall is None else f"{pt.recall:.6f}"
         lines.append(f"{pt.threshold:g},{pt.tp},{pt.fp},{pt.fn},{precision},{recall}")
-    return _write_csv(args.out, lines)
+    _write_csv(args.out, lines)
 
 
 @functools.cache
@@ -654,6 +614,10 @@ def main(argv=None) -> int:
     then pass argv[1:] on to the same subparser, so the result, the messages
     and the exits are those of parser.parse_args(argv). Anything else (no
     command, an unknown one, an option first) takes parser.parse_args.
+
+    A command returns nothing or raises: a _Failure exits with its status,
+    a LogError with 2 and any other ValueError with 1, each after one
+    `error:` line on stderr.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -670,7 +634,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map them onto the config-error code
         return int(ExitStatus.CONFIG_ERROR) if exc.code else int(ExitStatus.OK)
-    return args.func(args)
+    try:
+        args.func(args)
+        return int(ExitStatus.OK)
+    except _Failure as exc:
+        status, message = exc.status, str(exc)
+    except LogError as exc:
+        status, message = ExitStatus.IO_ERROR, str(exc)
+    except ValueError as exc:  # ConfigError, InvalidSeedError and SimulationError among them
+        status, message = ExitStatus.CONFIG_ERROR, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .scenario import (
     ScenarioKind,
     ScenarioSpec,
     apply_overrides,
+    finite_number,
     make_seed,
     validate_seed,
 )
@@ -172,6 +173,15 @@ class OutcomeRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeRecord":
+        """The record of a parsed log line; a TypeError names a field of a type or value the writer never writes."""
+        for key in _NUMBER_KEYS:
+            value = data[key]
+            if type(value) not in (int, float) and not (value is None and key == "first_contact_time"):
+                raise TypeError(f"{key} must be a number, not {type(value).__name__}")
+            if key.endswith("_seconds") and not finite_number(value):
+                raise TypeError(f"{key} must be finite")
+        if type(data["ordinal"]) is not int or data["ordinal"] < 0:
+            raise TypeError(f"ordinal must be an int >= 0, not {data['ordinal']!r}")
         params = ControlParameters(
             d=data["d"], v_hat=data["v_hat"], theta_long=data["theta_long"], theta_lat=data["theta_lat"]
         )
@@ -184,6 +194,12 @@ class OutcomeRecord:
             sim_seconds=data["sim_seconds"],
             clock_seconds=data["clock_seconds"],
         )
+
+
+# The numbers of a log line: ints or floats, never bools; first_contact_time
+# may be null, and the two times are finite. ControlParameters checks the
+# values of the four parameters.
+_NUMBER_KEYS = ("d", "v_hat", "theta_long", "theta_lat", "sim_seconds", "clock_seconds", "first_contact_time")
 
 
 @dataclass(frozen=True)

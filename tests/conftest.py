@@ -6,7 +6,7 @@ import pytest
 
 from silentcrash.config import load_config_file
 from silentcrash.detector import PERFECT_DETECTOR
-from silentcrash.fuzzer import MutatorKind, run_campaign
+from silentcrash.fuzzer import AngleMode, MutatorKind, run_campaign
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +41,12 @@ def random_result(reference_config):
 def nc_start_result(reference_config):
     config = dataclasses.replace(reference_config, mutator=MutatorKind.NC_START)
     return run_campaign(config)
+
+
+@pytest.fixture(scope="session")
+def per_axis_result(reference_config):
+    plans = {k: dataclasses.replace(p, angle_mode=AngleMode.PER_AXIS) for k, p in reference_config.plans.items()}
+    return run_campaign(dataclasses.replace(reference_config, plans=plans))
 
 
 @pytest.fixture(scope="session")

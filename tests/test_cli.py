@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -382,6 +383,11 @@ def reference_run(tmp_path_factory):
     return out
 
 
+def with_fields(**fields):
+    """A damage of a log line that gives its record these fields."""
+    return lambda line: json.dumps(dict(json.loads(line), **fields))
+
+
 def copy_log(campaign, dest, text):
     """A log with the given text beside a copy of the campaign's manifest."""
     dest.mkdir()
@@ -677,8 +683,16 @@ class TestReplay:
             (lambda line: line.replace('"verdict": "', '"verdict": "X'), "ValueError"),
             (lambda line: "[1, 2]", "TypeError"),
             (lambda line: json.dumps(dict(json.loads(line), theta_long=math.nan)), "ValueError: direction pair must be finite"),
+            (with_fields(clock_seconds="x"), "TypeError: clock_seconds must be a number, not str"),
+            (with_fields(sim_seconds=None), "TypeError: sim_seconds must be a number, not NoneType"),
+            (with_fields(ordinal="120"), "TypeError: ordinal must be an int >= 0, not '120'"),
+            (with_fields(v_hat=True), "TypeError: v_hat must be a number, not bool"),
+            (with_fields(theta_long=10**400), "OverflowError"),
         ],
-        ids=["truncated", "missing-field", "bad-verdict", "not-an-object", "nan-direction"],
+        ids=[
+            "truncated", "missing-field", "bad-verdict", "not-an-object", "nan-direction",
+            "string-clock", "null-sim-seconds", "string-ordinal", "bool-speed", "huge-direction",
+        ],
     )
     def test_damaged_record_is_io_error_naming_the_line(self, campaign, tmp_path, capsys, damage, message):
         lines = (campaign / "records.jsonl").read_text().splitlines()
@@ -1159,6 +1173,41 @@ def test_damaged_log_or_index_ends_in_an_exit_code_not_a_traceback(small_run, da
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
 
 
+# JSON values of another type than the log's writer puts in any field: the
+# letters spell no scenario kind or verdict, and the ints lie past float range
+OTHER_TYPES = st.one_of(
+    st.text("xyz0.", max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-2, 2) | st.floats(), max_size=2),
+    st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordinal=st.integers(0, 119), field=st.sampled_from(cli._LINE_KEYS + ("category",)), value=OTHER_TYPES)
+def test_a_field_of_another_type_ends_in_an_exit_code_not_a_traceback(small_run, ordinal, field, value):
+    """report and replay of a log whose one record has one field replaced exit 0 or 2, with one error line at most.
+
+    A field the record is built from, but for first_contact_time (which may
+    be null) and the ordinal (which may be any int >= 0), makes the record a
+    damaged one: both exit 2.
+    """
+    lines = (small_run / "records.jsonl").read_text().splitlines(keepends=True)
+    lines[ordinal] = json.dumps(dict(json.loads(lines[ordinal]), **{field: value}), sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        log = copy_log(small_run, Path(tmp) / "damaged", "".join(lines))
+        replayed = replay_result(log, ordinal, Path(tmp) / "trace.jsonl")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["report", "--log", str(log), "--format", "csv", "--out", str(Path(tmp) / "report")])
+    codes = (replayed[0], code)
+    for exit_code, err in zip(codes, (replayed[2], stderr.getvalue())):
+        assert exit_code in (0, 2) and (err == "" if exit_code == 0 else err.startswith("error: ") and err.count("\n") == 1), err
+    if field in ("d", "v_hat", "theta_long", "theta_lat", "sim_seconds", "clock_seconds", "kind", "verdict"):
+        assert codes == (2, 2)
+
+
 # a small config whose every field the fuzz below may replace
 FUZZ_BASE = {
     "kinds": ["FLB", "LC"],
@@ -1556,3 +1605,32 @@ def test_trigger_search_never_imports_numpy():
     done = subprocess.run(argv, cwd=CONFIG_DIR.parent, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[(154, None), (230, None), (232, None), (119, None), (154, None), (154, None)] False\n"
+
+
+def test_main_alone_prints_an_error_and_no_command_returns_a_value():
+    """Every failure reaches stderr through main.
+
+    cli.py holds one print(..., file=sys.stderr), and it is inside main;
+    no cmd_* function returns a value, so each ends by returning nothing or raising.
+    """
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def stderr_prints(node):
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "print"
+            and any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in call.keywords)
+        ]
+
+    assert len(stderr_prints(tree)) == len(stderr_prints(functions["main"])) == 1
+    commands = [node for name, node in functions.items() if name.startswith("cmd_")]
+    returns = [
+        f"{command.name} line {node.lineno}"
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert len(commands) == 5 and returns == []

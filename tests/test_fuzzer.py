@@ -29,7 +29,7 @@ from silentcrash.oracle import ScenarioType, check_ic
 from silentcrash.report import empty_report
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
-from test_cli import SHIPPED_DIGESTS
+from test_cli import SHIPPED_DIGESTS, VARIANT_DIGESTS
 
 PLAN = SearchPlan.from_steps(
     distance_step=1.0, speed_step=1.0, angle_step_long=0.04, angle_step_lat=0.02
@@ -410,7 +410,7 @@ def test_campaign_config_requires_plan_per_kind():
         CampaignConfig(kinds=(ScenarioKind.FLV,), budget=1, plans={})
 
 
-@pytest.mark.parametrize("name", ["reference", "tunneling", "graze"])
+@pytest.mark.parametrize("name", ["reference", "tunneling", "graze", "per-axis"])
 def test_dense_campaign_spells_the_fast_paths_records(name, request, monkeypatch):
     """run_campaign through the dense executor writes the fast path's records byte for byte, and the pinned log.
 
@@ -418,11 +418,13 @@ def test_dense_campaign_spells_the_fast_paths_records(name, request, monkeypatch
     and seed check (sim_oracle.simulate_full), with no cruise stage, memo or
     located search, and judges it with builtin_cd_full and oracle.classify;
     the fast side is the session-scoped fixture's campaign of the same config.
+    per-axis is the reference config with every plan's angle mode per axis.
     """
-    fast = request.getfixturevalue(f"{name}_result")
+    fast = request.getfixturevalue(f"{name.replace('-', '_')}_result")
     monkeypatch.setattr(fuzzer, "_Executor", DenseExecutor)
     monkeypatch.setattr(fuzzer, "validate_seed", validate_seed_full)
     dense = run_campaign(fast.config)
     want = "".join(map(record_line, fast.records))
     assert_same_text("".join(map(record_line, dense.records)), want, name)
-    assert hashlib.sha256(want.encode()).hexdigest() == SHIPPED_DIGESTS[name][0]
+    digest = VARIANT_DIGESTS[name][0] if name in VARIANT_DIGESTS else SHIPPED_DIGESTS[name][0]
+    assert hashlib.sha256(want.encode()).hexdigest() == digest
