@@ -263,10 +263,10 @@ def _write_run_outputs(out: Path, records, buckets, manifest: dict, report) -> N
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _load_config(path, fallback: CampaignConfig | None = None) -> tuple[CampaignConfig, dict | None, str | None]:
-    """load_config_file(path), or (fallback, None, None) when path is None; exit 2 when the file cannot be read."""
+def _load_config(path, fallback: dict | None = None) -> tuple[CampaignConfig, dict | None, str | None]:
+    """load_config_file(path), or the parsed fallback with no data or digest when path is None; exit 2 on an unreadable file."""
     if path is None:
-        return fallback, None, None
+        return parse_config(fallback), None, None
     try:
         return load_config_file(path)
     except FileNotFoundError:
@@ -292,7 +292,7 @@ def cmd_run(args) -> None:
 
     # each record's buckets, derived once for the report and the log
     buckets = [rec.buckets for rec in result.records]
-    report = report_mod.success_rates(result.records, buckets) if result.records else report_mod.empty_report()
+    report = report_mod.success_rates(result.records, buckets)
     manifest = result.manifest(report.summary)
     manifest["config"] = data
     manifest["config_digest"] = digest
@@ -492,7 +492,7 @@ def cmd_report(args) -> None:
         raise _Failure(ExitStatus.IO_ERROR, f"log not found: {args.log}")
     except OSError as exc:
         raise _Failure(ExitStatus.IO_ERROR, f"cannot read {args.log}: {exc.strerror}")
-    report = report_mod.success_rates(records) if records else report_mod.empty_report()
+    report = report_mod.success_rates(records)
     try:
         paths = report_mod.export(report, args.format, args.out)
     except OSError as exc:
@@ -522,7 +522,7 @@ def _write_csv(out: str, lines: list[str]) -> None:
 
 def cmd_sweep_step(args) -> None:
     steps = _parse_float_list(args.steps, "steps")
-    config, _, _ = _load_config(args.config, parse_config({"kinds": [args.kind], "budget": 1}))
+    config, _, _ = _load_config(args.config, {"kinds": [args.kind], "budget": 1})
     points = step_size_sweep(args.kind, args.axis, steps, args.trials, config)
     lines = ["step,mean_ics,trial_counts"]
     for pt in points:
@@ -543,7 +543,7 @@ def cmd_sweep_threshold(args) -> None:
     for t in thresholds:
         if not (0.0 <= t < 1.0):
             raise ConfigError(f"thresholds: {t:g} outside 0..1")
-    config, _, _ = _load_config(args.config, parse_config(_SWEEP_THRESHOLD_DEFAULT))
+    config, _, _ = _load_config(args.config, _SWEEP_THRESHOLD_DEFAULT)
     result = run_campaign(config)
     labeled = []
     specs = {kind: config.seed_for(kind)[0] for kind in config.kinds}
@@ -590,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_step = sub.add_parser("sweep-step", help="step-size sweep for one axis")
-    p_step.add_argument("--kind", required=True)
+    p_step.add_argument("--kind", choices=[k.value for k in ScenarioKind], required=True)
     p_step.add_argument("--axis", required=True)
     p_step.add_argument("--steps", required=True, help="comma-separated step sizes")
     p_step.add_argument("--trials", type=int, default=10)

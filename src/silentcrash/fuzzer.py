@@ -424,12 +424,15 @@ def _axis_grid(axis: str, step: float) -> list[float]:
 
     One stepped schedule from the axis's start (DISTANCE_MIN for distance,
     one step otherwise) to its bound; the two angle axes start at 0 and take
-    each value with both signs.
+    each value with both signs. A step past the bound of any other axis
+    visits nothing and raises ValueError.
     """
     hi = {"distance": DISTANCE_MAX, "speed": SPEED_MAX}.get(axis, 1.0)
     values = [min(v, hi) for v in stepped_schedule(DISTANCE_MIN if axis == "distance" else step, step, hi)]
     if axis in ("angle", "angle_lat"):
         return [0.0, *(signed for v in values for signed in (v, -v))]
+    if not values:
+        raise ValueError(f"step {step:g} visits no {axis} value: the axis ends at {hi:g}")
     return values
 
 

@@ -154,9 +154,10 @@ def _stats(bucket_label: str, counts: dict[ScenarioType, int]) -> BucketStats:
 
 
 def success_rates(records: Sequence["OutcomeRecord"], buckets: Iterable[BucketLabels] | None = None) -> SRReport:
-    """The SR report of the records; `buckets` are their buckets, in order, when the caller derived them already."""
-    if not records:
-        raise ValueError("records must not be empty")
+    """The SR report of the records; `buckets` are their buckets, in order, when the caller derived them already.
+
+    No records give no buckets and a summary of zero counts, with no proportion or mean time.
+    """
     if buckets is None:
         buckets = (rec.buckets for rec in records)
 
@@ -211,38 +212,22 @@ def _summary(records: Sequence["OutcomeRecord"]) -> dict:
     executions = len(records)
 
     offsets = _kind_offsets(records)
-    campaign_end = records[-1].clock_seconds
     first_ics = {}
     for rec in records:
         if rec.verdict is ScenarioType.IC and rec.kind not in first_ics:
             first_ics[rec.kind] = rec.clock_seconds - offsets[rec.kind]
     # kinds without any ICS are censored at the campaign end
     per_kind = {
-        kind: first_ics.get(kind, campaign_end - offsets[kind]) for kind in offsets
+        kind: first_ics.get(kind, records[-1].clock_seconds - offsets[kind]) for kind in offsets
     }
     return {
         "executions": executions,
         "totals": {t.value: totals[t] for t in ScenarioType},
-        "proportion": totals[ScenarioType.IC] / executions,
+        "proportion": totals[ScenarioType.IC] / executions if executions else None,
         "time_to_first_ics": {k.value: round(v, 9) for k, v in per_kind.items()},
-        "mean_time_to_first_ics": round(sum(per_kind.values()) / len(per_kind), 9),
+        "mean_time_to_first_ics": round(sum(per_kind.values()) / len(per_kind), 9) if per_kind else None,
         "kinds_with_ics": sorted(k.value for k in first_ics),
     }
-
-
-def empty_report() -> SRReport:
-    return SRReport(
-        axes={},
-        cross={},
-        summary={
-            "executions": 0,
-            "totals": {t.value: 0 for t in ScenarioType},
-            "proportion": None,
-            "time_to_first_ics": {},
-            "mean_time_to_first_ics": None,
-            "kinds_with_ics": [],
-        },
-    )
 
 
 CSV_HEADER = ("axis", "bucket", "executions", "collisions", "ics", "sr_percent")
@@ -253,7 +238,7 @@ def report_csv(report: SRReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for axis in AXES:
-        for stats in report.axes.get(axis, ()):
+        for stats in report.axes[axis]:
             writer.writerow(_csv_row(axis, stats))
     return buf.getvalue()
 
@@ -263,7 +248,7 @@ def cross_csv(report: SRReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("axis_pair", "bucket_pair", "executions", "collisions", "ics", "sr_percent"))
     for pair in CROSS_PAIRS:
-        for key, stats in report.cross.get(pair, {}).items():
+        for key, stats in report.cross[pair].items():
             writer.writerow(
                 (
                     f"{pair[0]}x{pair[1]}",
@@ -295,7 +280,7 @@ def report_svg(report: SRReport) -> str:
     panels = []
     x0 = 10
     for axis in AXES:
-        stats = report.axes.get(axis, ())
+        stats = report.axes[axis]
         panel, width = _svg_panel(axis, stats, x0)
         panels.append(panel)
         x0 += width + 30

@@ -1366,6 +1366,25 @@ class TestSweepStep:
         assert_one_error_line(capsys, f"step must be positive and finite, got {step}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, steps, empty", [("speed", "60,10", "60"), ("angle_long", "0.5,2", "2")])
+    def test_step_that_visits_no_value_is_config_error(self, tmp_path, capsys, monkeypatch, axis, steps, empty):
+        # the grids are checked before anything is simulated
+        monkeypatch.setattr(fuzzer, "simulate", None)
+        out = tmp_path / "s.csv"
+        assert main(["sweep-step", "--kind", "FLB", "--axis", axis, "--steps", steps, "--trials", "2", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, f"step {empty} visits no {axis} value: the axis ends at ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [None, "reference.json"])
+    def test_unknown_kind_names_the_option(self, tmp_path, capsys, config):
+        argv = ["sweep-step", "--kind", "XX", "--axis", "speed", "--steps", "5", "--out", str(tmp_path / "s.csv")]
+        if config:
+            argv += ["--config", str(CONFIG_DIR / config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --kind: invalid choice: 'XX'" in err and "kinds:" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_empty_steps_list_is_config_error(self, tmp_path, capsys):
         assert main(["sweep-step", "--kind", "FLB", "--axis", "angle", "--steps", ",", "--trials", "1", "--out", str(tmp_path / "s.csv")]) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silentcrash.config import _PLAN_KEYS, ConfigError, load_config_file, parse_config
-from silentcrash.fuzzer import DEFAULT_PLANS, AngleMode, MutatorKind
+from silentcrash.config import _DEFECT, _ORACLE, _PLAN, _SIM, _TOP, ConfigError, load_config_file, parse_config
+from silentcrash.detector import DefectModel
+from silentcrash.fuzzer import DEFAULT_PLANS, AngleMode, CampaignConfig, MutatorKind
+from silentcrash.oracle import OracleConfig
 from silentcrash.scenario import ScenarioKind
+from silentcrash.simulator import SimConfig
 
 BASE = {"kinds": ["FLV"], "budget": 10}
 
@@ -100,11 +104,23 @@ def test_explicit_schedules_are_validated():
         ({"sim": {"dt": 5e-324, "horizon": 1e308}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
         ({"sim": {"dt": 0.001, "horizon": 100.0001}}, r"sim.horizon / sim.dt: .* more than 100000 steps"),
         ({"kinds": ["FLB", "PSF", "FLB"]}, "^kinds: duplicate entry FLB$"),
+        # a bad value in the default block is named there, not under the first kind it is merged into
+        ({"kinds": ["PSF"], "plans": {"default": {"speed_step": "5"}}}, "^plans.default.speed_step: must be a finite number$"),
+        ({"plans": {"default": {"k_nc": 0}}}, "^plans.default.k_nc: must be an integer >= 1$"),
+        ({"plans": {"default": {"angle_mode": "x"}}}, "^plans.default.angle_mode: 'x' is not one of scalar, per-axis$"),
     ],
 )
 def test_invalid_configs_name_the_field(mutation, message):
     with pytest.raises(ConfigError, match=message):
         parse_config({**BASE, **mutation})
+
+
+@pytest.mark.parametrize(
+    "table, cls",
+    [(_DEFECT, DefectModel), (_SIM, SimConfig), (_ORACLE, OracleConfig), (_TOP, CampaignConfig)],
+)
+def test_each_table_parses_exactly_its_dataclass_fields(table, cls):
+    assert set(table) == {f.name for f in dataclasses.fields(cls) if f.init}
 
 
 def test_budget_is_required():
@@ -153,7 +169,7 @@ def _object(keys, values):
     return st.dictionaries(st.sampled_from(keys), values, max_size=4)
 
 
-PLANS = _object(["default", "FLV", "PSF"], _object(sorted(_PLAN_KEYS), NUMBERS | st.lists(NUMBERS) | JSON) | JSON)
+PLANS = _object(["default", "FLV", "PSF"], _object(sorted(_PLAN), NUMBERS | st.lists(NUMBERS) | JSON) | JSON)
 ACTOR = _object(["speed", "half_length", "half_width", "x", "y", "yaw"], NUMBERS | JSON)
 OVERRIDES = _object(["FLV", "PSF", "InC"], _object(["ev", "npc", "initial_gap", "lane_width"], ACTOR | JSON) | JSON)
 

@@ -26,7 +26,7 @@ from silentcrash.fuzzer import (
     step_size_sweep,
 )
 from silentcrash.oracle import ScenarioType, check_ic
-from silentcrash.report import empty_report
+from silentcrash.report import success_rates
 from silentcrash.scenario import ControlParameters, ScenarioKind, make_seed
 from silentcrash.simulator import simulate
 from test_cli import SHIPPED_DIGESTS, VARIANT_DIGESTS
@@ -250,7 +250,7 @@ class TestCampaign:
     def test_budget_zero_gives_empty_result_with_manifest(self):
         result = run_campaign(small_config(budget=0))
         assert result.records == []
-        manifest = result.manifest(empty_report().summary)
+        manifest = result.manifest(success_rates(result.records).summary)
         assert manifest["executions"] == 0
         assert manifest["totals"] == {"IC": 0, "DC": 0, "NC": 0, "FP": 0}
 
@@ -410,7 +410,7 @@ def test_campaign_config_requires_plan_per_kind():
         CampaignConfig(kinds=(ScenarioKind.FLV,), budget=1, plans={})
 
 
-@pytest.mark.parametrize("name", ["reference", "tunneling", "graze", "per-axis"])
+@pytest.mark.parametrize("name", ["reference", "tunneling", "graze", "per-axis", "nc_start"])
 def test_dense_campaign_spells_the_fast_paths_records(name, request, monkeypatch):
     """run_campaign through the dense executor writes the fast path's records byte for byte, and the pinned log.
 
@@ -418,7 +418,8 @@ def test_dense_campaign_spells_the_fast_paths_records(name, request, monkeypatch
     and seed check (sim_oracle.simulate_full), with no cruise stage, memo or
     located search, and judges it with builtin_cd_full and oracle.classify;
     the fast side is the session-scoped fixture's campaign of the same config.
-    per-axis is the reference config with every plan's angle mode per axis.
+    per-axis is the reference config with every plan's angle mode per axis,
+    and nc_start the reference config with the nc_start mutator.
     """
     fast = request.getfixturevalue(f"{name.replace('-', '_')}_result")
     monkeypatch.setattr(fuzzer, "_Executor", DenseExecutor)

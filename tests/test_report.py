@@ -19,7 +19,6 @@ from silentcrash.report import (
     bucket,
     categorize,
     cross_csv,
-    empty_report,
     report_csv,
     report_svg,
     success_rates,
@@ -141,9 +140,18 @@ class TestSuccessRates:
         for axis in AXES:
             assert all(stats.sr is None for stats in report.axes[axis])
 
-    def test_rejects_empty_records(self):
-        with pytest.raises(ValueError):
-            success_rates([])
+    def test_empty_records_give_no_buckets_and_a_zero_summary(self):
+        report = success_rates([])
+        assert all(report.axes[axis] == () for axis in AXES)
+        assert all(report.cross[pair] == {} for pair in CROSS_PAIRS)
+        assert report.summary == {
+            "executions": 0,
+            "totals": {"IC": 0, "DC": 0, "NC": 0, "FP": 0},
+            "proportion": None,
+            "time_to_first_ics": {},
+            "mean_time_to_first_ics": None,
+            "kinds_with_ics": [],
+        }
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +209,9 @@ class TestOnCampaign:
 
 
 def test_empty_report_exports_header_only():
-    report = empty_report()
-    lines = report_csv(report).splitlines()
-    assert lines == ["axis,bucket,executions,collisions,ics,sr_percent"]
+    report = success_rates([])
+    assert report_csv(report) == "axis,bucket,executions,collisions,ics,sr_percent\n"
+    assert cross_csv(report) == "axis_pair,bucket_pair,executions,collisions,ics,sr_percent\n"
     assert report.summary["executions"] == 0
 
 
